@@ -427,12 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact coloring experiments on grid towers, Cayley quotients, "
         "and two-ended line instances",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker cap (the current implementation runs sequentially)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, budget=True):

@@ -64,9 +64,6 @@ class FiniteGraph:
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def neighbor_masks(self) -> list[int]:
         """Per-vertex adjacency bitmasks, built lazily, cached."""
         if self._masks is None:
@@ -263,12 +260,17 @@ def graph_from_dimacs(text: str) -> FiniteGraph:
         if parts[0] == "p":
             if len(parts) < 4 or parts[1] != "edge":
                 raise InputError(f"bad DIMACS header: {line!r}")
-            n = int(parts[2])
+            try:
+                n = int(parts[2])
+            except ValueError as exc:
+                raise InputError(f"bad DIMACS header: {line!r}") from exc
         elif parts[0] == "e":
             if n is None:
                 raise InputError("DIMACS edge line before header")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            edges.append((u, v))
+            try:
+                edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+            except (ValueError, IndexError) as exc:
+                raise InputError(f"bad DIMACS edge line: {line!r}") from exc
     if n is None:
         raise InputError("missing DIMACS 'p edge' header")
     return FiniteGraph(n, edges)

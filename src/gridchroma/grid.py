@@ -12,10 +12,13 @@ proper (2k-2)-coloring into exactly one of two camps:
 Note the coloring that sends (a, b) to a has full columns as color sets
 and is therefore vertical under this convention.
 
-The module also builds the two-orbit graph (two adjacent grid layers of a
-tower, plain or twisted) and provides exhaustive verifiers for the
-dichotomy, the orientation-propagation law across layers, and the rigidity
-of k-colorings.
+The module also holds the one builder of the tower graphs: left
+multiplication by a generator draws the same edges on every level, so
+windows, cyclic quotients and the two-orbit graph (two adjacent grid
+layers, plain or twisted) are all tiled from one layer template and one
+cross-edge template.  It provides exhaustive verifiers for the dichotomy,
+the orientation-propagation law across layers, and the rigidity of
+k-colorings.
 """
 
 from __future__ import annotations
@@ -59,6 +62,12 @@ def grid_graph(k: int) -> GridGraphH:
     """Build the complete-difference graph on the k x k grid."""
     if k < 3:
         raise InputError(f"grid modulus must be >= 3, got {k}")
+    labels = [(a, b) for a in range(k) for b in range(k)]
+    return GridGraphH(k, FiniteGraph(k * k, _grid_edges(k), labels))
+
+
+def _grid_edges(k: int) -> list[tuple[int, int]]:
+    """The grid graph's edges (u, v), u < v, on cells u = a*k+b."""
     edges = []
     for a in range(k):
         for b in range(k):
@@ -67,8 +76,7 @@ def grid_graph(k: int) -> GridGraphH:
                 for b2 in range(k):
                     if b2 != b:
                         edges.append((u, a2 * k + b2))
-    labels = [(a, b) for a in range(k) for b in range(k)]
-    return GridGraphH(k, FiniteGraph(k * k, edges, labels))
+    return edges
 
 
 @dataclass(frozen=True)
@@ -186,35 +194,79 @@ def two_orbit_graph(k: int, twisted: bool) -> TwoOrbitGraph:
     """Build two adjacent layers; cross edges come from the group product,
     so the twisted case needs no hand-coded offsets."""
     spec = MarkedGroupSpec(k, twisted=twisted)
-    kk = k * k
-    edges = set()
-    gens = generators(spec)
-    for level in (0, 1):
+    return TwoOrbitGraph(k, twisted, layer_graph(spec, 2))
+
+
+# -- the level-template builder -----------------------------------------------
+
+UNIT_SHIFT = GroupElement(0, 0, 1)
+
+
+def layer_templates(
+    spec: MarkedGroupSpec,
+) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
+    """The edge templates of the tower graphs, as pairs of cell indices
+    a*k+b: (intra, cross).
+
+    intra holds the pairs (u, v), u < v, of cells joined inside one layer;
+    cross holds the pairs (u, v) joining cell u on level n to cell v on
+    level n+1.  Both are read off the group product at level 0.  Two
+    invariants are checked, not assumed.  For every generator, the edges
+    computed at level 1 must be those of level 0 moved up a level (left
+    multiplication commutes with the right unit shift); the product sees a
+    level only through its parity, so the templates then hold on every
+    level and descend to every cyclic quotient.  And the intra template
+    must be the grid graph.
+    """
+    k = spec.k
+    intra: set[tuple[int, int]] = set()
+    cross: set[tuple[int, int]] = set()
+    for gen in generators(spec):
+        s = generator_element(gen)
         for a in range(k):
             for b in range(k):
-                x = GroupElement(a, b, level)
-                u = level * kk + a * k + b
-                for gen in gens:
-                    y = multiply(spec, generator_element(gen), x)
-                    if 0 <= y.n <= 1:
-                        v = y.n * kk + y.a * k + y.b
-                        edges.add((u, v) if u < v else (v, u))
-    labels = [
-        (a, b, level) for level in (0, 1) for a in range(k) for b in range(k)
-    ]
-    g = FiniteGraph(2 * kk, sorted(edges), labels)
-    # each layer must induce a copy of the grid graph
-    h_edges = set(grid_graph(k).graph.edges())
-    for level in (0, 1):
-        base = level * kk
-        induced = {
-            (u - base, v - base)
-            for u, v in g.edges()
-            if base <= u < base + kk and base <= v < base + kk
-        }
-        if induced != h_edges:
-            raise InvariantViolation("tower layer is not a copy of the grid graph")
-    return TwoOrbitGraph(k, twisted, g)
+                x0 = GroupElement(a, b, 0)
+                y0 = multiply(spec, s, x0)
+                y1 = multiply(spec, s, multiply(spec, x0, UNIT_SHIFT))
+                if y1 != multiply(spec, y0, UNIT_SHIFT):
+                    raise InvariantViolation(
+                        "right shift action does not commute with "
+                        f"generator {gen} at {x0}"
+                    )
+                u, v = a * k + b, y0.a * k + y0.b
+                if y0.n == 0:
+                    intra.add((u, v) if u < v else (v, u))
+                elif y0.n == 1:
+                    cross.add((u, v))
+                else:  # y0 lies one level below x0, so x0 lies one above y0
+                    cross.add((v, u))
+    if intra != set(_grid_edges(k)):
+        raise InvariantViolation("tower layer is not a copy of the grid graph")
+    return intra, cross
+
+
+def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> FiniteGraph:
+    """The Cayley graph on shift levels 0..levels-1, tiled from the layer
+    templates.
+
+    Open (a window), edges leaving the level range are dropped; cyclic
+    (the quotient by the shift-by-levels element), the last level also
+    joins level 0.  Vertex (a, b, n) is n*k^2 + a*k + b and carries that
+    label.  Needs levels >= 1, and levels >= 3 when cyclic; the public
+    builders `cayley_window` and `build_quotient` check this.
+    """
+    intra, cross = layer_templates(spec)
+    k = spec.k
+    kk = k * k
+    edges = []
+    for n in range(levels):
+        base = n * kk
+        edges.extend((base + u, base + v) for u, v in intra)
+        if cyclic or n + 1 < levels:
+            up = (n + 1) % levels * kk
+            edges.extend((base + u, up + v) for u, v in cross)
+    labels = [(a, b, n) for n in range(levels) for a in range(k) for b in range(k)]
+    return FiniteGraph(levels * kk, edges, labels)
 
 
 # -- verification reports -----------------------------------------------------

@@ -17,7 +17,7 @@ therefore right multiplications.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import InputError
 
@@ -101,12 +101,6 @@ def generators(spec: MarkedGroupSpec) -> list[Generator]:
 
 def generator_element(gen: Generator) -> GroupElement:
     return GroupElement(gen.s1, gen.s2, gen.eps)
-
-
-def neighbors(spec: MarkedGroupSpec, x: GroupElement) -> Iterator[GroupElement]:
-    """All s * x over the generating set; yields 3(k-1)^2 elements."""
-    for gen in generators(spec):
-        yield multiply(spec, generator_element(gen), x)
 
 
 def untwist(g: GroupElement) -> GroupElement:

@@ -259,7 +259,12 @@ def instance_from_json(doc: dict) -> LineInstance:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance document: {exc}") from exc
     chi = doc.get("chi")
-    return LineInstance(graph, blocks, mode, int(chi) if chi is not None else None)
+    # the pipeline trusts a given chi, so accept only a JSON integer
+    if chi is not None and (not isinstance(chi, int) or isinstance(chi, bool)):
+        raise InputError(
+            f"malformed instance document: chi must be an integer, got {chi!r}"
+        )
+    return LineInstance(graph, blocks, mode, chi)
 
 
 def load_instance(path: str) -> LineInstance:

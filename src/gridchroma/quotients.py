@@ -3,9 +3,11 @@
 A window keeps the shift coordinate in a range 0..levels-1 and drops edges
 leaving it.  A quotient reduces the shift coordinate modulo M >= 3, which
 is induced by the right action of the shift-by-M element: right and left
-multiplications commute, so left generator edges descend to the cosets
-(this is checked at construction rather than assumed).  The quotient has
-k^2 * M vertices and is 3(k-1)^2-regular.
+multiplications commute, so left generator edges descend to the cosets.
+Both are tiled by `grid.layer_graph` from one layer template and one
+cross-edge template, and the commutation is checked on the template, once
+per generator and level parity, rather than assumed.  The quotient has
+k^2 * M vertices and is 3(k-1)^2-regular, which is checked per vertex.
 
 Quotients of the plain group stay k-chromatic.  Quotients of the twisted
 group collapse onto the plain ones for even M (swap grid coordinates on
@@ -21,43 +23,21 @@ from typing import Optional
 from .chi import Budget, ChiResult, Coloring, chromatic_info, find_coloring, is_proper
 from .errors import InputError, InvariantViolation
 from .graphs import FiniteGraph
-from .grid import HORIZONTAL, VERTICAL, VerificationReport, _orientation_flags
-from .groups import (
-    GroupElement,
-    MarkedGroupSpec,
-    generator_element,
-    generators,
-    multiply,
-    untwist,
+from .grid import (
+    HORIZONTAL,
+    VERTICAL,
+    VerificationReport,
+    _orientation_flags,
+    layer_graph,
 )
+from .groups import GroupElement, MarkedGroupSpec, untwist
 
 
 def cayley_window(spec: MarkedGroupSpec, levels: int) -> FiniteGraph:
     """The Cayley graph restricted to shift levels 0..levels-1."""
     if levels < 1:
         raise InputError(f"window needs at least one level, got {levels}")
-    k = spec.k
-    kk = k * k
-
-    def index(e: GroupElement) -> int:
-        return e.n * kk + e.a * k + e.b
-
-    edges = set()
-    gens = generators(spec)
-    for n in range(levels):
-        for a in range(k):
-            for b in range(k):
-                x = GroupElement(a, b, n)
-                u = index(x)
-                for gen in gens:
-                    y = multiply(spec, generator_element(gen), x)
-                    if 0 <= y.n < levels:
-                        v = index(y)
-                        edges.add((u, v) if u < v else (v, u))
-    labels = [
-        (a, b, n) for n in range(levels) for a in range(k) for b in range(k)
-    ]
-    return FiniteGraph(levels * kk, sorted(edges), labels)
+    return layer_graph(spec, levels)
 
 
 @dataclass(frozen=True)
@@ -88,46 +68,14 @@ def build_quotient(spec: MarkedGroupSpec, modulus: int) -> QuotientGraph:
     directions onto each other)."""
     if modulus < 3:
         raise InputError(f"quotient modulus must be >= 3, got {modulus}")
-    k = spec.k
-    kk = k * k
-    gens = generators(spec)
-    shift_m = GroupElement(0, 0, modulus)
-
-    def index(e: GroupElement) -> int:
-        return (e.n % modulus) * kk + e.a * k + e.b
-
-    edges = set()
-    for n in range(modulus):
-        for a in range(k):
-            for b in range(k):
-                x = GroupElement(a, b, n)
-                u = index(x)
-                nbrs = set()
-                for gen in gens:
-                    y = multiply(spec, generator_element(gen), x)
-                    # the reduction is well defined only because left
-                    # generator action commutes with the right shift-by-M
-                    left_then_right = multiply(spec, y, shift_m)
-                    right_then_left = multiply(
-                        spec, generator_element(gen), multiply(spec, x, shift_m)
-                    )
-                    if index(left_then_right) != index(right_then_left):
-                        raise InvariantViolation(
-                            "right shift-by-M action does not commute with "
-                            f"generator {gen} at {x}"
-                        )
-                    v = index(y)
-                    nbrs.add(v)
-                    edges.add((u, v) if u < v else (v, u))
-                if len(nbrs) != spec.degree:
-                    raise InvariantViolation(
-                        f"quotient vertex {x} has {len(nbrs)} distinct "
-                        f"neighbors, expected {spec.degree}"
-                    )
-    labels = [
-        (a, b, n) for n in range(modulus) for a in range(k) for b in range(k)
-    ]
-    return QuotientGraph(spec, modulus, FiniteGraph(modulus * kk, sorted(edges), labels))
+    graph = layer_graph(spec, modulus, cyclic=True)
+    for v, label in enumerate(graph.labels):
+        if graph.degree(v) != spec.degree:
+            raise InvariantViolation(
+                f"quotient vertex {label} has {graph.degree(v)} distinct "
+                f"neighbors, expected {spec.degree}"
+            )
+    return QuotientGraph(spec, modulus, graph)
 
 
 def quotient_chi(

@@ -140,29 +140,6 @@ def transfer_schedule(
     return schedule
 
 
-def three_swap_round(k: int, source: OrbitMap, swap_color: int) -> list[OrbitMap]:
-    """One round of the three-transposition walk: park color k on the
-    spare, move swap_color onto k, then bring k+1's column back to
-    swap_color.  Nets a transposition of colors k and swap_color while
-    restoring k+1 as the spare.  Kept as an executable trace of the
-    round-by-round description the schedule generalizes."""
-    if not (1 <= swap_color < k):
-        raise InputError("swap color must lie in 1..k-1")
-    if spare_color(k, source) != k + 1:
-        raise InputError("source map must leave the spare color unused")
-    states = []
-    cur = list(source)
-    cur[cur.index(k)] = k + 1
-    states.append(tuple(cur))
-    cur = list(cur)
-    cur[cur.index(swap_color)] = k
-    states.append(tuple(cur))
-    cur = list(cur)
-    cur[cur.index(k + 1)] = swap_color
-    states.append(tuple(cur))
-    return states
-
-
 @dataclass
 class TowerColoring:
     """Materialized tower graph plus the per-layer column maps."""

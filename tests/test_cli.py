@@ -50,6 +50,23 @@ class TestExitCodes:
         code, _ = run(["chi", "--graph", str(bad)])
         assert code == 2
 
+    def test_non_integer_dimacs_token_is_input_error(self, tmp_path):
+        bad = tmp_path / "bad.col"
+        bad.write_text("p edge 3 1\ne 1 x\n")
+        code, report = run(["chi", "--graph", str(bad)])
+        assert code == 2
+        assert "e 1 x" in report["error"]
+
+    def test_non_integer_instance_chi_is_input_error(self, delta_instance_file):
+        with open(delta_instance_file) as fh:
+            doc = json.load(fh)
+        doc["chi"] = "three"
+        with open(delta_instance_file, "w") as fh:
+            json.dump(doc, fh)
+        code, report = run(["two-ended-color", "--instance", delta_instance_file])
+        assert code == 2
+        assert "chi must be an integer" in report["error"]
+
     def test_missing_file_is_input_error(self):
         code, _ = run(["chi", "--graph", "/no/such/file.json"])
         assert code == 2

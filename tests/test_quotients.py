@@ -1,9 +1,17 @@
 import pytest
 
+from gridchroma import grid
 from gridchroma.chi import Budget, Coloring, find_coloring, is_proper
-from gridchroma.errors import InputError
+from gridchroma.errors import InputError, InvariantViolation
 from gridchroma.grid import HORIZONTAL, VERTICAL, two_orbit_graph
-from gridchroma.groups import GroupElement, MarkedGroupSpec, multiply, untwist
+from gridchroma.groups import (
+    GroupElement,
+    MarkedGroupSpec,
+    generator_element,
+    generators,
+    multiply,
+    untwist,
+)
 from gridchroma.quotients import (
     build_quotient,
     cayley_window,
@@ -15,6 +23,33 @@ from gridchroma.quotients import (
 
 DELTA3 = MarkedGroupSpec(3)
 GAMMA3 = MarkedGroupSpec(3, twisted=True)
+
+ALL_SPECS = [MarkedGroupSpec(k, twisted) for k in (3, 4, 5) for twisted in (False, True)]
+
+
+def reference_edges(spec, levels, cyclic):
+    """Edge set and labels by the definition: x ~ s*x for every vertex x
+    of levels 0..levels-1 and every generator s, dropping edges that leave
+    the window, or reducing the shift mod levels in the quotient."""
+    k = spec.k
+    kk = k * k
+    edges = set()
+    for n in range(levels):
+        for a in range(k):
+            for b in range(k):
+                x = GroupElement(a, b, n)
+                for gen in generators(spec):
+                    y = multiply(spec, generator_element(gen), x)
+                    if cyclic:
+                        m = y.n % levels
+                    elif 0 <= y.n < levels:
+                        m = y.n
+                    else:
+                        continue
+                    u, v = n * kk + a * k + b, m * kk + y.a * k + y.b
+                    edges.add((u, v) if u < v else (v, u))
+    labels = tuple((a, b, n) for n in range(levels) for a in range(k) for b in range(k))
+    return edges, labels
 
 
 class TestConstruction:
@@ -93,6 +128,44 @@ class TestConstruction:
             image[v] = index[(e.a, e.b, e.n)]
         mapped = {tuple(sorted((image[u], image[v]))) for u, v in tw.edges()}
         assert mapped == set(pl.edges())
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+class TestTemplateBuilderMatchesDefinition:
+    def test_windows(self, spec):
+        for levels in range(1, 9):
+            graph = cayley_window(spec, levels)
+            edges, labels = reference_edges(spec, levels, cyclic=False)
+            assert set(graph.edges()) == edges
+            assert graph.labels == labels
+
+    def test_quotients(self, spec):
+        for modulus in range(3, 9):
+            graph = build_quotient(spec, modulus).graph
+            edges, labels = reference_edges(spec, modulus, cyclic=True)
+            assert set(graph.edges()) == edges
+            assert graph.labels == labels
+
+    def test_two_orbit_graph(self, spec):
+        graph = two_orbit_graph(spec.k, spec.twisted).graph
+        edges, labels = reference_edges(spec, 2, cyclic=False)
+        assert set(graph.edges()) == edges
+        assert graph.labels == labels
+
+    def test_modulus_two_still_rejected(self, spec):
+        with pytest.raises(InputError):
+            build_quotient(spec, 2)
+
+
+def test_product_that_breaks_shift_commutation_is_caught(monkeypatch):
+    # not associative: a right factor on level 1 moves the first coordinate
+    def skewed(spec, g, h):
+        y = multiply(spec, g, h)
+        return y._replace(a=(y.a + (h.n == 1)) % spec.k)
+
+    monkeypatch.setattr(grid, "multiply", skewed)
+    with pytest.raises(InvariantViolation):
+        build_quotient(DELTA3, 3)
 
 
 class TestQuotientChi:

@@ -15,7 +15,6 @@ from gridchroma.towers import (
     greedy_discrete_set,
     random_tower,
     spare_color,
-    three_swap_round,
     tower_from_json,
     tower_to_json,
     transfer_schedule,
@@ -122,17 +121,6 @@ class TestTransferSchedule:
     def test_spare_bearing_source_rejected(self):
         with pytest.raises(InputError):
             transfer_schedule(3, (1, 2, 4), (1, 2, 3))
-
-
-class TestThreeSwapRound:
-    def test_round_nets_a_transposition(self):
-        k = 3
-        src = anchor_coloring(k)
-        states = three_swap_round(k, src, swap_color=1)
-        assert_valid_schedule(k, src, states[-1], states)
-        want = tuple({k: 1, 1: k}.get(c, c) for c in src)
-        assert states[-1] == want
-        assert spare_color(k, states[-1]) == k + 1
 
 
 class TestColorTower:
