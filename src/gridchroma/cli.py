@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -58,8 +59,15 @@ def _budget_from(args) -> Optional[Budget]:
     ms = getattr(args, "budget_ms", None)
     if ms is None:
         env = os.environ.get("GRIDCHROMA_BUDGET_MS")
-        ms = float(env) if env else None
-    return Budget(ms=ms) if ms is not None else None
+        if not env:
+            return None
+        try:
+            ms = float(env)
+        except ValueError:
+            raise InputError(f"GRIDCHROMA_BUDGET_MS is not a number: {env!r}") from None
+    if not (math.isfinite(ms) and ms >= 0):
+        raise InputError(f"budget must be a finite, nonnegative number of milliseconds, got {ms}")
+    return Budget(ms=ms)
 
 
 def _group_spec(args) -> MarkedGroupSpec:
@@ -373,18 +381,22 @@ def cmd_report(args, report) -> int:
             cayley_cycle_instance(MarkedGroupSpec(k, twisted=True), 12),
         ),
     ]
-    te_ok = True
+    te_ok: Optional[bool] = True
     te_values = {}
-    for name, inst in suite:
-        result = color_two_ended(inst, budget=budget)
-        bound = 2 * result.chi - 1
-        good = (
-            is_proper(inst.graph, result.coloring)
-            and result.colors_used <= bound
-            and result.complement_stats["satisfied"]
-        )
-        te_ok = te_ok and good
-        te_values[name] = {"colors": result.colors_used, "bound": bound}
+    try:
+        for name, inst in suite:
+            result = color_two_ended(inst, budget=budget)
+            bound = 2 * result.chi - 1
+            good = (
+                is_proper(inst.graph, result.coloring)
+                and result.colors_used <= bound
+                and result.complement_stats["satisfied"]
+            )
+            te_ok = te_ok and good
+            te_values[name] = {"colors": result.colors_used, "bound": bound}
+    except UndecidedError as exc:
+        te_ok = None
+        te_values["undecided"] = str(exc)
     add("two-ended colorer within 2*chi-1", te_ok, te_values)
 
     tower_ok = True

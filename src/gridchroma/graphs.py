@@ -173,6 +173,30 @@ def is_connected_set(g: FiniteGraph, vertices: Iterable[int]) -> bool:
     return len(components(g, vs)) == 1
 
 
+def reach_mask(
+    masks: Sequence[int], seed: int, allowed: int, stop: int = 0
+) -> Optional[int]:
+    """Bitmask of the vertices of `allowed` reachable from the seed bits
+    through `allowed`, given per-vertex neighbor bitmasks.
+
+    Returns None as soon as the reach meets `stop`, before it is complete.
+    """
+    reach = frontier = seed & allowed
+    unseen = allowed & ~reach
+    while frontier:
+        if frontier & stop:
+            return None
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & unseen
+        unseen ^= frontier
+        reach |= frontier
+    return reach
+
+
 def is_independent(g: FiniteGraph, vertices: Iterable[int]) -> bool:
     """True iff no edge joins two members of the set."""
     vs = set(vertices)
@@ -217,6 +241,14 @@ def _check_vertex(g: FiniteGraph, v: int):
 # -- serialization ----------------------------------------------------------
 
 
+def json_int(value, what: str) -> int:
+    """An integer field of a JSON document: a JSON integer, never a bool
+    or a float, else InputError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def graph_to_json(g: FiniteGraph) -> dict:
     """JSON form: {"vertices": N, "edges": [[u,v],...], "labels": [...]}."""
     doc = {"vertices": g.n, "edges": [list(e) for e in g.edges()]}
@@ -227,8 +259,11 @@ def graph_to_json(g: FiniteGraph) -> dict:
 
 def graph_from_json(doc: dict) -> FiniteGraph:
     try:
-        n = int(doc["vertices"])
-        edges = [(int(u), int(v)) for u, v in doc["edges"]]
+        n = json_int(doc["vertices"], "vertices")
+        edges = [
+            (json_int(u, "edge endpoint"), json_int(v, "edge endpoint"))
+            for u, v in doc["edges"]
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph document: {exc}") from exc
     labels = doc.get("labels")

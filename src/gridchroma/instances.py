@@ -7,11 +7,17 @@ bi-infinite graph; cycle mode closes block m-1 onto block 0 and models the
 bi-infinite graph through its cyclic quotient.
 
 `divides_into_two` asks whether removing a connected vertex set splits the
-underlying two-ended graph into its two ends.  In segment mode this reads
-off the components touching the end blocks.  In cycle mode the test runs
-on a 3-fold unrolling of the cycle with the cut placed in the middle copy,
-which distinguishes genuine two-sided cuts from sets whose removal leaves
-the cycle connected.
+underlying two-ended graph into its two ends.  In segment mode the test
+runs on the instance graph, with the first and last blocks as the ends.  In
+cycle mode it runs on a 3-fold unrolling of the cycle with the cut placed
+in the middle copy, which distinguishes genuine two-sided cuts from sets
+whose removal leaves the cycle connected.
+
+The test is a breadth-first search over integer neighbor bitmasks
+(`graphs.reach_mask`): it grows the reach of the lowest remaining left-end
+vertex and stops as soon as that reach meets the right end.  `_unrolls`
+caches, per rotation, the neighbor masks and the two end masks of the
+graph the test runs on, never a graph object.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import InputError
-from .graphs import FiniteGraph, components, is_connected_set
+from .graphs import FiniteGraph, components, json_int, reach_mask
 from .groups import MarkedGroupSpec
 from .quotients import build_quotient, cayley_window
 
@@ -94,82 +100,89 @@ class LineInstance:
             out.extend(self.blocks[i])
         return out
 
-    # -- 3-fold unrolling for cycle-mode cut tests -------------------------
+    # -- the graph the cut test runs on -----------------------------------
 
     def _unrolled(self, rotation: int):
-        """Three copies of the cycle opened between rotated blocks m-1 and 0.
+        """(neighbor masks, left-end mask, right-end mask) of the graph the
+        cut test runs on.  Cached per rotation.
 
-        Returns (graph, left_end, right_end); vertex v of copy c sits at
-        index c*n + v.  Cached per rotation.
+        In segment mode that is the instance graph itself and `rotation` is
+        0.  In cycle mode it is three copies of the cycle opened between
+        rotated blocks m-1 and 0; vertex v of copy c sits at index c*n + v.
         """
         if rotation in self._unrolls:
             return self._unrolls[rotation]
         n = self.graph.n
-        m = self.block_count
-        edges = []
-        for u, v in self.graph.edges():
-            ru = (self._block_of[u] - rotation) % m
-            rv = (self._block_of[v] - rotation) % m
-            if abs(ru - rv) <= 1:
-                for c in range(3):
-                    edges.append((c * n + u, c * n + v))
-            else:
-                # wrap edge: the rotated-last block joins the next copy's
-                # rotated-first block
-                x, y = (u, v) if ru == m - 1 else (v, u)
-                for c in range(2):
-                    edges.append((c * n + x, (c + 1) * n + y))
-        unrolled = FiniteGraph(3 * n, edges)
-        left = [v for v in range(n) if (self._block_of[v] - rotation) % m == 0]
-        right = [
-            2 * n + v
-            for v in range(n)
-            if (self._block_of[v] - rotation) % m == m - 1
-        ]
-        self._unrolls[rotation] = (unrolled, left, right)
+        if self.mode == SEGMENT:
+            masks = self.graph.neighbor_masks()
+            first, last, shift = self.blocks[0], self.blocks[-1], 0
+        else:
+            m = self.block_count
+            masks = [0] * (3 * n)
+            for u, v in self.graph.edges():
+                ru = (self._block_of[u] - rotation) % m
+                rv = (self._block_of[v] - rotation) % m
+                if abs(ru - rv) <= 1:
+                    pairs = [(c * n + u, c * n + v) for c in range(3)]
+                else:
+                    # wrap edge: the rotated-last block joins the next
+                    # copy's rotated-first block
+                    x, y = (u, v) if ru == m - 1 else (v, u)
+                    pairs = [(c * n + x, (c + 1) * n + y) for c in range(2)]
+                for a, b in pairs:
+                    masks[a] |= 1 << b
+                    masks[b] |= 1 << a
+            first, last, shift = self.blocks[rotation], self.blocks[rotation - 1], 2 * n
+        self._unrolls[rotation] = (masks, _mask(first), _mask(last) << shift)
         return self._unrolls[rotation]
+
+
+def _mask(vertices: Iterable[int]) -> int:
+    out = 0
+    for v in vertices:
+        out |= 1 << v
+    return out
 
 
 def divides_into_two(inst: LineInstance, cut: Iterable[int]) -> bool:
     """True iff removing the connected set leaves exactly one component per
     end: one touching the left end, a different one touching the right."""
-    cut_set = set(cut)
-    if not cut_set:
+    n = inst.graph.n
+    cut_mask = 0
+    touched = set()
+    for v in cut:
+        if not isinstance(v, int) or not (0 <= v < n):
+            raise InputError(f"cut vertex {v!r} out of range for {n} vertices")
+        cut_mask |= 1 << v
+        touched.add(inst.block_of(v))
+    if not cut_mask:
         raise InputError("cut must be non-empty")
-    for v in cut_set:
-        if not (0 <= v < inst.graph.n):
-            raise InputError(f"cut vertex {v} out of range")
-    if not is_connected_set(inst.graph, cut_set):
+    if reach_mask(inst.graph.neighbor_masks(), cut_mask & -cut_mask, cut_mask) != cut_mask:
         raise InputError("cut must induce a connected subgraph")
 
     if inst.mode == SEGMENT:
-        graph = inst.graph
-        removed = cut_set
-        left = [v for v in inst.blocks[0]]
-        right = [v for v in inst.blocks[-1]]
+        rotation, removed = 0, cut_mask
     else:
         m = inst.block_count
-        touched = {inst.block_of(v) for v in cut_set}
         if len(touched) == m:
             return False
-        start = next(
+        rotation = next(
             (t + 1) % m for t in range(m)
             if t not in touched and (t + 1) % m in touched
         )
-        graph, left, right = inst._unrolled(start)
-        removed = {inst.graph.n + v for v in cut_set}
-
-    remaining = set(range(graph.n)) - removed
-    comps = components(graph, remaining)
-    left_set = set(left) - removed
-    right_set = set(right) - removed
-    touching_left = [i for i, comp in enumerate(comps) if left_set & set(comp)]
-    touching_right = [i for i, comp in enumerate(comps) if right_set & set(comp)]
-    return (
-        len(touching_left) == 1
-        and len(touching_right) == 1
-        and touching_left[0] != touching_right[0]
-    )
+        removed = cut_mask << n
+    masks, left, right = inst._unrolled(rotation)
+    remaining = ((1 << len(masks)) - 1) & ~removed
+    left &= remaining
+    right &= remaining
+    if not left or not right:
+        return False
+    # the left end must lie in one component that misses the right end ...
+    reach = reach_mask(masks, left & -left, remaining, right)
+    if reach is None or left & ~reach:
+        return False
+    # ... and the right end in one other component
+    return not right & ~reach_mask(masks, right & -right, remaining)
 
 
 # -- builders -----------------------------------------------------------------
@@ -252,18 +265,22 @@ def instance_to_json(inst: LineInstance) -> dict:
 def instance_from_json(doc: dict) -> LineInstance:
     try:
         graph = FiniteGraph(
-            int(doc["vertices"]), [(int(u), int(v)) for u, v in doc["edges"]]
+            json_int(doc["vertices"], "vertices"),
+            [
+                (json_int(u, "edge endpoint"), json_int(v, "edge endpoint"))
+                for u, v in doc["edges"]
+            ],
         )
-        blocks = tuple(tuple(int(v) for v in b) for b in doc["blocks"])
+        blocks = tuple(
+            tuple(json_int(v, "block vertex") for v in b) for b in doc["blocks"]
+        )
         mode = doc["mode"]
+        chi = doc.get("chi")
+        # the pipeline trusts a given chi, so accept only a JSON integer
+        if chi is not None:
+            json_int(chi, "chi")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance document: {exc}") from exc
-    chi = doc.get("chi")
-    # the pipeline trusts a given chi, so accept only a JSON integer
-    if chi is not None and (not isinstance(chi, int) or isinstance(chi, bool)):
-        raise InputError(
-            f"malformed instance document: chi must be an integer, got {chi!r}"
-        )
     return LineInstance(graph, blocks, mode, chi)
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .chi import Budget, Coloring, find_coloring, is_proper
 from .errors import InputError, InvariantViolation
-from .graphs import FiniteGraph
+from .graphs import FiniteGraph, json_int
 from .groups import MarkedGroupSpec
 from .instances import CYCLE, SEGMENT
 from .quotients import build_quotient, cayley_window
@@ -299,11 +299,20 @@ def tower_to_json(tower: AnchoredTower) -> dict:
 def tower_from_json(doc: dict) -> AnchoredTower:
     try:
         anchors = tuple(
-            (int(a["position"]), (int(a["offset"][0]), int(a["offset"][1])))
+            (
+                json_int(a["position"], "anchor position"),
+                (
+                    json_int(a["offset"][0], "anchor offset"),
+                    json_int(a["offset"][1], "anchor offset"),
+                ),
+            )
             for a in doc["anchors"]
         )
         return AnchoredTower(
-            int(doc["k"]), int(doc["extent"]), doc["mode"], anchors
+            json_int(doc["k"], "k"),
+            json_int(doc["extent"], "extent"),
+            doc["mode"],
+            anchors,
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise InputError(f"malformed tower document: {exc}") from exc

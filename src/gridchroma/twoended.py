@@ -49,39 +49,40 @@ def connected_subsets(
         raise InputError(f"max_size must be >= 1, got {max_size}")
     allowed = set(vertices)
     out: list[frozenset[int]] = []
-
-    def extend(sub: set, ext: list[int], sub_reach: set, root: int):
-        out.append(frozenset(sub))
-        if len(sub) == max_size:
-            return
-        rest = list(ext)
-        while rest:
-            w = rest.pop(0)
-            fresh = [
-                u
-                for u in g.adj[w]
-                if u > root and u in allowed and u not in sub_reach
-            ]
-            extend(
-                sub | {w},
-                rest + sorted(fresh),
-                sub_reach | {w} | set(fresh),
-                root,
-            )
-
+    # an explicit stack: a recursive closure is a reference cycle, which
+    # keeps every candidate alive until the next full garbage collection
     for root in sorted(allowed):
         ext0 = sorted(u for u in g.adj[root] if u > root and u in allowed)
-        extend({root}, ext0, {root} | set(ext0), root)
+        stack = [({root}, ext0, {root} | set(ext0))]
+        while stack:
+            sub, ext, sub_reach = stack.pop()
+            out.append(frozenset(sub))
+            if len(sub) == max_size:
+                continue
+            while ext:
+                w = ext.pop(0)
+                fresh = [
+                    u
+                    for u in g.adj[w]
+                    if u > root and u in allowed and u not in sub_reach
+                ]
+                stack.append(
+                    (sub | {w}, ext + sorted(fresh), sub_reach | {w} | set(fresh))
+                )
     return sorted(out, key=lambda s: tuple(sorted(s)))
 
 
 def find_separators(
-    inst: LineInstance, window_blocks: int, size_cap: int
+    inst: LineInstance,
+    window_blocks: int,
+    size_cap: int,
+    budget: Optional[Budget] = None,
 ) -> list[frozenset[int]]:
     """All connected sets of size <= size_cap within any window of
     consecutive blocks that divide the instance into its two ends.
 
-    Order: leftmost window first, lexicographic inside a window.
+    Order: leftmost window first, lexicographic inside a window.  Each cut
+    test spends one unit of the budget, when one is given.
     """
     if window_blocks < 1:
         raise InputError(f"window_blocks must be >= 1, got {window_blocks}")
@@ -102,6 +103,8 @@ def find_separators(
             if cand in seen:
                 continue
             seen.add(cand)
+            if budget is not None:
+                budget.spend("separator search")
             if divides_into_two(inst, cand):
                 out.append(cand)
     return out
@@ -295,7 +298,7 @@ def color_two_ended(
         raise InputError(f"chromatic number must be positive, got {chi}")
     cap = size_cap if size_cap is not None else inst.max_block_size()
     family = build_separator_family(
-        inst, find_separators(inst, window_blocks, cap)
+        inst, find_separators(inst, window_blocks, cap, budget)
     )
 
     hulls = [closed_neighborhood(g, member) for member in family.members]

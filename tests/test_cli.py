@@ -67,6 +67,47 @@ class TestExitCodes:
         assert code == 2
         assert "chi must be an integer" in report["error"]
 
+    def test_non_integer_graph_json_is_input_error(self, tmp_path):
+        bad = tmp_path / "graph.json"
+        bad.write_text(json.dumps({"vertices": 3.5, "edges": [[0, 1.9]]}))
+        code, report = run(["chi", "--graph", str(bad)])
+        assert code == 2
+        assert "must be an integer" in report["error"]
+
+    def test_non_integer_instance_block_is_input_error(self, delta_instance_file):
+        with open(delta_instance_file) as fh:
+            doc = json.load(fh)
+        doc["blocks"][0][0] = 0.0
+        with open(delta_instance_file, "w") as fh:
+            json.dump(doc, fh)
+        code, report = run(["two-ended-color", "--instance", delta_instance_file])
+        assert code == 2
+        assert "block vertex must be an integer" in report["error"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("extent", 11.9), ("position", 0.7), ("offset", [1.5, 0])],
+    )
+    def test_non_integer_tower_field_is_input_error(self, tower_file, field, value):
+        with open(tower_file) as fh:
+            doc = json.load(fh)
+        if field == "extent":
+            doc["extent"] = value
+        else:
+            doc["anchors"][0][field] = value
+        with open(tower_file, "w") as fh:
+            json.dump(doc, fh)
+        code, report = run(["shift-color", "--anchors", tower_file])
+        assert code == 2
+        assert "must be an integer" in report["error"]
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-5"])
+    def test_bad_budget_variable_is_input_error(self, monkeypatch, value):
+        monkeypatch.setenv("GRIDCHROMA_BUDGET_MS", value)
+        code, report = run(["quotient-chi", "--group", "gamma", "--k", "3", "--M", "3"])
+        assert code == 2
+        assert "budget" in report["error"].lower()
+
     def test_missing_file_is_input_error(self):
         code, _ = run(["chi", "--graph", "/no/such/file.json"])
         assert code == 2
@@ -183,6 +224,19 @@ class TestReport:
         assert any("quotient" in n for n in names)
         assert any("two-ended" in n for n in names)
         assert any("tower" in n for n in names)
+
+
+    def test_budgeted_two_ended_row_is_undecided_not_fatal(self):
+        # the shared deadline has passed when the separator search starts
+        code, report = run(
+            ["report", "--k", "3", "--seed", "1", "--towers", "1", "--budget-ms", "50"]
+        )
+        assert code == 3
+        rows = {row["row"]: row for row in report["results"]["rows"]}
+        two_ended = rows["two-ended colorer within 2*chi-1"]
+        assert two_ended["pass"] is None
+        assert "separator search" in two_ended["value"]["undecided"]
+        assert any("tower" in name for name in rows)
 
 
 def test_console_script_wiring():

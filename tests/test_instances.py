@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from gridchroma.errors import InputError
-from gridchroma.graphs import FiniteGraph, is_connected_set
+from gridchroma.graphs import FiniteGraph, components, is_connected_set
 from gridchroma.groups import MarkedGroupSpec
 from gridchroma.instances import (
     CYCLE,
@@ -17,6 +17,7 @@ from gridchroma.instances import (
     ladder_instance,
     path_instance,
 )
+from gridchroma.twoended import connected_subsets
 
 DELTA3 = MarkedGroupSpec(3)
 
@@ -146,6 +147,83 @@ class TestDividesIntoTwoCycle:
     def test_everything_returns_false(self):
         inst = path_instance(6, CYCLE)
         assert not divides_into_two(inst, set(range(6)))
+
+
+def set_based_divides_into_two(inst, cut):
+    """The cut test as a set-based component search on an explicitly built
+    unrolled graph: the reference the bitmask test must agree with."""
+    cut_set = set(cut)
+    g, n, m = inst.graph, inst.graph.n, inst.block_count
+    if inst.mode == SEGMENT:
+        graph, removed = g, cut_set
+        left, right = set(inst.blocks[0]), set(inst.blocks[-1])
+    else:
+        touched = {inst.block_of(v) for v in cut_set}
+        if len(touched) == m:
+            return False
+        rot = next(
+            (t + 1) % m for t in range(m)
+            if t not in touched and (t + 1) % m in touched
+        )
+        edges = []
+        for u, v in g.edges():
+            ru = (inst.block_of(u) - rot) % m
+            rv = (inst.block_of(v) - rot) % m
+            if abs(ru - rv) <= 1:
+                edges += [(c * n + u, c * n + v) for c in range(3)]
+            else:
+                x, y = (u, v) if ru == m - 1 else (v, u)
+                edges += [(c * n + x, (c + 1) * n + y) for c in range(2)]
+        graph = FiniteGraph(3 * n, edges)
+        removed = {n + v for v in cut_set}
+        left = {v for v in range(n) if (inst.block_of(v) - rot) % m == 0}
+        right = {2 * n + v for v in range(n) if (inst.block_of(v) - rot) % m == m - 1}
+    comps = components(graph, set(range(graph.n)) - removed)
+    touching_left = [i for i, c in enumerate(comps) if (left - removed) & set(c)]
+    touching_right = [i for i, c in enumerate(comps) if (right - removed) & set(c)]
+    return (
+        len(touching_left) == 1
+        and len(touching_right) == 1
+        and touching_left != touching_right
+    )
+
+
+def differential_instances():
+    for m in (3, 4, 5, 8):
+        for mode in (CYCLE, SEGMENT):
+            yield path_instance(m, mode), (1, 2)
+            yield ladder_instance(m, mode), (1, 2)
+    for spec in (DELTA3, MarkedGroupSpec(3, twisted=True)):
+        for modulus in (3, 4):
+            yield cayley_cycle_instance(spec, modulus), (1,)
+        yield cayley_segment_instance(spec, 3), (1,)
+
+
+class TestDividesIntoTwoMatchesSetBasedSearch:
+    def test_every_window_subset_agrees(self):
+        tested = 0
+        for inst, widths in differential_instances():
+            for width in widths:
+                if inst.mode == CYCLE:
+                    width = min(width, inst.block_count - 1)
+                for start in range(inst.block_count):
+                    window = inst.window_vertices(start, width)
+                    for cut in connected_subsets(
+                        inst.graph, window, inst.max_block_size()
+                    ):
+                        assert divides_into_two(inst, cut) == (
+                            set_based_divides_into_two(inst, cut)
+                        ), (inst.mode, inst.graph, sorted(cut))
+                        tested += 1
+        assert tested > 8000
+
+    @pytest.mark.parametrize(
+        "cut", [{1.0}, {2, 6}, set(), {9}, {-1}], ids=str
+    )
+    def test_bad_cut_rejected(self, cut):
+        for mode in (SEGMENT, CYCLE):
+            with pytest.raises(InputError):
+                divides_into_two(path_instance(9, mode), cut)
 
 
 class TestMonotoneStability:

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from gridchroma.chi import is_proper
-from gridchroma.errors import InputError
+from gridchroma.chi import Budget, is_proper
+from gridchroma.errors import InputError, UndecidedError
 from gridchroma.graphs import FiniteGraph, is_connected_set, is_independent, set_distance
 from gridchroma.groups import MarkedGroupSpec
 from gridchroma.instances import (
@@ -81,6 +81,13 @@ class TestFindSeparators:
         got = find_separators(inst, 2, 2)
         assert frozenset({3, 4}) in got
         assert all(is_connected_set(inst.graph, s) for s in got)
+
+
+    def test_each_cut_test_spends_one_budget_unit(self):
+        budget = Budget()
+        got = find_separators(path_instance(9, SEGMENT), 1, 1, budget)
+        assert len(got) == 7
+        assert budget.nodes == 9
 
 
 class TestBuildFamily:
@@ -200,6 +207,11 @@ class TestColorTwoEnded:
         assert inst.chi is None
         result = color_two_ended(inst)
         assert result.chi == 3
+
+    def test_separator_search_runs_out_of_budget(self):
+        inst = cayley_cycle_instance(DELTA3, 12, chi=3)
+        with pytest.raises(UndecidedError, match="separator search"):
+            color_two_ended(inst, budget=Budget(max_nodes=50))
 
     def test_understated_chi_rejected(self):
         inst = cayley_cycle_instance(DELTA3, 12)
