@@ -85,6 +85,20 @@ def _ensure_recursion_room(depth: int):
         sys.setrecursionlimit(need)
 
 
+def _saturation_pick(assign: list[int], banned: list[int], degrees: list[int]) -> int:
+    """The uncolored vertex of highest saturation (number of colors banned
+    on it), then highest degree, then lowest index: the DSATUR order
+    (Brelaz 1979)."""
+    best, best_key = -1, None
+    for v in range(len(assign)):
+        if assign[v]:
+            continue
+        key = (banned[v].bit_count(), degrees[v], -v)
+        if best_key is None or key > best_key:
+            best, best_key = v, key
+    return best
+
+
 # -- enumeration -------------------------------------------------------------
 
 
@@ -110,6 +124,10 @@ def enumerate_colorings(
     permutation-invariant properties).  canonical restricts each vertex to
     used colors plus the single lowest unused one, enumerating exactly one
     representative per color-permutation class.
+
+    The walk keeps an explicit stack (one mask of colors still to try per
+    depth), so its depth is not bounded by the interpreter's recursion
+    limit.  Each search node, leaves included, spends one budget unit.
     """
     if palette < 1:
         raise InputError(f"palette must be >= 1, got {palette}")
@@ -118,45 +136,46 @@ def enumerate_colorings(
         if visitor is not None:
             visitor(())
         return 1
-    _ensure_recursion_room(n)
-    later = [tuple(w for w in g.adj[v] if w > v) for v in range(n)]
     forb = list(base_forbidden) if base_forbidden is not None else [0] * n
     if len(forb) != n:
         raise InputError("base_forbidden must cover every vertex")
+    earlier = [tuple(w for w in g.adj[v] if w < v) for v in range(n)]
+    full = (1 << (palette + 1)) - 2
+    # caps[d]: the colors vertex d may take at all.  Canonically that is
+    # 1..max_used+1, grown as each vertex is colored; pin_first holds
+    # vertex 0 to color 1.
+    caps = [full] * n
+    if canonical or pin_first:
+        caps[0] = 0b10
     assign = [0] * n
-    all_colors = [1 << c for c in range(1, palette + 1)]
+    bits = [0] * n
+    todo = [0] * n
     count = 0
-
-    def rec(v: int, max_used: int):
-        nonlocal count
+    d = 0
+    while True:
         if budget is not None:
             budget.spend("enumerate_colorings")
-        if v == n:
+        if d < n:
+            banned = forb[d]
+            for w in earlier[d]:
+                banned |= bits[w]
+            todo[d] = caps[d] & ~banned
+        else:
             count += 1
             if visitor is not None:
                 visitor(tuple(assign))
-            return
-        banned = forb[v]
-        top = max_used + 1 if canonical else palette
-        if pin_first and v == 0:
-            top = 1
-        for c in range(1, min(top, palette) + 1):
-            bit = all_colors[c - 1]
-            if banned & bit:
-                continue
-            assign[v] = c
-            touched = []
-            for w in later[v]:
-                if not forb[w] & bit:
-                    forb[w] |= bit
-                    touched.append(w)
-            rec(v + 1, max_used if c <= max_used else c)
-            for w in touched:
-                forb[w] ^= bit
-        assign[v] = 0
-
-    rec(0, 0)
-    return count
+            d = n - 1
+        while not todo[d]:
+            if d == 0:
+                return count
+            d -= 1
+        bit = todo[d] & -todo[d]
+        todo[d] ^= bit
+        bits[d] = bit
+        assign[d] = bit.bit_length() - 1
+        d += 1
+        if canonical and d < n:
+            caps[d] = (caps[d - 1] | bit << 1) & full
 
 
 # -- decision search ---------------------------------------------------------
@@ -213,22 +232,12 @@ def find_coloring(
 
     _ensure_recursion_room(n)
 
-    def select() -> int:
-        best, best_key = -1, None
-        for v in range(n):
-            if assign[v]:
-                continue
-            key = (bin(banned[v]).count("1"), degrees[v], -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        return best
-
     def rec(remaining: int, used: int) -> bool:
         if budget is not None:
             budget.spend("find_coloring")
         if remaining == 0:
             return True
-        v = select()
+        v = _saturation_pick(assign, banned, degrees)
         allowed = full & ~banned[v]
         if symmetry_break:
             lowest_unused = (~used) & full
@@ -254,9 +263,11 @@ def find_coloring(
             assign[v] = 0
         return False
 
-    if rec(unassigned, used_mask):
-        return Coloring(tuple(assign), palette)
-    return None
+    try:
+        found = rec(unassigned, used_mask)
+    finally:
+        del rec  # rec reaches itself through its cell: break that cycle
+    return Coloring(tuple(assign), palette) if found else None
 
 
 # -- bounds and the chromatic number ------------------------------------------
@@ -287,13 +298,7 @@ def dsatur_greedy(g: FiniteGraph) -> Coloring:
     degrees = [len(g.adj[v]) for v in range(n)]
     top = 1
     for _ in range(n):
-        best, best_key = -1, None
-        for v in range(n):
-            if assign[v]:
-                continue
-            key = (bin(banned[v]).count("1"), degrees[v], -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
+        best = _saturation_pick(assign, banned, degrees)
         c = 1
         while banned[best] >> c & 1:
             c += 1

@@ -23,7 +23,7 @@ import time
 from typing import Optional
 
 from .chi import Budget, chromatic_info, is_proper
-from .errors import InputError, UndecidedError
+from .errors import InputError, InvariantViolation, UndecidedError
 from .graphs import graph_to_dimacs, graph_to_json, load_graph
 from .grid import grid_graph, verify_dichotomy, verify_invariance, verify_rigidity
 from .groups import MarkedGroupSpec
@@ -567,6 +567,10 @@ def run(argv: list[str]) -> tuple[int, dict]:
         print(f"undecided: {exc}", file=sys.stderr)
         report["error"] = str(exc)
         code = UNDECIDED
+    except InvariantViolation as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        report["error"] = str(exc)
+        code = VIOLATION
     report.setdefault("timings_ms", {})["wall"] = round(
         1000 * (time.monotonic() - start), 1
     )

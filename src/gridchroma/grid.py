@@ -116,23 +116,28 @@ def classify_independent_set(h: GridGraphH, vertices: Iterable[int]) -> Classifi
 
 def _orientation_flags(k: int, cols: tuple[int, ...]) -> tuple[bool, bool]:
     """(horizontal?, vertical?) for a proper grid coloring given as a flat
-    tuple indexed by a*k+b.  Assumes properness."""
-    by_color: dict[int, list[int]] = {}
+    tuple indexed by a*k+b.  Assumes properness.
+
+    Each color class is a bitmask of cells; a class of two or more cells
+    marks row b when it lies inside row b's mask, else column a when it
+    lies inside column a's mask (b and a read off its lowest cell).
+    """
+    by_color: dict[int, int] = {}
     for v, c in enumerate(cols):
-        by_color.setdefault(c, []).append(v)
-    row_has = [False] * k
-    col_has = [False] * k
+        by_color[c] = by_color.get(c, 0) | 1 << v
+    row0 = sum(1 << (a * k) for a in range(k))  # row b is row0 << b
+    column0 = (1 << k) - 1  # column a is column0 << a*k
+    rows = columns = 0
     for cells in by_color.values():
-        if len(cells) < 2:
+        if not cells & (cells - 1):
             continue
-        a0, b0 = divmod(cells[0], k)
-        same_a = all(v // k == a0 for v in cells[1:])
-        same_b = all(v % k == b0 for v in cells[1:])
-        if same_b:
-            row_has[b0] = True
-        elif same_a:
-            col_has[a0] = True
-    return all(row_has), all(col_has)
+        a0, b0 = divmod((cells & -cells).bit_length() - 1, k)
+        if not cells & ~(row0 << b0):
+            rows |= 1 << b0
+        elif not cells & ~(column0 << a0 * k):
+            columns |= 1 << a0
+    every = (1 << k) - 1
+    return rows == every, columns == every
 
 
 def orientation(h: GridGraphH, coloring: Coloring) -> str:
@@ -361,7 +366,9 @@ def verify_invariance(
     """Check orientation propagation across adjacent tower layers.
 
     Enumerates every proper (2k-2)-coloring of the two-orbit graph; plain
-    layers must share an orientation, twisted layers must swap it.
+    layers must share an orientation, twisted layers must swap it.  A layer
+    takes far fewer distinct colorings than the pair does, so the flags of
+    each layer tuple are worked out once per call.
     """
     if k < 3:
         raise InputError(f"k must be >= 3, got {k}")
@@ -373,9 +380,17 @@ def verify_invariance(
         "invariance", {"k": k, "twisted": twisted, "palette": palette}
     )
 
+    flags: dict[tuple[int, ...], tuple[bool, bool]] = {}
+
+    def layer_flags(layer: tuple[int, ...]) -> tuple[bool, bool]:
+        got = flags.get(layer)
+        if got is None:
+            got = flags[layer] = _orientation_flags(k, layer)
+        return got
+
     def visit(cols: tuple[int, ...]):
-        h0, v0 = _orientation_flags(k, cols[:kk])
-        h1, v1 = _orientation_flags(k, cols[kk:])
+        h0, v0 = layer_flags(cols[:kk])
+        h1, v1 = layer_flags(cols[kk:])
         if h0 == v0 or h1 == v1:
             report.record_violation(
                 {"coloring": list(cols), "reason": "layer escaped the dichotomy"}

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -16,6 +18,7 @@ from gridchroma.chi import (
 )
 from gridchroma.errors import InputError, UndecidedError
 from gridchroma.graphs import FiniteGraph
+from gridchroma.grid import grid_graph, two_orbit_graph
 
 
 def cycle_graph(n):
@@ -43,6 +46,25 @@ def brute_force_chi(g):
             if all(assignment[u] != assignment[v] for u, v in g.edges()):
                 return palette
     return g.n
+
+
+def brute_force_colorings(g, palette, base_forbidden=None, pin_first=False, canonical=False):
+    """Every admissible assignment, in lexicographic order, by a raw scan
+    over all palette^n maps; the independent oracle for enumeration."""
+    edges = list(g.edges())
+    forb = base_forbidden or [0] * g.n
+    out = []
+    for cols in itertools.product(range(1, palette + 1), repeat=g.n):
+        if any(cols[u] == cols[v] for u, v in edges):
+            continue
+        if any(forb[v] >> c & 1 for v, c in enumerate(cols)):
+            continue
+        if pin_first and cols and cols[0] != 1:
+            continue
+        if canonical and any(c > max(cols[:v], default=0) + 1 for v, c in enumerate(cols)):
+            continue
+        out.append(cols)
+    return out
 
 
 class TestIsProper:
@@ -107,6 +129,47 @@ class TestEnumerate:
         g = FiniteGraph(1, [])
         assert enumerate_colorings(g, 3, base_forbidden=[0b0110]) == 1
 
+    def test_matches_brute_force_sequence(self):
+        rng = random.Random(7)
+        for trial in range(24):
+            n = trial % 9
+            g = random_graph(n, rng.choice((0.2, 0.4, 0.6)), seed=trial)
+            for palette in range(1, 5):
+                forb = [rng.randrange(1 << (palette + 1)) for _ in range(n)]
+                for options in (
+                    {},
+                    {"canonical": True},
+                    {"pin_first": True},
+                    {"base_forbidden": forb},
+                    {"base_forbidden": forb, "canonical": True},
+                ):
+                    seen = []
+                    count = enumerate_colorings(g, palette, seen.append, **options)
+                    want = brute_force_colorings(g, palette, **options)
+                    assert seen == want, (trial, palette, options)
+                    assert count == len(want)
+
+    @pytest.mark.parametrize(
+        "name, graph, palette, canonical, count, nodes",
+        [
+            ("dichotomy k=3", lambda: grid_graph(3).graph, 4, False, 1056, 3997),
+            ("invariance k=3 plain", lambda: two_orbit_graph(3, False).graph, 4, False, 12288, 59293),
+            ("invariance k=3 twisted", lambda: two_orbit_graph(3, True).graph, 4, False, 12288, 59293),
+            ("rigidity k=3", lambda: two_orbit_graph(3, False).graph, 3, False, 12, 352),
+            ("dichotomy k=4 canonical", lambda: grid_graph(4).graph, 6, True, 3826, 18488),
+            ("rigidity k=4", lambda: two_orbit_graph(4, False).graph, 4, False, 48, 10649),
+        ],
+    )
+    def test_verifier_graph_node_counts(self, name, graph, palette, canonical, count, nodes):
+        budget = Budget()
+        got = enumerate_colorings(graph(), palette, canonical=canonical, budget=budget)
+        assert (got, budget.nodes) == (count, nodes), name
+
+    def test_long_path_leaves_recursion_limit_alone(self):
+        before = sys.getrecursionlimit()
+        assert enumerate_colorings(path_graph(5000), 2) == 2
+        assert sys.getrecursionlimit() == before
+
 
 class TestFindColoring:
     def test_path_with_matching_pinned_ends(self):
@@ -136,6 +199,20 @@ class TestFindColoring:
             find_coloring(g, 2, constraints={5: 1})
         with pytest.raises(InputError):
             find_coloring(g, 2, constraints={0: 3})
+
+    def test_leaves_no_cyclic_garbage(self):
+        g = random_graph(12, 0.4, seed=3)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            chromatic_info(g)
+            find_coloring(g, 2)
+            gc.collect()
+            assert not [o for o in gc.garbage if isinstance(o, FiniteGraph)]
+            assert not [o for o in gc.garbage if getattr(o, "__qualname__", "").startswith("find_coloring")]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
 
 
 class TestChromaticNumber:

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+import gridchroma.cli
 from gridchroma.cli import run
+from gridchroma.errors import InvariantViolation
 from gridchroma.groups import MarkedGroupSpec
 from gridchroma.instances import cayley_cycle_instance, instance_to_json
 
@@ -127,6 +129,16 @@ class TestExitCodes:
         )
         assert code == 3
         assert report["results"]["undecided"]
+
+    def test_invariant_violation_exits_one_with_report(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise InvariantViolation("layer escaped the dichotomy")
+
+        monkeypatch.setattr(gridchroma.cli, "verify_dichotomy", broken)
+        code, report = run(["verify-dichotomy", "--k", "3"])
+        assert code == 1
+        assert report["error"] == "layer escaped the dichotomy"
+        assert "invariant violated: layer escaped the dichotomy" in capsys.readouterr().err
 
 
 class TestSubcommands:

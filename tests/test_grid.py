@@ -11,6 +11,7 @@ from gridchroma.grid import (
     NOT_INDEPENDENT,
     SINGLETON,
     VERTICAL,
+    _orientation_flags,
     classify_independent_set,
     grid_graph,
     orientation,
@@ -139,6 +140,26 @@ class TestOrientation:
             perm[1:] = tail
             permuted = tuple(perm[c] for c in cols)
             assert orientation(H3, Coloring(permuted, 4)) == base
+
+    @pytest.mark.parametrize("k, canonical, count", [(3, False, 1056), (4, True, 3826)])
+    def test_flags_match_classification_oracle(self, k, canonical, count):
+        h = grid_graph(k)
+
+        def oracle(cols):
+            rows, columns = set(), set()
+            for c in set(cols):
+                shape = classify_independent_set(h, [v for v, x in enumerate(cols) if x == c])
+                if shape.kind == HORIZONTAL:
+                    rows.add(shape.index)
+                elif shape.kind == VERTICAL:
+                    columns.add(shape.index)
+            return len(rows) == k, len(columns) == k
+
+        seen = []
+        enumerate_colorings(h.graph, 2 * k - 2, seen.append, canonical=canonical)
+        assert len(seen) == count
+        for cols in seen:
+            assert _orientation_flags(k, cols) == oracle(cols), cols
 
 
 class TestTwoOrbitGraph:
