@@ -79,12 +79,6 @@ class Budget:
                 raise UndecidedError(f"{what}: time budget exhausted")
 
 
-def _ensure_recursion_room(depth: int):
-    need = depth + 200
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
-
-
 def _saturation_pick(assign: list[int], banned: list[int], degrees: list[int]) -> int:
     """The uncolored vertex of highest saturation (number of colors banned
     on it), then highest degree, then lowest index: the DSATUR order
@@ -230,7 +224,9 @@ def find_coloring(
             if not assign[w]:
                 banned[w] |= bit
 
-    _ensure_recursion_room(n)
+    # rec recurses once per vertex: raise the limit for this call only
+    previous_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(previous_limit, n + 200))
 
     def rec(remaining: int, used: int) -> bool:
         if budget is not None:
@@ -267,6 +263,7 @@ def find_coloring(
         found = rec(unassigned, used_mask)
     finally:
         del rec  # rec reaches itself through its cell: break that cycle
+        sys.setrecursionlimit(previous_limit)
     return Coloring(tuple(assign), palette) if found else None
 
 

@@ -174,14 +174,18 @@ def is_connected_set(g: FiniteGraph, vertices: Iterable[int]) -> bool:
 
 
 def reach_mask(
-    masks: Sequence[int], seed: int, allowed: int, stop: int = 0
+    masks: Sequence[int], seed: int, allowed: int, stop: int = 0, reached: int = 0
 ) -> Optional[int]:
     """Bitmask of the vertices of `allowed` reachable from the seed bits
     through `allowed`, given per-vertex neighbor bitmasks.
 
-    Returns None as soon as the reach meets `stop`, before it is complete.
+    `reached` is a set already searched: it joins the reach without being
+    expanded, so the seed bits must include every vertex of `allowed`
+    outside it that it touches, and it must miss `stop`.  Returns None as
+    soon as the reach meets `stop`, before it is complete.
     """
-    reach = frontier = seed & allowed
+    frontier = seed & allowed & ~reached
+    reach = frontier | reached
     unseen = allowed & ~reach
     while frontier:
         if frontier & stop:

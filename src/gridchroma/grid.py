@@ -206,6 +206,12 @@ def two_orbit_graph(k: int, twisted: bool) -> TwoOrbitGraph:
 
 UNIT_SHIFT = GroupElement(0, 0, 1)
 
+# The most edges `layer_graph` will build: about 2 GB of adjacency sets
+# and tuples.  The largest builds in the tests and the benchmark, k=5
+# towers, stay under 40,000 edges; `cayley --k 50 --M 1000` would ask for
+# about 9*10^9.
+MAX_LAYER_GRAPH_EDGES = 10_000_000
+
 
 def layer_templates(
     spec: MarkedGroupSpec,
@@ -258,8 +264,16 @@ def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> Fin
     (the quotient by the shift-by-levels element), the last level also
     joins level 0.  Vertex (a, b, n) is n*k^2 + a*k + b and carries that
     label.  Needs levels >= 1, and levels >= 3 when cyclic; the public
-    builders `cayley_window` and `build_quotient` check this.
+    builders `cayley_window` and `build_quotient` check this.  Refuses any
+    build whose edge count, estimated as levels*k^2 times half the degree
+    3(k-1)^2, exceeds MAX_LAYER_GRAPH_EDGES, before it allocates anything.
     """
+    estimate = levels * spec.k ** 2 * spec.degree // 2
+    if estimate > MAX_LAYER_GRAPH_EDGES:
+        raise InputError(
+            f"{spec.name} on {levels} levels needs about {estimate:,} edges, "
+            f"more than the cap of {MAX_LAYER_GRAPH_EDGES:,}"
+        )
     intra, cross = layer_templates(spec)
     k = spec.k
     kk = k * k

@@ -16,8 +16,12 @@ whose removal leaves the cycle connected.
 The test is a breadth-first search over integer neighbor bitmasks
 (`graphs.reach_mask`): it grows the reach of the lowest remaining left-end
 vertex and stops as soon as that reach meets the right end.  `_unrolls`
-caches, per rotation, the neighbor masks and the two end masks of the
-graph the test runs on, never a graph object.
+caches, per rotation, the neighbor masks, the two end masks and the block
+masks of the graph the test runs on, never a graph object.  It also holds
+the end reaches per rotation and block span lo..hi of the cut: the reach
+of each end's lowest vertex in the blocks beyond the span on its side.
+The cut misses both, so the search resumes from the left one instead of
+re-walking the far ends, and may stop as soon as it meets the right one.
 """
 
 from __future__ import annotations
@@ -103,38 +107,73 @@ class LineInstance:
     # -- the graph the cut test runs on -----------------------------------
 
     def _unrolled(self, rotation: int):
-        """(neighbor masks, left-end mask, right-end mask) of the graph the
-        cut test runs on.  Cached per rotation.
+        """(neighbor masks, left-end mask, right-end mask, block masks) of
+        the graph the cut test runs on.  Cached per rotation.
 
         In segment mode that is the instance graph itself and `rotation` is
         0.  In cycle mode it is three copies of the cycle opened between
-        rotated blocks m-1 and 0; vertex v of copy c sits at index c*n + v.
+        rotated blocks m-1 and 0; vertex v of copy c sits at index c*n + v,
+        and rotated block r of copy c is block c*m + r.
         """
         if rotation in self._unrolls:
             return self._unrolls[rotation]
         n = self.graph.n
         if self.mode == SEGMENT:
             masks = self.graph.neighbor_masks()
-            first, last, shift = self.blocks[0], self.blocks[-1], 0
+            blocks = [_mask(b) for b in self.blocks]
         else:
             m = self.block_count
-            masks = [0] * (3 * n)
-            for u, v in self.graph.edges():
-                ru = (self._block_of[u] - rotation) % m
-                rv = (self._block_of[v] - rotation) % m
-                if abs(ru - rv) <= 1:
-                    pairs = [(c * n + u, c * n + v) for c in range(3)]
-                else:
-                    # wrap edge: the rotated-last block joins the next
+            first = _mask(self.blocks[rotation])
+            last = _mask(self.blocks[rotation - 1])
+            copy_masks = self.graph.neighbor_masks()
+            masks = []
+            for c in range(3):
+                for v, nbrs in enumerate(copy_masks):
+                    # wrap edges: the rotated-last block joins the next
                     # copy's rotated-first block
-                    x, y = (u, v) if ru == m - 1 else (v, u)
-                    pairs = [(c * n + x, (c + 1) * n + y) for c in range(2)]
-                for a, b in pairs:
-                    masks[a] |= 1 << b
-                    masks[b] |= 1 << a
-            first, last, shift = self.blocks[rotation], self.blocks[rotation - 1], 2 * n
-        self._unrolls[rotation] = (masks, _mask(first), _mask(last) << shift)
+                    if last >> v & 1:
+                        across, to = nbrs & first, c + 1
+                    elif first >> v & 1:
+                        across, to = nbrs & last, c - 1
+                    else:
+                        across, to = 0, c
+                    out = (nbrs ^ across) << c * n
+                    if 0 <= to < 3:
+                        out |= across << to * n
+                    masks.append(out)
+            blocks = [
+                _mask(self.blocks[(rotation + r) % m]) << c * n
+                for c in range(3)
+                for r in range(m)
+            ]
+        self._unrolls[rotation] = (masks, blocks[0], blocks[-1], blocks)
         return self._unrolls[rotation]
+
+    def _end_reaches(self, rotation: int, lo: int, hi: int):
+        """(pre, pre's outer boundary, suf) for cuts inside blocks lo..hi
+        of the graph the cut test runs on.  Cached in `_unrolls` per
+        rotation and block span.
+
+        `pre` is the reach of the left end's lowest vertex inside the
+        blocks before lo, `suf` that of the right end's lowest vertex
+        inside the blocks after hi.  Both miss every such cut, so each lies
+        in its end's component once the cut is removed.
+        """
+        key = (rotation, lo, hi)
+        if key in self._unrolls:
+            return self._unrolls[key]
+        masks, left, right, blocks = self._unrolled(rotation)
+        # the block masks are disjoint, so their sum is their union
+        pre = reach_mask(masks, left & -left, sum(blocks[:lo]))
+        suf = reach_mask(masks, right & -right, sum(blocks[hi + 1:]))
+        boundary = 0
+        rest = pre
+        while rest:
+            low = rest & -rest
+            boundary |= masks[low.bit_length() - 1]
+            rest ^= low
+        self._unrolls[key] = (pre, boundary & ~pre, suf)
+        return self._unrolls[key]
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -148,40 +187,52 @@ def divides_into_two(inst: LineInstance, cut: Iterable[int]) -> bool:
     """True iff removing the connected set leaves exactly one component per
     end: one touching the left end, a different one touching the right."""
     n = inst.graph.n
-    cut_mask = 0
-    touched = set()
+    block_of = inst._block_of
+    cut_mask = touched = 0
     for v in cut:
         if not isinstance(v, int) or not (0 <= v < n):
             raise InputError(f"cut vertex {v!r} out of range for {n} vertices")
         cut_mask |= 1 << v
-        touched.add(inst.block_of(v))
+        touched |= 1 << block_of[v]
     if not cut_mask:
         raise InputError("cut must be non-empty")
     if reach_mask(inst.graph.neighbor_masks(), cut_mask & -cut_mask, cut_mask) != cut_mask:
         raise InputError("cut must induce a connected subgraph")
 
+    # a connected cut touches an interval of blocks (cyclically in cycle mode)
     if inst.mode == SEGMENT:
         rotation, removed = 0, cut_mask
+        lo, hi = (touched & -touched).bit_length() - 1, touched.bit_length() - 1
     else:
         m = inst.block_count
-        if len(touched) == m:
+        span = touched.bit_count()
+        if span == m:
             return False
-        rotation = next(
-            (t + 1) % m for t in range(m)
-            if t not in touched and (t + 1) % m in touched
-        )
+        # rotate the interval's first block to the front
+        after_touched = (touched << 1 | touched >> (m - 1)) & ((1 << m) - 1)
+        rotation = (touched & ~after_touched).bit_length() - 1
         removed = cut_mask << n
-    masks, left, right = inst._unrolled(rotation)
+        lo, hi = m, m + span - 1
+    masks, left, right, _ = inst._unrolled(rotation)
+    pre, boundary, suf = inst._end_reaches(rotation, lo, hi)
     remaining = ((1 << len(masks)) - 1) & ~removed
     left &= remaining
     right &= remaining
     if not left or not right:
         return False
-    # the left end must lie in one component that misses the right end ...
-    reach = reach_mask(masks, left & -left, remaining, right)
+    # the left end must lie in one component that misses the right end;
+    # pre and suf lie in the components of the two ends' lowest vertices,
+    # so the search resumes from pre and may stop on meeting suf ...
+    seed = left & -left
+    if seed & pre:
+        reach = reach_mask(masks, boundary, remaining, suf | right, pre)
+    else:
+        reach = reach_mask(masks, seed, remaining, suf | right)
     if reach is None or left & ~reach:
         return False
     # ... and the right end in one other component
+    if not right & ~suf:
+        return True
     return not right & ~reach_mask(masks, right & -right, remaining)
 
 

@@ -172,6 +172,11 @@ class TestEnumerate:
 
 
 class TestFindColoring:
+    def test_long_path_restores_recursion_limit(self):
+        before = sys.getrecursionlimit()
+        assert find_coloring(path_graph(5000), 2) is not None
+        assert sys.getrecursionlimit() == before
+
     def test_path_with_matching_pinned_ends(self):
         g = path_graph(3)
         got = find_coloring(g, 2, constraints={0: 1, 2: 1})

@@ -46,6 +46,12 @@ class TestExitCodes:
         assert code == 0
         assert capsys.readouterr().out.strip() == "5"
 
+    @pytest.mark.parametrize("size", [["--M", "1000"], ["--levels", "1000"]])
+    def test_oversized_cayley_is_input_error(self, size):
+        code, report = run(["cayley", "--group", "delta", "--k", "50", *size])
+        assert code == 2
+        assert "cap" in report["error"]
+
     def test_malformed_graph_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -6,6 +6,8 @@ import pytest
 from gridchroma.chi import Budget, Coloring, chromatic_number, enumerate_colorings, is_proper
 from gridchroma.errors import InputError
 from gridchroma.graphs import is_independent
+from gridchroma.groups import MarkedGroupSpec
+import gridchroma.grid
 from gridchroma.grid import (
     HORIZONTAL,
     NOT_INDEPENDENT,
@@ -14,6 +16,7 @@ from gridchroma.grid import (
     _orientation_flags,
     classify_independent_set,
     grid_graph,
+    layer_graph,
     orientation,
     projection_coloring,
     two_orbit_graph,
@@ -235,6 +238,22 @@ class TestVerifiers:
             verify_invariance(2, False)
         with pytest.raises(InputError):
             verify_rigidity(2)
+
+
+class TestSizeGuard:
+    # the guard is tested by its estimate: nothing oversized is built
+    def test_oversized_build_refused(self):
+        with pytest.raises(InputError, match="9,003,750,000 edges"):
+            layer_graph(MarkedGroupSpec(50), 1000, cyclic=True)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        # k=3 on 4 cyclic levels: 36 vertices of degree 12, 216 edges
+        spec = MarkedGroupSpec(3)
+        monkeypatch.setattr(gridchroma.grid, "MAX_LAYER_GRAPH_EDGES", 216)
+        assert layer_graph(spec, 4, cyclic=True).edge_count == 216
+        monkeypatch.setattr(gridchroma.grid, "MAX_LAYER_GRAPH_EDGES", 215)
+        with pytest.raises(InputError):
+            layer_graph(spec, 4, cyclic=True)
 
 
 def test_raw_scan_oracle_for_dichotomy_count():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -188,34 +189,110 @@ def set_based_divides_into_two(inst, cut):
     )
 
 
+def rung_ladder(m, rungs, mode=SEGMENT):
+    """A ladder whose two rails meet only at the rungs of the given blocks:
+    an end block is joined only through a rung that can lie past a cut."""
+    edges = [(2 * b, 2 * b + 1) for b in rungs]
+    for b in range(m - 1):
+        edges += [(2 * b, 2 * b + 2), (2 * b + 1, 2 * b + 3)]
+    if mode == CYCLE:
+        edges += [(2 * (m - 1), 0), (2 * (m - 1) + 1, 1)]
+    return LineInstance(
+        FiniteGraph(2 * m, edges), tuple((2 * b, 2 * b + 1) for b in range(m)), mode
+    )
+
+
+def random_line_instance(seed, mode):
+    """A connected instance with blocks of 1..3 vertices and random edges
+    inside and between consecutive blocks."""
+    rng = random.Random(seed)
+    while True:
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(4, 6))]
+        starts = list(itertools.accumulate([0] + sizes))
+        blocks = tuple(tuple(range(starts[i], starts[i + 1])) for i in range(len(sizes)))
+        pairs = [(i, i) for i in range(len(blocks))]
+        pairs += [(i, i + 1) for i in range(len(blocks) - 1)]
+        if mode == CYCLE:
+            pairs.append((len(blocks) - 1, 0))
+        edges = {
+            (min(u, v), max(u, v))
+            for i, j in pairs
+            for u in blocks[i]
+            for v in blocks[j]
+            if u != v and rng.random() < 0.5
+        }
+        g = FiniteGraph(starts[-1], edges)
+        if len(components(g)) == 1:
+            return LineInstance(g, blocks, mode)
+
+
 def differential_instances():
+    """(instance, window widths, size cap or None for the largest block)."""
     for m in (3, 4, 5, 8):
         for mode in (CYCLE, SEGMENT):
-            yield path_instance(m, mode), (1, 2)
-            yield ladder_instance(m, mode), (1, 2)
+            yield path_instance(m, mode), (1, 2), None
+            yield ladder_instance(m, mode), (1, 2), None
     for spec in (DELTA3, MarkedGroupSpec(3, twisted=True)):
         for modulus in (3, 4):
-            yield cayley_cycle_instance(spec, modulus), (1,)
-        yield cayley_segment_instance(spec, 3), (1,)
+            yield cayley_cycle_instance(spec, modulus), (1,), None
+        yield cayley_segment_instance(spec, 3), (1,), None
+    # cuts spanning two blocks of a Cayley cycle
+    yield cayley_cycle_instance(DELTA3, 5), (2,), 3
+    # the left end joined only at or past the cut, so it is split inside
+    # the reach cached before the cut; the right end likewise after it
+    for rungs in ((3,), (1,), (5,), (0, 4), (2, 6)):
+        for mode in (SEGMENT, CYCLE):
+            yield rung_ladder(7, rungs, mode), (1, 2, 3), None
+    for seed in range(40):
+        for mode in (SEGMENT, CYCLE):
+            yield random_line_instance(seed, mode), (1, 2), None
 
 
 class TestDividesIntoTwoMatchesSetBasedSearch:
     def test_every_window_subset_agrees(self):
         tested = 0
-        for inst, widths in differential_instances():
+        for inst, widths, cap in differential_instances():
             for width in widths:
                 if inst.mode == CYCLE:
                     width = min(width, inst.block_count - 1)
                 for start in range(inst.block_count):
                     window = inst.window_vertices(start, width)
                     for cut in connected_subsets(
-                        inst.graph, window, inst.max_block_size()
+                        inst.graph, window, cap or inst.max_block_size()
                     ):
                         assert divides_into_two(inst, cut) == (
                             set_based_divides_into_two(inst, cut)
                         ), (inst.mode, inst.graph, sorted(cut))
                         tested += 1
         assert tested > 8000
+
+    def test_cuts_touching_an_end_block(self):
+        # segment cuts in the first or last block run the full search
+        # instead of resuming from the cached end reaches.  In `pendant`
+        # vertex 0 hangs off vertex 1, and the right end's rails 3-6-8 and
+        # 4-7-9 meet only at vertex 5 in block 1.  The cut {1, 2} spans
+        # blocks 0 and 1, so the cached right reach (blocks 2 and 3) holds
+        # one rail and the full search must join them
+        pendant = LineInstance(
+            FiniteGraph(10, [(0, 1), (1, 2), (1, 3), (3, 5), (4, 5),
+                             (3, 6), (4, 7), (6, 8), (7, 9)]),
+            ((0, 1), (2, 3, 4, 5), (6, 7), (8, 9)),
+            SEGMENT,
+        )
+        assert divides_into_two(pendant, {1, 2})
+        for inst in (
+            cayley_segment_instance(DELTA3, 4),
+            rung_ladder(5, (2,)),
+            ladder_instance(5, SEGMENT),
+            pendant,
+        ):
+            m = inst.block_count
+            for start, width in ((0, 1), (0, 2), (m - 1, 1), (m - 2, 2)):
+                window = inst.window_vertices(start, width)
+                for cut in connected_subsets(inst.graph, window, inst.max_block_size()):
+                    assert divides_into_two(inst, cut) == (
+                        set_based_divides_into_two(inst, cut)
+                    ), (inst.graph, sorted(cut))
 
     @pytest.mark.parametrize(
         "cut", [{1.0}, {2, 6}, set(), {9}, {-1}], ids=str
