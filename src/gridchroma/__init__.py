@@ -29,8 +29,6 @@ from .errors import InputError, InvariantViolation, UndecidedError
 from .graphs import (
     FiniteGraph,
     components,
-    is_independent,
-    path_distance,
     set_distance,
 )
 from .grid import (
@@ -48,7 +46,6 @@ from .groups import (
     GroupElement,
     MarkedGroupSpec,
     generators,
-    inverse,
     multiply,
     untwist,
 )
@@ -73,7 +70,6 @@ from .towers import (
     AnchoredTower,
     anchor_coloring,
     color_tower,
-    greedy_discrete_set,
     transfer_schedule,
     witness_k_insufficient,
 )

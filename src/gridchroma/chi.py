@@ -12,7 +12,6 @@ Colors are 1-based throughout (palette p means colors 1..p).
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -79,18 +78,21 @@ class Budget:
                 raise UndecidedError(f"{what}: time budget exhausted")
 
 
-def _saturation_pick(assign: list[int], banned: list[int], degrees: list[int]) -> int:
-    """The uncolored vertex of highest saturation (number of colors banned
-    on it), then highest degree, then lowest index: the DSATUR order
-    (Brelaz 1979)."""
-    best, best_key = -1, None
-    for v in range(len(assign)):
-        if assign[v]:
-            continue
-        key = (banned[v].bit_count(), degrees[v], -v)
-        if best_key is None or key > best_key:
-            best, best_key = v, key
-    return best
+def _dsatur_keys(g: FiniteGraph, assign: list[int], banned: list[int]) -> tuple[list[int], int]:
+    """One integer per vertex ordering the DSATUR choice (Brelaz 1979):
+    highest saturation (number of colors banned on it), then highest
+    degree, then lowest index.  The key is saturation*step + degree*n +
+    (n-1-v), so the pick is `key.index(max(key))`; a colored vertex holds
+    -1.  Returns the keys and step, the amount a key gains with each newly
+    banned color."""
+    n = g.n
+    degrees = [len(a) for a in g.adj]
+    step = (max(degrees, default=0) + 1) * n
+    key = [
+        -1 if assign[v] else banned[v].bit_count() * step + degrees[v] * n + n - 1 - v
+        for v in range(n)
+    ]
+    return key, step
 
 
 # -- enumeration -------------------------------------------------------------
@@ -189,6 +191,10 @@ def find_coloring(
     saturation-first with degree and index tie-breaks, so results are
     deterministic.  When no constraints are given, color symmetry is broken
     by only ever introducing the lowest unused color.
+
+    The walk keeps an explicit stack, one frame per colored vertex, so its
+    depth is not bounded by the interpreter's recursion limit.  Each search
+    node spends one budget unit.
     """
     if palette < 1:
         raise InputError(f"palette must be >= 1, got {palette}")
@@ -201,7 +207,6 @@ def find_coloring(
         full |= 1 << c
     banned = [0] * n
     assign = [0] * n
-    degrees = [len(g.adj[v]) for v in range(n)]
     symmetry_break = not constraints
 
     for v, c in constraints.items():
@@ -224,47 +229,63 @@ def find_coloring(
             if not assign[w]:
                 banned[w] |= bit
 
-    # rec recurses once per vertex: raise the limit for this call only
-    previous_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(previous_limit, n + 200))
-
-    def rec(remaining: int, used: int) -> bool:
+    key, step = _dsatur_keys(g, assign, banned)
+    adj = g.adj
+    # Per depth: the vertex, the colors still to try, the used-color mask
+    # before it was colored, its key, and the neighbors that gained its
+    # current color.
+    verts = [0] * unassigned
+    todo = [0] * unassigned
+    useds = [0] * unassigned
+    keys = [0] * unassigned
+    touched: list[list[int]] = [[] for _ in range(unassigned)]
+    used = used_mask
+    d = 0
+    while True:
         if budget is not None:
             budget.spend("find_coloring")
-        if remaining == 0:
-            return True
-        v = _saturation_pick(assign, banned, degrees)
+        if d == unassigned:
+            return Coloring(tuple(assign), palette)
+        v = key.index(max(key))
         allowed = full & ~banned[v]
         if symmetry_break:
             lowest_unused = (~used) & full
             lowest_unused &= -lowest_unused
             allowed &= used | lowest_unused
-        while allowed:
-            bit = allowed & -allowed
-            allowed ^= bit
-            c = bit.bit_length() - 1
-            assign[v] = c
-            touched = []
-            dead = False
-            for w in g.adj[v]:
-                if not assign[w] and not banned[w] & bit:
-                    banned[w] |= bit
-                    touched.append(w)
-                    if banned[w] == full:
-                        dead = True
-            if not dead and rec(remaining - 1, used | bit):
-                return True
-            for w in touched:
+        verts[d], todo[d], useds[d], keys[d] = v, allowed, used, key[v]
+        key[v] = -1
+        # try the next color at depth d, backtracking while none is left
+        while True:
+            allowed = todo[d]
+            if allowed:
+                bit = allowed & -allowed
+                todo[d] = allowed ^ bit
+                assign[v] = bit.bit_length() - 1
+                grown = touched[d] = []
+                dead = False
+                for w in adj[v]:
+                    if not assign[w] and not banned[w] & bit:
+                        banned[w] |= bit
+                        key[w] += step
+                        grown.append(w)
+                        if banned[w] == full:
+                            dead = True
+                            break
+                if not dead:
+                    used = useds[d] | bit
+                    d += 1
+                    break
+            else:
+                assign[v] = 0
+                key[v] = keys[d]
+                if d == 0:
+                    return None
+                d -= 1
+                v = verts[d]
+                bit = 1 << assign[v]
+            for w in touched[d]:
                 banned[w] ^= bit
-            assign[v] = 0
-        return False
-
-    try:
-        found = rec(unassigned, used_mask)
-    finally:
-        del rec  # rec reaches itself through its cell: break that cycle
-        sys.setrecursionlimit(previous_limit)
-    return Coloring(tuple(assign), palette) if found else None
+                key[w] -= step
 
 
 # -- bounds and the chromatic number ------------------------------------------
@@ -292,10 +313,11 @@ def dsatur_greedy(g: FiniteGraph) -> Coloring:
     n = g.n
     assign = [0] * n
     banned = [0] * n
-    degrees = [len(g.adj[v]) for v in range(n)]
+    key, step = _dsatur_keys(g, assign, banned)
     top = 1
     for _ in range(n):
-        best = _saturation_pick(assign, banned, degrees)
+        best = key.index(max(key))
+        key[best] = -1
         c = 1
         while banned[best] >> c & 1:
             c += 1
@@ -303,7 +325,10 @@ def dsatur_greedy(g: FiniteGraph) -> Coloring:
         top = max(top, c)
         bit = 1 << c
         for w in g.adj[best]:
-            banned[w] |= bit
+            if not banned[w] & bit:
+                banned[w] |= bit
+                if not assign[w]:
+                    key[w] += step
     return Coloring(tuple(assign), top)
 
 

@@ -7,7 +7,7 @@ reruns the headline table at a chosen k.
 
 Exit codes: 0 success or property verified; 1 property violation, or
 "none exists" where existence was asserted; 2 input error; 3 undecided at
-the configured budget.  The default time budget comes from
+the configured budget; 141 stdout closed by its reader.  The default time budget comes from
 GRIDCHROMA_BUDGET_MS when set.
 """
 
@@ -53,6 +53,7 @@ from .towers import (
 from .twoended import color_two_ended, family_metrics
 
 OK, VIOLATION, INPUT_ERROR, UNDECIDED = 0, 1, 2, 3
+BROKEN_PIPE = 141  # the shell's code for a writer whose reader left
 
 
 def _budget_from(args) -> Optional[Budget]:
@@ -559,6 +560,13 @@ def run(argv: list[str]) -> tuple[int, dict]:
     start = time.monotonic()
     try:
         code = args.func(args, report)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+    except BrokenPipeError:
+        # the reader is gone: point stdout at the null device, so neither
+        # a later write nor the flush at interpreter exit raises again
+        sys.stdout = open(os.devnull, "w")
+        report["error"] = "stdout closed by its reader"
+        code = BROKEN_PIPE
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         report["error"] = str(exc)

@@ -76,33 +76,11 @@ class FiniteGraph:
             self._masks = masks
         return self._masks
 
-    def is_regular(self, d: int) -> bool:
-        return all(len(a) == d for a in self.adj)
-
     def __repr__(self):
         return f"FiniteGraph(n={self.n}, edges={self.edge_count})"
 
 
 # -- distances and components ---------------------------------------------
-
-
-def path_distance(g: FiniteGraph, u: int, v: int) -> float:
-    """Breadth-first shortest path length; INF when no path exists."""
-    _check_vertex(g, u)
-    _check_vertex(g, v)
-    if u == v:
-        return 0
-    seen = {u}
-    frontier = deque([(u, 0)])
-    while frontier:
-        x, d = frontier.popleft()
-        for w in g.adj[x]:
-            if w == v:
-                return d + 1
-            if w not in seen:
-                seen.add(w)
-                frontier.append((w, d + 1))
-    return INF
 
 
 def set_distance(g: FiniteGraph, a: Iterable[int], b: Iterable[int]) -> float:
@@ -165,14 +143,6 @@ def components(
     return out
 
 
-def is_connected_set(g: FiniteGraph, vertices: Iterable[int]) -> bool:
-    """True iff the induced subgraph on the given vertices is connected."""
-    vs = set(vertices)
-    if not vs:
-        return False
-    return len(components(g, vs)) == 1
-
-
 def reach_mask(
     masks: Sequence[int], seed: int, allowed: int, stop: int = 0, reached: int = 0
 ) -> Optional[int]:
@@ -199,18 +169,6 @@ def reach_mask(
         unseen ^= frontier
         reach |= frontier
     return reach
-
-
-def is_independent(g: FiniteGraph, vertices: Iterable[int]) -> bool:
-    """True iff no edge joins two members of the set."""
-    vs = set(vertices)
-    for v in vs:
-        _check_vertex(g, v)
-    for v in vs:
-        for w in g.adj[v]:
-            if w > v and w in vs:
-                return False
-    return True
 
 
 def closed_neighborhood(g: FiniteGraph, vertices: Iterable[int]) -> set[int]:

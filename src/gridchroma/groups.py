@@ -80,14 +80,6 @@ def multiply(spec: MarkedGroupSpec, g: GroupElement, h: GroupElement) -> GroupEl
     return GroupElement((g.a + a) % spec.k, (g.b + b) % spec.k, g.n + h.n)
 
 
-def inverse(spec: MarkedGroupSpec, g: GroupElement) -> GroupElement:
-    """The unique element whose product with g (either side) is the identity."""
-    a, b = (-g.a) % spec.k, (-g.b) % spec.k
-    if spec.twisted and g.n % 2 != 0:
-        a, b = b, a
-    return GroupElement(a, b, -g.n)
-
-
 def generators(spec: MarkedGroupSpec) -> list[Generator]:
     """All 3(k-1)^2 generators, in (s1, s2, eps) lexicographic order."""
     k = spec.k

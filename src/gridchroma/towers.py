@@ -242,21 +242,6 @@ def witness_k_insufficient(
     return find_coloring(graph, k, constraints, budget=budget) is None
 
 
-def greedy_discrete_set(positions: list[int], r: int) -> list[int]:
-    """Greedy maximal subset with pairwise gaps greater than r.
-
-    Scans ascending and keeps a position iff it is more than r away from
-    every kept one; every rejected position is within r of a kept one.
-    """
-    if r < 1:
-        raise InputError(f"r must be >= 1, got {r}")
-    kept: list[int] = []
-    for p in sorted(positions):
-        if not kept or p - kept[-1] > r:
-            kept.append(p)
-    return kept
-
-
 def random_tower(
     k: int, rng: random.Random, mode: str = SEGMENT, zero_offsets: bool = False
 ) -> AnchoredTower:

@@ -19,6 +19,8 @@ from gridchroma.chi import (
 from gridchroma.errors import InputError, UndecidedError
 from gridchroma.graphs import FiniteGraph
 from gridchroma.grid import grid_graph, two_orbit_graph
+from gridchroma.groups import MarkedGroupSpec
+from gridchroma.quotients import build_quotient
 
 
 def cycle_graph(n):
@@ -171,11 +173,65 @@ class TestEnumerate:
         assert sys.getrecursionlimit() == before
 
 
+def twisted_quotient(k, modulus):
+    return build_quotient(MarkedGroupSpec(k, twisted=True), modulus).graph
+
+
 class TestFindColoring:
-    def test_long_path_restores_recursion_limit(self):
+    def test_long_path_restores_recursion_limit(self, monkeypatch):
         before = sys.getrecursionlimit()
+
+        def refuse(limit):
+            raise AssertionError("find_coloring changed the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
         assert find_coloring(path_graph(5000), 2) is not None
         assert sys.getrecursionlimit() == before
+
+    @pytest.mark.parametrize(
+        "k, modulus, palette, nodes, witness",
+        [
+            (3, 5, 3, 52, None),
+            (3, 5, 4, 7274, None),
+            (3, 5, 5, 46, "111222333123123123111222333123423523145125143"),
+            (3, 3, 4, 120, None),
+            (3, 3, 5, 28, "111222333123423523145125143"),
+            (4, 3, 5, 345, None),
+            (4, 3, 6, 1991, None),
+            (4, 3, 7, 49, "111122223333444412345234623472341567126715371564"),
+        ],
+    )
+    def test_twisted_quotient_node_counts_and_witnesses(self, k, modulus, palette, nodes, witness):
+        # the DSATUR order fixes the search tree: these are its exact sizes
+        g = twisted_quotient(k, modulus)
+        budget = Budget()
+        got = find_coloring(g, palette, budget=budget)
+        assert budget.nodes == nodes
+        if witness is None:
+            assert got is None
+        else:
+            assert "".join(map(str, got.colors)) == witness
+            assert is_proper(g, got)
+
+    def test_matches_brute_force_with_random_pins(self):
+        rng = random.Random(17)
+        for trial in range(150):
+            n = trial % 9
+            g = random_graph(n, rng.choice((0.2, 0.4, 0.6, 0.8)), seed=trial)
+            palette = rng.randint(1, 4)
+            pins = {}
+            if n and trial % 2:
+                for v in rng.sample(range(n), rng.randint(1, min(n, 3))):
+                    pins[v] = rng.randint(1, palette)
+            exists = any(
+                all(cols[v] == c for v, c in pins.items())
+                for cols in brute_force_colorings(g, palette)
+            )
+            got = find_coloring(g, palette, constraints=dict(pins))
+            assert (got is not None) == exists, (trial, palette, pins)
+            if got is not None:
+                assert is_proper(g, got)
+                assert all(got.colors[v] == c for v, c in pins.items())
 
     def test_path_with_matching_pinned_ends(self):
         g = path_graph(3)
@@ -212,6 +268,7 @@ class TestFindColoring:
         try:
             chromatic_info(g)
             find_coloring(g, 2)
+            find_coloring(path_graph(5000), 2)
             gc.collect()
             assert not [o for o in gc.garbage if isinstance(o, FiniteGraph)]
             assert not [o for o in gc.garbage if getattr(o, "__qualname__", "").startswith("find_coloring")]
@@ -293,3 +350,21 @@ class TestBounds:
             g = random_graph(12, 0.3, seed)
             got = dsatur_greedy(g)
             assert is_proper(g, got)
+
+    @pytest.mark.parametrize(
+        "n, p, seed, colors",
+        [
+            (12, 0.3, 0, "132222112111"),
+            (12, 0.3, 1, "212231123132"),
+            (12, 0.3, 2, "131221211142"),
+            (12, 0.3, 3, "131212221221"),
+            (12, 0.3, 4, "312322231121"),
+            (20, 0.5, 0, "44212435314342526415"),
+            (20, 0.5, 1, "31431525324345456631"),
+            (20, 0.5, 2, "11464234541323215465"),
+        ],
+    )
+    def test_dsatur_greedy_pinned_colorings(self, n, p, seed, colors):
+        got = dsatur_greedy(random_graph(n, p, seed))
+        assert "".join(map(str, got.colors)) == colors
+        assert got.palette == max(map(int, colors))

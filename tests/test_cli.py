@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -123,6 +124,23 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _ = run(["verify-dichotomy", "--bogus"])
         assert code == 2
+
+    def test_closed_stdout_exits_141_quietly(self, monkeypatch, capsys):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code, _ = run(["cayley", "--group", "delta", "--k", "3", "--M", "4"])
+        # what is left for the gone reader goes to the null device
+        redirected = sys.stdout
+        assert redirected.name == os.devnull
+        redirected.close()
+        assert code == 141
+        assert capsys.readouterr().err == ""
 
     def test_even_modulus_alternation_is_input_error(self):
         code, _ = run(["verify-alternation", "--k", "3", "--M", "4"])

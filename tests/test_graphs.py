@@ -14,11 +14,9 @@ from gridchroma.graphs import (
     graph_to_dimacs,
     graph_to_json,
     induced_subgraph,
-    is_connected_set,
-    is_independent,
-    path_distance,
     set_distance,
 )
+from oracles import is_connected_set, is_independent
 
 
 def path_graph(n):
@@ -56,29 +54,31 @@ class TestConstruction:
 
 
 class TestPathDistance:
+    """set_distance between single vertices is their path distance."""
+
     def test_same_vertex(self):
-        assert path_distance(path_graph(4), 2, 2) == 0
+        assert set_distance(path_graph(4), {2}, {2}) == 0
 
     def test_adjacent(self):
-        assert path_distance(path_graph(4), 1, 2) == 1
+        assert set_distance(path_graph(4), {1}, {2}) == 1
 
     def test_five_path_endpoints(self):
-        assert path_distance(path_graph(6), 0, 5) == 5
+        assert set_distance(path_graph(6), {0}, {5}) == 5
 
     def test_disconnected(self):
         g = FiniteGraph(4, [(0, 1), (2, 3)])
-        assert path_distance(g, 0, 3) == math.inf
+        assert set_distance(g, {0}, {3}) == math.inf
 
     def test_invalid_vertex(self):
         with pytest.raises(InputError):
-            path_distance(path_graph(3), 0, 5)
+            set_distance(path_graph(3), {0}, {5})
 
     @given(st.integers(0, 99))
     def test_triangle_inequality_random(self, seed):
         g = random_graph(10, 0.3, seed)
         rng = random.Random(seed + 1)
         u, v, w = rng.randrange(10), rng.randrange(10), rng.randrange(10)
-        assert path_distance(g, u, w) <= path_distance(g, u, v) + path_distance(g, v, w)
+        assert set_distance(g, {u}, {w}) <= set_distance(g, {u}, {v}) + set_distance(g, {v}, {w})
 
 
 class TestSetDistance:
@@ -86,8 +86,20 @@ class TestSetDistance:
         assert set_distance(path_graph(5), {0, 1}, {1, 4}) == 0
 
     def test_singletons_reduce_to_path_distance(self):
-        g = path_graph(6)
-        assert set_distance(g, {0}, {4}) == path_distance(g, 0, 4)
+        def path_distance(g, u, v):
+            # plain breadth-first search, level by level
+            level, seen, d = {u}, {u}, 0
+            while level and v not in level:
+                level = {w for x in level for w in g.adj[x]} - seen
+                seen |= level
+                d += 1
+            return d if level else math.inf
+
+        for seed in range(6):
+            g = random_graph(10, 0.25, seed)
+            for u in range(10):
+                for v in range(10):
+                    assert set_distance(g, {u}, {v}) == path_distance(g, u, v)
 
     def test_disconnected(self):
         g = FiniteGraph(4, [(0, 1), (2, 3)])

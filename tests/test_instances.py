@@ -4,7 +4,7 @@ import random
 import pytest
 
 from gridchroma.errors import InputError
-from gridchroma.graphs import FiniteGraph, components, is_connected_set
+from gridchroma.graphs import FiniteGraph, components
 from gridchroma.groups import MarkedGroupSpec
 from gridchroma.instances import (
     CYCLE,
@@ -19,6 +19,7 @@ from gridchroma.instances import (
     path_instance,
 )
 from gridchroma.twoended import connected_subsets
+from oracles import is_connected_set, is_regular
 
 DELTA3 = MarkedGroupSpec(3)
 
@@ -62,7 +63,7 @@ class TestBuilders:
     def test_ladder_shapes(self):
         inst = ladder_instance(12, CYCLE)
         assert inst.graph.n == 24
-        assert inst.graph.is_regular(3)
+        assert is_regular(inst.graph, 3)
         assert inst.chi == 2
 
     def test_cayley_cycle_blocks_are_levels(self):

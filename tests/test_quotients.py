@@ -20,6 +20,7 @@ from gridchroma.quotients import (
     verify_alternation_obstruction,
     verify_even_quotient_isomorphism,
 )
+from oracles import is_regular
 
 DELTA3 = MarkedGroupSpec(3)
 GAMMA3 = MarkedGroupSpec(3, twisted=True)
@@ -56,12 +57,12 @@ class TestConstruction:
     def test_delta_m3_size_and_regularity(self):
         q = build_quotient(DELTA3, 3)
         assert q.graph.n == 27
-        assert q.graph.is_regular(12)
+        assert is_regular(q.graph, 12)
 
     def test_gamma_m3_size_and_regularity(self):
         q = build_quotient(GAMMA3, 3)
         assert q.graph.n == 27
-        assert q.graph.is_regular(12)
+        assert is_regular(q.graph, 12)
 
     def test_small_modulus_rejected(self):
         with pytest.raises(InputError):

@@ -12,7 +12,6 @@ from gridchroma.towers import (
     AnchoredTower,
     anchor_coloring,
     color_tower,
-    greedy_discrete_set,
     random_tower,
     spare_color,
     tower_from_json,
@@ -53,24 +52,6 @@ class TestAnchorColoring:
         for k in (3, 4, 5):
             for a0 in range(k):
                 assert spare_color(k, anchor_coloring(k, a0)) == k + 1
-
-
-class TestGreedyDiscrete:
-    def test_arithmetic_example(self):
-        assert greedy_discrete_set(list(range(21)), 9) == [0, 10, 20]
-
-    def test_singleton(self):
-        assert greedy_discrete_set([0], 5) == [0]
-
-    @given(
-        st.lists(st.integers(0, 200), min_size=1, max_size=40),
-        st.integers(1, 20),
-    )
-    def test_maximal_and_discrete(self, positions, r):
-        kept = greedy_discrete_set(positions, r)
-        assert all(b - a > r for a, b in zip(kept, kept[1:]))
-        for p in positions:
-            assert any(abs(p - q) <= r for q in kept)
 
 
 class TestTransferSchedule:

@@ -5,7 +5,7 @@ import pytest
 
 from gridchroma.chi import Budget, is_proper
 from gridchroma.errors import InputError, UndecidedError
-from gridchroma.graphs import FiniteGraph, is_connected_set, is_independent, set_distance
+from gridchroma.graphs import FiniteGraph, set_distance
 from gridchroma.groups import MarkedGroupSpec
 from gridchroma.instances import (
     CYCLE,
@@ -24,6 +24,7 @@ from gridchroma.twoended import (
     family_metrics,
     find_separators,
 )
+from oracles import is_connected_set, is_independent
 
 DELTA3 = MarkedGroupSpec(3)
 GAMMA3 = MarkedGroupSpec(3, twisted=True)
