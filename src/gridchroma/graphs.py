@@ -49,6 +49,20 @@ class FiniteGraph:
         self.labels = tuple(labels) if labels is not None else None
         self._masks: Optional[list[int]] = None
 
+    @classmethod
+    def _from_sorted_adjacency(
+        cls, adj: Sequence[tuple[int, ...]], labels: Sequence
+    ) -> FiniteGraph:
+        """A graph from finished neighbor tuples, trusted as given: each
+        sorted, loop-free, in range and symmetric.  For builders that
+        produce them that way, skipping the edge list and its sets."""
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g.adj = tuple(adj)
+        g.labels = tuple(labels)
+        g._masks = None
+        return g
+
     # -- basic queries ----------------------------------------------------
 
     def degree(self, v: int) -> int:

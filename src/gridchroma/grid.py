@@ -24,6 +24,7 @@ k-colorings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .chi import Budget, Coloring, enumerate_colorings, is_proper
@@ -215,7 +216,7 @@ MAX_LAYER_GRAPH_EDGES = 10_000_000
 
 def layer_templates(
     spec: MarkedGroupSpec,
-) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
+) -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]:
     """The edge templates of the tower graphs, as pairs of cell indices
     a*k+b: (intra, cross).
 
@@ -227,7 +228,22 @@ def layer_templates(
     multiplication commutes with the right unit shift); the product sees a
     level only through its parity, so the templates then hold on every
     level and descend to every cyclic quotient.  And the intra template
-    must be the grid graph.
+    must be the grid graph.  The templates are derived once per spec and
+    group product and kept in a bounded memo, hence the frozensets.
+    """
+    intra, cross, _ = _templates(spec, multiply)
+    return intra, cross
+
+
+@lru_cache(maxsize=32)
+def _templates(spec: MarkedGroupSpec, product) -> tuple:
+    """`layer_templates` for one spec and one group product, plus the
+    per-cell neighbor tuples (same level, level above, level below), each
+    sorted.
+
+    Keyed on the product as well as the spec, so a replaced
+    `grid.multiply` is derived and checked afresh rather than served from
+    the memo.
     """
     k = spec.k
     intra: set[tuple[int, int]] = set()
@@ -237,9 +253,9 @@ def layer_templates(
         for a in range(k):
             for b in range(k):
                 x0 = GroupElement(a, b, 0)
-                y0 = multiply(spec, s, x0)
-                y1 = multiply(spec, s, multiply(spec, x0, UNIT_SHIFT))
-                if y1 != multiply(spec, y0, UNIT_SHIFT):
+                y0 = product(spec, s, x0)
+                y1 = product(spec, s, product(spec, x0, UNIT_SHIFT))
+                if y1 != product(spec, y0, UNIT_SHIFT):
                     raise InvariantViolation(
                         "right shift action does not commute with "
                         f"generator {gen} at {x0}"
@@ -253,7 +269,20 @@ def layer_templates(
                     cross.add((v, u))
     if intra != set(_grid_edges(k)):
         raise InvariantViolation("tower layer is not a copy of the grid graph")
-    return intra, cross
+    same: list[list[int]] = [[] for _ in range(k * k)]
+    above: list[list[int]] = [[] for _ in range(k * k)]
+    below: list[list[int]] = [[] for _ in range(k * k)]
+    for u, v in intra:
+        same[u].append(v)
+        same[v].append(u)
+    for u, v in cross:
+        above[u].append(v)
+        below[v].append(u)
+    cells = tuple(
+        tuple(tuple(sorted(nbrs)) for nbrs in per_cell)
+        for per_cell in (same, above, below)
+    )
+    return frozenset(intra), frozenset(cross), cells
 
 
 def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> FiniteGraph:
@@ -263,29 +292,42 @@ def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> Fin
     Open (a window), edges leaving the level range are dropped; cyclic
     (the quotient by the shift-by-levels element), the last level also
     joins level 0.  Vertex (a, b, n) is n*k^2 + a*k + b and carries that
-    label.  Needs levels >= 1, and levels >= 3 when cyclic; the public
-    builders `cayley_window` and `build_quotient` check this.  Refuses any
+    label.  Needs levels >= 1, and levels >= 3 when cyclic (fewer levels
+    would fold the two cross directions onto one level).  Refuses any
     build whose edge count, estimated as levels*k^2 times half the degree
     3(k-1)^2, exceeds MAX_LAYER_GRAPH_EDGES, before it allocates anything.
+
+    A vertex's neighbors are the sorted per-cell neighbor tuples of the
+    templates, one block per neighboring level, each shifted by its
+    level's first vertex; the blocks go in order of that vertex, so the
+    tuple comes out sorted with no edge list and no per-vertex sort.
     """
+    least = 3 if cyclic else 1
+    if levels < least:
+        raise InputError(f"layer graph needs at least {least} levels, got {levels}")
     estimate = levels * spec.k ** 2 * spec.degree // 2
     if estimate > MAX_LAYER_GRAPH_EDGES:
         raise InputError(
             f"{spec.name} on {levels} levels needs about {estimate:,} edges, "
             f"more than the cap of {MAX_LAYER_GRAPH_EDGES:,}"
         )
-    intra, cross = layer_templates(spec)
+    _, _, (same, above, below) = _templates(spec, multiply)
     k = spec.k
     kk = k * k
-    edges = []
+    adj: list[tuple[int, ...]] = []
     for n in range(levels):
-        base = n * kk
-        edges.extend((base + u, base + v) for u, v in intra)
+        blocks = [(n * kk, same)]
         if cyclic or n + 1 < levels:
-            up = (n + 1) % levels * kk
-            edges.extend((base + u, up + v) for u, v in cross)
+            blocks.append(((n + 1) % levels * kk, above))
+        if cyclic or n > 0:
+            blocks.append(((n - 1) % levels * kk, below))
+        blocks.sort(key=lambda block: block[0])
+        adj += [
+            tuple([base + v for base, cells in blocks for v in cells[c]])
+            for c in range(kk)
+        ]
     labels = [(a, b, n) for n in range(levels) for a in range(k) for b in range(k)]
-    return FiniteGraph(levels * kk, edges, labels)
+    return FiniteGraph._from_sorted_adjacency(adj, labels)
 
 
 # -- verification reports -----------------------------------------------------

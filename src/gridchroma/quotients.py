@@ -6,8 +6,9 @@ is induced by the right action of the shift-by-M element: right and left
 multiplications commute, so left generator edges descend to the cosets.
 Both are tiled by `grid.layer_graph` from one layer template and one
 cross-edge template, and the commutation is checked on the template, once
-per generator and level parity, rather than assumed.  The quotient has
-k^2 * M vertices and is 3(k-1)^2-regular, which is checked per vertex.
+per generator when the templates of a group are first derived, rather
+than assumed.  The quotient has k^2 * M vertices and is 3(k-1)^2-regular,
+which is checked per vertex.
 
 Quotients of the plain group stay k-chromatic.  Quotients of the twisted
 group collapse onto the plain ones for even M (swap grid coordinates on

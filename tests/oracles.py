@@ -1,9 +1,11 @@
-"""Graph predicates the test suites use as oracles.
+"""Graph predicates and a reference graph builder the test suites use as
+oracles.
 
 Nothing in the package needs them, so they live with the tests.
 """
 
 from gridchroma.graphs import FiniteGraph, components
+from gridchroma.grid import layer_templates
 
 
 def is_regular(g: FiniteGraph, d: int) -> bool:
@@ -21,3 +23,21 @@ def is_connected_set(g: FiniteGraph, vertices) -> bool:
     """True iff the set is non-empty and induces a connected subgraph."""
     vs = set(vertices)
     return bool(vs) and len(components(g, vs)) == 1
+
+
+def edge_list_layer_graph(spec, levels: int, cyclic: bool = False) -> FiniteGraph:
+    """A tower graph from its edge list: each level's copy of the intra
+    template and, to the level above (wrapping when cyclic), of the cross
+    template, handed to the edge-list constructor."""
+    intra, cross = layer_templates(spec)
+    k = spec.k
+    kk = k * k
+    edges = []
+    for n in range(levels):
+        base = n * kk
+        edges.extend((base + u, base + v) for u, v in intra)
+        if cyclic or n + 1 < levels:
+            up = (n + 1) % levels * kk
+            edges.extend((base + u, up + v) for u, v in cross)
+    labels = [(a, b, n) for n in range(levels) for a in range(k) for b in range(k)]
+    return FiniteGraph(levels * kk, edges, labels)

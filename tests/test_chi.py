@@ -127,6 +127,28 @@ class TestEnumerate:
         assert enumerate_colorings(g, 2) == 2
         assert enumerate_colorings(g, 3) == 2 ** 6 + 2
 
+    @pytest.mark.parametrize("seed", range(16))
+    def test_deletion_contraction(self, seed):
+        # P(G) = P(G-e) - P(G/e) for a random edge e, at palettes 1..4
+        rng = random.Random(seed)
+        g = random_graph(rng.randint(2, 8), rng.uniform(0.2, 0.7), seed)
+        edges = list(g.edges())
+        if not edges:
+            edges = [(0, 1)]
+            g = FiniteGraph(g.n, edges)
+        u, v = rng.choice(edges)
+        deleted = FiniteGraph(g.n, [e for e in edges if e != (u, v)])
+        # v merges into u; the vertices above v move down one place
+        merge = [u if w == v else w - (w > v) for w in range(g.n)]
+        contracted = FiniteGraph(
+            g.n - 1, {(merge[a], merge[b]) for a, b in edges if {a, b} != {u, v}}
+        )
+        for palette in range(1, 5):
+            assert enumerate_colorings(g, palette) == (
+                enumerate_colorings(deleted, palette)
+                - enumerate_colorings(contracted, palette)
+            )
+
     def test_base_forbidden_restricts(self):
         g = FiniteGraph(1, [])
         assert enumerate_colorings(g, 3, base_forbidden=[0b0110]) == 1

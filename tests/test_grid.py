@@ -4,8 +4,8 @@ import random
 import pytest
 
 from gridchroma.chi import Budget, Coloring, chromatic_number, enumerate_colorings, is_proper
-from gridchroma.errors import InputError
-from gridchroma.groups import MarkedGroupSpec
+from gridchroma.errors import InputError, InvariantViolation
+from gridchroma.groups import MarkedGroupSpec, multiply
 import gridchroma.grid
 from gridchroma.grid import (
     HORIZONTAL,
@@ -16,6 +16,7 @@ from gridchroma.grid import (
     classify_independent_set,
     grid_graph,
     layer_graph,
+    layer_templates,
     orientation,
     projection_coloring,
     two_orbit_graph,
@@ -23,7 +24,8 @@ from gridchroma.grid import (
     verify_invariance,
     verify_rigidity,
 )
-from oracles import is_independent, is_regular
+from gridchroma.quotients import build_quotient
+from oracles import edge_list_layer_graph, is_independent, is_regular
 
 H3 = grid_graph(3)
 
@@ -254,6 +256,44 @@ class TestSizeGuard:
         monkeypatch.setattr(gridchroma.grid, "MAX_LAYER_GRAPH_EDGES", 215)
         with pytest.raises(InputError):
             layer_graph(spec, 4, cyclic=True)
+
+
+class TestLayerGraph:
+    # the tiled adjacency against the edge-list constructor fed the same
+    # templates
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+    def test_matches_edge_list_build(self, k, twisted):
+        spec = MarkedGroupSpec(k, twisted=twisted)
+        shapes = [(levels, False) for levels in range(1, 9)]
+        shapes += [(levels, True) for levels in range(3, 9)]
+        for levels, cyclic in shapes:
+            got = layer_graph(spec, levels, cyclic=cyclic)
+            want = edge_list_layer_graph(spec, levels, cyclic=cyclic)
+            assert (got.n, got.adj, got.labels) == (want.n, want.adj, want.labels)
+
+    def test_templates_are_frozen(self):
+        intra, cross = layer_templates(MarkedGroupSpec(3, twisted=True))
+        assert type(intra) is frozenset and type(cross) is frozenset
+
+    def test_too_few_levels_refused(self):
+        spec = MarkedGroupSpec(3)
+        with pytest.raises(InputError):
+            layer_graph(spec, 0)
+        with pytest.raises(InputError):
+            layer_graph(spec, 2, cyclic=True)
+
+    def test_warm_memo_still_checks_a_replaced_product(self, monkeypatch):
+        spec = MarkedGroupSpec(3)
+        build_quotient(spec, 3)
+
+        def skewed(spec, g, h):
+            y = multiply(spec, g, h)
+            return y._replace(a=(y.a + (h.n == 1)) % spec.k)
+
+        monkeypatch.setattr(gridchroma.grid, "multiply", skewed)
+        with pytest.raises(InvariantViolation):
+            build_quotient(spec, 3)
 
 
 def test_raw_scan_oracle_for_dichotomy_count():

@@ -183,6 +183,23 @@ class TestColorTwoEnded:
             assert is_proper(inst.graph, result.coloring)
             assert result.colors_used <= bound
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("cycle", [False, True], ids=["segment", "cycle"])
+    @pytest.mark.parametrize("spec", [DELTA3, GAMMA3], ids=["plain", "twisted"])
+    def test_random_cayley_line_instances(self, spec, cycle, seed):
+        rng = random.Random(seed)
+        chi = rng.choice((3, None))  # None: computed exactly
+        if cycle:
+            inst = cayley_cycle_instance(spec, rng.choice((4, 6, 8, 10, 12)), chi)
+        else:
+            inst = cayley_segment_instance(spec, rng.randint(4, 6), chi)
+        result = color_two_ended(inst)
+        assert result.chi == 3
+        assert is_proper(inst.graph, result.coloring)
+        assert result.colors_used <= 2 * result.chi - 1
+        for a, b in itertools.combinations(result.family.members, 2):
+            assert set_distance(inst.graph, a, b) >= 4
+
     def test_dropped_class_is_independent(self):
         inst = cayley_cycle_instance(DELTA3, 12, chi=3)
         result = color_two_ended(inst)
