@@ -20,8 +20,10 @@ caches, per rotation, the neighbor masks, the two end masks and the block
 masks of the graph the test runs on, never a graph object.  It also holds
 the end reaches per rotation and block span lo..hi of the cut: the reach
 of each end's lowest vertex in the blocks beyond the span on its side.
-The cut misses both, so the search resumes from the left one instead of
-re-walking the far ends, and may stop as soon as it meets the right one.
+The cut misses both, so the search resumes from the left one and may stop
+as soon as it meets the right one.  A cut that leaves a vertex of the
+bridge mask, the vertices adjacent to both reaches, joins the two ends:
+the test answers it without a search.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ SEGMENT = "segment"
 CYCLE = "cycle"
 
 
-@dataclass
+@dataclass(frozen=True)
 class LineInstance:
     """A two-ended (or cyclically closed) graph cut into consecutive blocks."""
 
@@ -47,13 +49,13 @@ class LineInstance:
     blocks: tuple[tuple[int, ...], ...]
     mode: str
     chi: Optional[int] = None
-    _block_of: list[int] = field(init=False, repr=False)
-    _unrolls: dict = field(init=False, repr=False, default_factory=dict)
+    _block_of: list[int] = field(init=False, repr=False, compare=False)
+    _unrolls: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.mode not in (SEGMENT, CYCLE):
             raise InputError(f"mode must be '{SEGMENT}' or '{CYCLE}', got {self.mode!r}")
-        self.blocks = tuple(tuple(b) for b in self.blocks)
+        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
         m = len(self.blocks)
         if m < (3 if self.mode == CYCLE else 2):
             raise InputError(f"too few blocks ({m}) for {self.mode} mode")
@@ -67,7 +69,7 @@ class LineInstance:
                 block_of[v] = i
         if any(b == -1 for b in block_of):
             raise InputError("blocks must cover every vertex")
-        self._block_of = block_of
+        object.__setattr__(self, "_block_of", block_of)
         for u, v in self.graph.edges():
             gap = abs(block_of[u] - block_of[v])
             if self.mode == CYCLE and gap == m - 1:
@@ -150,14 +152,16 @@ class LineInstance:
         return self._unrolls[rotation]
 
     def _end_reaches(self, rotation: int, lo: int, hi: int):
-        """(pre, pre's outer boundary, suf) for cuts inside blocks lo..hi
-        of the graph the cut test runs on.  Cached in `_unrolls` per
-        rotation and block span.
+        """(neighbor masks, left-end mask, right-end mask, pre, pre's outer
+        boundary, suf, bridges) for cuts inside blocks lo..hi of the graph
+        the cut test runs on.  Cached in `_unrolls` per rotation and block
+        span.
 
         `pre` is the reach of the left end's lowest vertex inside the
         blocks before lo, `suf` that of the right end's lowest vertex
         inside the blocks after hi.  Both miss every such cut, so each lies
-        in its end's component once the cut is removed.
+        in its end's component once the cut is removed.  `bridges` holds
+        the vertices adjacent to both: one the cut leaves joins the ends.
         """
         key = (rotation, lo, hi)
         if key in self._unrolls:
@@ -166,13 +170,17 @@ class LineInstance:
         # the block masks are disjoint, so their sum is their union
         pre = reach_mask(masks, left & -left, sum(blocks[:lo]))
         suf = reach_mask(masks, right & -right, sum(blocks[hi + 1:]))
-        boundary = 0
-        rest = pre
-        while rest:
-            low = rest & -rest
-            boundary |= masks[low.bit_length() - 1]
-            rest ^= low
-        self._unrolls[key] = (pre, boundary & ~pre, suf)
+        # the outer boundaries of pre and suf
+        near = []
+        for inside in (pre, suf):
+            out, rest = 0, inside
+            while rest:
+                low = rest & -rest
+                out |= masks[low.bit_length() - 1]
+                rest ^= low
+            near.append(out & ~inside)
+        boundary, bridges = near[0], near[0] & near[1]
+        self._unrolls[key] = (masks, left, right, pre, boundary, suf, bridges)
         return self._unrolls[key]
 
 
@@ -213,8 +221,9 @@ def divides_into_two(inst: LineInstance, cut: Iterable[int]) -> bool:
         rotation = (touched & ~after_touched).bit_length() - 1
         removed = cut_mask << n
         lo, hi = m, m + span - 1
-    masks, left, right, _ = inst._unrolled(rotation)
-    pre, boundary, suf = inst._end_reaches(rotation, lo, hi)
+    masks, left, right, pre, boundary, suf, bridges = inst._end_reaches(rotation, lo, hi)
+    if bridges & ~removed:
+        return False
     remaining = ((1 << len(masks)) - 1) & ~removed
     left &= remaining
     right &= remaining

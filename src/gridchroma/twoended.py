@@ -47,29 +47,34 @@ def connected_subsets(
     """
     if max_size < 1:
         raise InputError(f"max_size must be >= 1, got {max_size}")
-    allowed = set(vertices)
-    out: list[frozenset[int]] = []
+    allowed = 0
+    for v in vertices:
+        if not isinstance(v, int) or not (0 <= v < g.n):
+            raise InputError(f"vertex {v!r} out of range for {g.n} vertices")
+        allowed |= 1 << v
+    masks = g.neighbor_masks()
+    found: list[tuple[int, ...]] = []
     # an explicit stack: a recursive closure is a reference cycle, which
     # keeps every candidate alive until the next full garbage collection
-    for root in sorted(allowed):
-        ext0 = sorted(u for u in g.adj[root] if u > root and u in allowed)
-        stack = [({root}, ext0, {root} | set(ext0))]
+    while allowed:
+        root = allowed & -allowed
+        allowed ^= root
+        ext0 = masks[root.bit_length() - 1] & allowed
+        stack = [((root.bit_length() - 1,), ext0, root | ext0)]
         while stack:
             sub, ext, sub_reach = stack.pop()
-            out.append(frozenset(sub))
+            found.append(sub)
             if len(sub) == max_size:
                 continue
             while ext:
-                w = ext.pop(0)
-                fresh = [
-                    u
-                    for u in g.adj[w]
-                    if u > root and u in allowed and u not in sub_reach
-                ]
-                stack.append(
-                    (sub | {w}, ext + sorted(fresh), sub_reach | {w} | set(fresh))
-                )
-    return sorted(out, key=lambda s: tuple(sorted(s)))
+                w = ext & -ext
+                ext ^= w
+                v = w.bit_length() - 1
+                fresh = masks[v] & allowed & ~sub_reach
+                stack.append((sub + (v,), ext | fresh, sub_reach | fresh))
+    # copying a set sizes a frozenset's table to its members; filling it
+    # from a list grows it as a set grows: 728 bytes, not 472, at 5 to 7
+    return [frozenset(set(sub)) for sub in sorted(map(sorted, found))]
 
 
 def find_separators(

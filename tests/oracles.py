@@ -25,6 +25,33 @@ def is_connected_set(g: FiniteGraph, vertices) -> bool:
     return bool(vs) and len(components(g, vs)) == 1
 
 
+def set_based_connected_subsets(g: FiniteGraph, vertices, max_size: int):
+    """Every connected subset of the given vertices with size <= max_size,
+    sorted lexicographically: the extension walk over Python sets that the
+    bitmask enumeration must agree with, list for list."""
+    allowed = set(vertices)
+    out = []
+    for root in sorted(allowed):
+        ext0 = sorted(u for u in g.adj[root] if u > root and u in allowed)
+        stack = [({root}, ext0, {root} | set(ext0))]
+        while stack:
+            sub, ext, sub_reach = stack.pop()
+            out.append(frozenset(sub))
+            if len(sub) == max_size:
+                continue
+            while ext:
+                w = ext.pop(0)
+                fresh = [
+                    u
+                    for u in g.adj[w]
+                    if u > root and u in allowed and u not in sub_reach
+                ]
+                stack.append(
+                    (sub | {w}, ext + sorted(fresh), sub_reach | {w} | set(fresh))
+                )
+    return sorted(out, key=lambda s: tuple(sorted(s)))
+
+
 def edge_list_layer_graph(spec, levels: int, cyclic: bool = False) -> FiniteGraph:
     """A tower graph from its edge list: each level's copy of the intra
     template and, to the level above (wrapping when cyclic), of the cross

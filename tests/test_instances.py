@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -19,7 +20,7 @@ from gridchroma.instances import (
     path_instance,
 )
 from gridchroma.twoended import connected_subsets
-from oracles import is_connected_set, is_regular
+from oracles import is_connected_set, is_regular, set_based_connected_subsets
 
 DELTA3 = MarkedGroupSpec(3)
 
@@ -47,6 +48,16 @@ class TestValidation:
         g = FiniteGraph(4, [(0, 1), (2, 3)])
         with pytest.raises(InputError):
             LineInstance(g, ((0, 2), (1, 3)), SEGMENT)
+
+    def test_frozen_but_caches_cut_tests(self):
+        inst = path_instance(6, CYCLE)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.mode = SEGMENT
+        assert not inst._unrolls
+        assert divides_into_two(inst, {2})
+        assert inst._unrolls
+        # the cache takes no part in equality
+        assert inst == LineInstance(inst.graph, inst.blocks, inst.mode, inst.chi)
 
     def test_bad_mode(self):
         g = FiniteGraph(2, [(0, 1)])
@@ -302,6 +313,23 @@ class TestDividesIntoTwoMatchesSetBasedSearch:
         for mode in (SEGMENT, CYCLE):
             with pytest.raises(InputError):
                 divides_into_two(path_instance(9, mode), cut)
+
+
+class TestConnectedSubsetsMatchesSetBasedWalk:
+    def test_every_window_width_and_cap(self):
+        windows = 0
+        for inst, widths, cap in differential_instances():
+            for width in widths:
+                if inst.mode == CYCLE:
+                    width = min(width, inst.block_count - 1)
+                for start in range(inst.block_count):
+                    window = inst.window_vertices(start, width)
+                    for size in range(1, (cap or inst.max_block_size()) + 1):
+                        assert connected_subsets(inst.graph, window, size) == (
+                            set_based_connected_subsets(inst.graph, window, size)
+                        ), (inst.graph, window, size)
+                    windows += 1
+        assert windows > 1200
 
 
 class TestMonotoneStability:

@@ -5,6 +5,7 @@ import pytest
 
 from gridchroma.chi import Budget, is_proper
 from gridchroma.errors import InputError, UndecidedError
+from gridchroma import instances
 from gridchroma.graphs import FiniteGraph, set_distance
 from gridchroma.groups import MarkedGroupSpec
 from gridchroma.instances import (
@@ -24,7 +25,7 @@ from gridchroma.twoended import (
     family_metrics,
     find_separators,
 )
-from oracles import is_connected_set, is_independent
+from oracles import is_connected_set, is_independent, set_based_connected_subsets
 
 DELTA3 = MarkedGroupSpec(3)
 GAMMA3 = MarkedGroupSpec(3, twisted=True)
@@ -60,6 +61,21 @@ class TestConnectedSubsets:
         subs = connected_subsets(g, range(10), 3)
         assert len(subs) == len(set(subs))
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_set_based_walk(self, n):
+        for seed, p in ((n, 0.3), (n + 100, 0.6)):
+            g = random_graph(n, p, seed)
+            for cap in range(1, n + 1):
+                assert connected_subsets(g, range(n), cap) == (
+                    set_based_connected_subsets(g, range(n), cap)
+                ), (g, cap)
+
+    @pytest.mark.parametrize("vertices", [[-1, 0], [4], [1.0]], ids=str)
+    def test_bad_vertex_rejected(self, vertices):
+        g = FiniteGraph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(InputError):
+            connected_subsets(g, vertices, 2)
+
 
 class TestFindSeparators:
     def test_path_segment_interior_singletons(self):
@@ -83,6 +99,27 @@ class TestFindSeparators:
         assert frozenset({3, 4}) in got
         assert all(is_connected_set(inst.graph, s) for s in got)
 
+
+    def test_non_separating_cuts_run_no_search(self, monkeypatch):
+        # every one-block candidate but the full block leaves a vertex
+        # adjacent to both end reaches, so only the connectivity check of
+        # each cut test searches, besides the two end reaches per span and
+        # the searches of the 12 separators
+        calls = 0
+
+        def counting_reach_mask(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return reach_mask(*args, **kwargs)
+
+        reach_mask = instances.reach_mask
+        monkeypatch.setattr(instances, "reach_mask", counting_reach_mask)
+        inst = cayley_cycle_instance(DELTA3, 12)
+        budget = Budget()
+        got = find_separators(inst, 1, 9, budget)
+        assert got == [frozenset(b) for b in inst.blocks]
+        assert budget.nodes == 4764
+        assert calls <= budget.nodes + 2 * 12 + 2 * len(got)
 
     def test_each_cut_test_spends_one_budget_unit(self):
         budget = Budget()
