@@ -1,167 +1,108 @@
-"""Acceptance suite: one test per criterion, each printing a pass/fail line.
+"""Acceptance suite: the claims table of `gridchroma report`, pinned at k=3.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines interleaved with the pytest output.  Tolerances are exact integers
-throughout; the runtime ceilings are asserted as part of each criterion.
+Each test runs rows of `gridchroma.cli.CLAIMS`, the same functions the
+report prints, and checks that each is proven (outcome True) with its
+pinned value inside its runtime ceiling.  Run with
+`pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line per
+claim.  Tolerances are exact integers throughout.
 """
 
-import functools
 import itertools
 import random
 import time
 
-from gridchroma.chi import chromatic_number, enumerate_colorings, is_proper
-from gridchroma.graphs import FiniteGraph, set_distance
-from gridchroma.grid import grid_graph, verify_dichotomy, verify_invariance, verify_rigidity
+from gridchroma.chi import chromatic_number, enumerate_colorings
+from gridchroma.cli import CLAIMS, STATUS
+from gridchroma.graphs import FiniteGraph
+from gridchroma.grid import grid_graph
 from gridchroma.groups import MarkedGroupSpec
-from gridchroma.instances import (
-    CYCLE,
-    SEGMENT,
-    cayley_cycle_instance,
-    ladder_instance,
-    path_instance,
-)
-from gridchroma.quotients import (
-    quotient_chi,
-    verify_alternation_obstruction,
-    verify_even_quotient_isomorphism,
-)
-from gridchroma.towers import (
-    AnchoredTower,
-    color_tower,
-    random_tower,
-    witness_k_insufficient,
-)
+from gridchroma.instances import CYCLE, cayley_cycle_instance, path_instance
 from gridchroma.twoended import (
     build_separator_family,
     check_complement_bounded,
-    color_two_ended,
     family_metrics,
     find_separators,
 )
 
-DELTA3 = MarkedGroupSpec(3)
-GAMMA3 = MarkedGroupSpec(3, twisted=True)
+TOWERS = "tower palette <= k+1 over {towers} seeded towers"
+
+# claim name -> its value at k=3
+PINNED = {
+    "grid chi == k": 3,
+    "dichotomy: zero violations": {"colorings": 1056},  # the 4^9 raw scan
+    "invariance: plain equal / twisted opposite": {"plain": 12288, "twisted": 12288},
+    "rigidity: projections only": {"colorings": 12},
+    "plain quotient chi == k (M=3)": 3,
+    "twisted odd quotient chi >= 2k-1 (M=3)": 5,
+    "even collapse (M=4): twisted chi == k and swap map is an isomorphism": {"twisted_chi": 3, "edges_checked": 216},
+    "alternation obstruction (M in {3,5})": {m: {"ok": True, "undecided": False} for m in (3, 5)},
+    "two-ended colorer within 2*chi-1": {
+        "path cycle": {"colors": 3, "bound": 3},
+        "ladder cycle": {"colors": 3, "bound": 3},
+        "plain cayley cycle": {"colors": 5, "bound": 5},
+        "twisted cayley cycle": {"colors": 5, "bound": 5},
+    },
+}
 
 
-def criterion(number, title, limit_s):
-    def decorate(func):
-        @functools.wraps(func)
-        def wrapper():
-            start = time.monotonic()
-            try:
-                func()
-            except BaseException:
-                print(f"[criterion {number}] FAIL  {title}")
-                raise
-            elapsed = time.monotonic() - start
-            print(f"[criterion {number}] PASS  {title} ({elapsed:.1f}s)")
-            assert elapsed < limit_s, f"criterion {number} overran {limit_s}s"
-
-        return wrapper
-
-    return decorate
+def _run(name, k=3, rng=None, towers=0):
+    """Run one claim unbudgeted; print its row and return its outcome and value."""
+    start = time.monotonic()
+    outcome, value = dict(CLAIMS)[name](k, None, rng or random.Random(0), towers)
+    elapsed = time.monotonic() - start
+    print(f"[{STATUS[outcome]}] {name.replace('{towers}', str(towers))} k={k}: {value} ({elapsed:.1f}s)")
+    return outcome, value
 
 
-@criterion(1, "dichotomy: every proper 4-coloring of the grid splits one way", 10)
-def test_criterion_1_dichotomy():
-    first = verify_dichotomy(3)
-    second = verify_dichotomy(3)
-    assert first.ok and second.ok
-    assert first.violations == []
-    assert first.count == second.count == 1056  # frozen from the 4^9 raw scan
+def _accept(limit_s, *names):
+    """A test proving the named claims at k=3 with their pinned values,
+    all within limit_s seconds."""
 
-
-@criterion(2, "orientation propagation: plain equal, twisted opposite", 120)
-def test_criterion_2_invariance():
-    plain = verify_invariance(3, twisted=False)
-    twisted = verify_invariance(3, twisted=True)
-    assert plain.ok, plain.violations[:1]
-    assert twisted.ok, twisted.violations[:1]
-    assert plain.count == twisted.count == 12288
-
-
-@criterion(3, "rigidity: 3-colorings are coordinate projections on both layers", 60)
-def test_criterion_3_rigidity():
-    report = verify_rigidity(3)
-    assert report.ok, report.violations[:1]
-    assert report.count == 12
-
-
-@criterion(4, "headline separation: plain quotient chi 3, twisted odd quotient chi 5", 300)
-def test_criterion_4_separation():
-    delta = quotient_chi(DELTA3, 3)
-    gamma = quotient_chi(GAMMA3, 3)
-    assert not delta.undecided and delta.value == 3
-    assert not gamma.undecided and gamma.value == 5
-    # the lower bounds are solver exhaustion; the upper bounds carry witnesses
-    assert delta.witness is not None and delta.witness.used <= 3
-    assert gamma.witness is not None and gamma.witness.used <= 5
-    for modulus in (3, 5):
-        report = verify_alternation_obstruction(3, modulus)
-        assert report.ok, f"alternation failed at M={modulus}"
-
-
-@criterion(5, "even collapse: twisted M=4 quotient matches plain, map verified", 60)
-def test_criterion_5_even_collapse():
-    assert quotient_chi(GAMMA3, 4).value == 3
-    assert quotient_chi(DELTA3, 4).value == 3
-    iso = verify_even_quotient_isomorphism(3, 4)
-    assert iso.ok
-    assert iso.count == 216
-
-
-@criterion(6, "two-ended colorer: suite within 2*chi-1 with valid scaffolds", 240)
-def test_criterion_6_two_ended():
-    suite = [
-        (path_instance(12, CYCLE), 3),
-        (ladder_instance(12, CYCLE), 3),
-        (cayley_cycle_instance(DELTA3, 12, chi=3), 5),
-        (cayley_cycle_instance(GAMMA3, 12, chi=3), 5),
-    ]
-    for inst, bound in suite:
+    def test():
         start = time.monotonic()
-        result = color_two_ended(inst)
-        assert is_proper(inst.graph, result.coloring)
-        assert result.colors_used <= bound
-        members = result.family.members
-        for a, b in itertools.combinations(members, 2):
-            assert set_distance(inst.graph, a, b) >= 4
-        # cycle-mode members are all interior: passage degree exactly 2
-        assert all(
-            result.family.degree(i) == 2 for i in range(len(members))
-        )
-        stats = result.complement_stats
-        assert stats["satisfied"]
-        assert stats["max_component_blocks"] < stats["largest_gap"]
-        assert time.monotonic() - start < 60
+        for name in names:
+            outcome, value = _run(name)
+            assert outcome is True, name
+            assert value == PINNED[name], name
+        assert time.monotonic() - start < limit_s, f"{names} overran {limit_s}s"
+
+    return test
 
 
-@criterion(7, "tower colorer: 100 seeded towers per k in {3,4,5}, witness checks", 300)
+test_grid_chi = _accept(10, "grid chi == k")
+test_criterion_1_dichotomy = _accept(10, "dichotomy: zero violations")
+test_criterion_2_invariance = _accept(120, "invariance: plain equal / twisted opposite")
+test_criterion_3_rigidity = _accept(60, "rigidity: projections only")
+test_criterion_4_separation = _accept(
+    300,
+    "plain quotient chi == k (M=3)",
+    "twisted odd quotient chi >= 2k-1 (M=3)",
+    "alternation obstruction (M in {3,5})",
+)
+test_criterion_5_even_collapse = _accept(
+    60, "even collapse (M=4): twisted chi == k and swap map is an isomorphism"
+)
+test_criterion_6_two_ended = _accept(60, "two-ended colorer within 2*chi-1")
+
+
 def test_criterion_7_towers():
+    """100 seeded towers per k in {3,4,5}; the k=3 row adds the witness checks."""
+    start = time.monotonic()
     for k in (3, 4, 5):
-        rng = random.Random(7000 + k)
-        zero_seen = 0
-        for _ in range(100):
-            mode = SEGMENT if rng.random() < 0.5 else CYCLE
-            zero = rng.random() < 0.25
-            tower = random_tower(k, rng, mode, zero_offsets=zero)
-            result = color_tower(tower)  # properness checked internally
-            assert result.colors_used <= k + 1
-            if zero:
-                zero_seen += 1
-                assert result.colors_used == k
-        assert zero_seen > 0
-    for a0 in (1, 2):
-        for b0 in (0, 1, 2):
-            tower = AnchoredTower(
-                3, 11, SEGMENT, ((0, (0, 0)), (10, (a0, b0)))
-            )
-            assert witness_k_insufficient(3, tower), (a0, b0)
+        outcome, value = _run(TOWERS, k, random.Random(7000 + k), 100)
+        assert outcome is True, k
+        assert value["towers"] == 100
+        assert value["zero_offset"] > 0  # the seed reaches the zero-offset branch
+        assert value["witness_checked"] == (k == 3)
+    assert time.monotonic() - start < 300
 
 
-@criterion(8, "oracle consistency: chi equals the least non-empty palette", 60)
+def test_every_claim_is_accepted():
+    assert [name for name, _ in CLAIMS] == [*PINNED, TOWERS]
+
+
 def test_criterion_8_oracle_consistency():
+    """Oracle consistency: chi equals the least non-empty palette."""
     small_suite = {
         "path cycle C12": path_instance(12, CYCLE).graph,
         "odd cycle C9": FiniteGraph(9, [(i, (i + 1) % 9) for i in range(9)]),
@@ -182,7 +123,7 @@ def test_criterion_8_oracle_consistency():
 
 def test_separator_examples_match_greedy_trace():
     """Supporting check: the documented scaffold shapes on the suite."""
-    inst = cayley_cycle_instance(DELTA3, 12, chi=3)
+    inst = cayley_cycle_instance(MarkedGroupSpec(3), 12, chi=3)
     family = build_separator_family(inst, find_separators(inst, 1, 9))
     starts = [min(inst.block_of(v) for v in s) for s in family.members]
     assert starts == [0, 4, 8]

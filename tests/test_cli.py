@@ -6,8 +6,10 @@ import sys
 import pytest
 
 import gridchroma.cli
+from gridchroma.chi import Budget
 from gridchroma.cli import run
-from gridchroma.errors import InvariantViolation
+from gridchroma.errors import InvariantViolation, UndecidedError
+from gridchroma.grid import VerificationReport
 from gridchroma.groups import MarkedGroupSpec
 from gridchroma.instances import cayley_cycle_instance, instance_to_json
 
@@ -263,9 +265,10 @@ class TestReport:
 
 
     def test_budgeted_two_ended_row_is_undecided_not_fatal(self):
-        # the shared deadline has passed when the separator search starts
+        # the row's share of 5 ms is far below the ~40 ms its separator
+        # searches take at k=3
         code, report = run(
-            ["report", "--k", "3", "--seed", "1", "--towers", "1", "--budget-ms", "50"]
+            ["report", "--k", "3", "--seed", "1", "--towers", "1", "--budget-ms", "5"]
         )
         assert code == 3
         rows = {row["row"]: row for row in report["results"]["rows"]}
@@ -273,6 +276,55 @@ class TestReport:
         assert two_ended["pass"] is None
         assert "separator search" in two_ended["value"]["undecided"]
         assert any("tower" in name for name in rows)
+
+    def test_violation_outranks_undecided_in_a_row(self, monkeypatch):
+        def invariance(k, twisted, budget=None):  # plain violated, twisted undecided
+            return VerificationReport("invariance", {}, violations=[] if twisted else ["x"], undecided=twisted)
+
+        monkeypatch.setattr(gridchroma.cli, "verify_invariance", invariance)
+        code, report = run(["report", "--k", "3", "--towers", "1"])
+        rows = {row["row"]: row["pass"] for row in report["results"]["rows"]}
+        assert rows["invariance: plain equal / twisted opposite"] is False
+        assert code == 1
+
+    def test_violation_outranks_undecided_in_a_verifier(self, monkeypatch):
+        def dichotomy(k, budget=None, canonical=None):
+            return VerificationReport("dichotomy", {"k": k}, violations=["planted"], undecided=True)
+
+        monkeypatch.setattr(gridchroma.cli, "verify_dichotomy", dichotomy)
+        code, _ = run(["verify-dichotomy", "--k", "3"])
+        assert code == 1
+
+    def test_undecided_error_in_a_claim_is_its_row(self, monkeypatch):
+        def witness(*args, **kwargs):
+            raise UndecidedError("witness: time budget exhausted")
+
+        monkeypatch.setattr(gridchroma.cli, "witness_k_insufficient", witness)
+        code, report = run(["report", "--k", "3", "--towers", "1"])
+        rows = report["results"]["rows"]
+        assert len(rows) == 10
+        assert rows[-1]["pass"] is None
+        assert rows[-1]["value"] == {"undecided": "witness: time budget exhausted"}
+        assert all(row["pass"] for row in rows[:-1])
+        assert code == 3
+
+    def test_each_row_gets_its_share_of_the_budget(self, monkeypatch):
+        def burn(k, budget, rng, towers):
+            while True:
+                budget.spend("burn")
+
+        def settle(k, budget, rng, towers):
+            for _ in range(2 * Budget.CHECK_EVERY):  # two clock reads
+                budget.spend("settle")
+            return True, "settled"
+
+        monkeypatch.setattr(gridchroma.cli, "CLAIMS", (("burn", burn), ("settle", settle)))
+        code, report = run(["report", "--budget-ms", "200"])
+        rows = report["results"]["rows"]
+        assert rows[0] == {"row": "burn", "pass": None, "value": {"undecided": "burn: time budget exhausted"}}
+        assert rows[1] == {"row": "settle", "pass": True, "value": "settled"}
+        assert code == 3
+        assert report["timings_ms"]["total"] < 1000  # the budget still bounds the run
 
 
 def test_console_script_wiring():
