@@ -32,10 +32,7 @@ from .graphs import (
     set_distance,
 )
 from .grid import (
-    GridGraphH,
-    classify_independent_set,
     grid_graph,
-    orientation,
     two_orbit_graph,
     verify_dichotomy,
     verify_invariance,

@@ -104,7 +104,6 @@ def enumerate_colorings(
     visitor: Optional[Callable[[tuple[int, ...]], None]] = None,
     *,
     base_forbidden: Optional[list[int]] = None,
-    pin_first: bool = False,
     canonical: bool = False,
     budget: Optional[Budget] = None,
 ) -> int:
@@ -116,14 +115,15 @@ def enumerate_colorings(
 
     base_forbidden gives a per-vertex bitmask of disallowed colors (bit c =
     color c), useful for enumerating extensions of an already-colored
-    neighborhood.  pin_first restricts vertex 0 to color 1 (sound only for
-    permutation-invariant properties).  canonical restricts each vertex to
-    used colors plus the single lowest unused one, enumerating exactly one
-    representative per color-permutation class.
+    neighborhood.  canonical restricts each vertex to used colors plus the
+    single lowest unused one, enumerating exactly one representative per
+    color-permutation class.
 
     The walk keeps an explicit stack (one mask of colors still to try per
     depth), so its depth is not bounded by the interpreter's recursion
-    limit.  Each search node, leaves included, spends one budget unit.
+    limit.  Each search node, leaves included, spends one budget unit;
+    when the budget runs out, the UndecidedError raised carries the count
+    of colorings visited so far as its lower bound.
     """
     if palette < 1:
         raise InputError(f"palette must be >= 1, got {palette}")
@@ -138,10 +138,9 @@ def enumerate_colorings(
     earlier = [tuple(w for w in g.adj[v] if w < v) for v in range(n)]
     full = (1 << (palette + 1)) - 2
     # caps[d]: the colors vertex d may take at all.  Canonically that is
-    # 1..max_used+1, grown as each vertex is colored; pin_first holds
-    # vertex 0 to color 1.
+    # 1..max_used+1, grown as each vertex is colored.
     caps = [full] * n
-    if canonical or pin_first:
+    if canonical:
         caps[0] = 0b10
     assign = [0] * n
     bits = [0] * n
@@ -150,7 +149,11 @@ def enumerate_colorings(
     d = 0
     while True:
         if budget is not None:
-            budget.spend("enumerate_colorings")
+            try:
+                budget.spend("enumerate_colorings")
+            except UndecidedError as exc:
+                exc.lower = count
+                raise
         if d < n:
             banned = forb[d]
             for w in earlier[d]:
@@ -347,11 +350,7 @@ class ChiResult:
         return self.lower if not self.undecided and self.lower == self.upper else None
 
 
-def chromatic_info(
-    g: FiniteGraph,
-    upper_hint: Optional[int] = None,
-    budget: Optional[Budget] = None,
-) -> ChiResult:
+def chromatic_info(g: FiniteGraph, budget: Optional[Budget] = None) -> ChiResult:
     """Exact chromatic number with proven bounds; tri-state under budget."""
     if g.n == 0:
         raise InputError("chromatic number of the empty graph is undefined")
@@ -363,10 +362,6 @@ def chromatic_info(
     upper = witness.palette
     budget = budget or Budget()
     try:
-        if upper_hint is not None and lower <= upper_hint < upper:
-            found = find_coloring(g, upper_hint, budget=budget)
-            if found is not None:
-                witness, upper = found, upper_hint
         p = lower
         while p < upper:
             found = find_coloring(g, p, budget=budget)
@@ -380,13 +375,9 @@ def chromatic_info(
     return ChiResult(lower, upper, witness, False, budget.nodes)
 
 
-def chromatic_number(
-    g: FiniteGraph,
-    upper_hint: Optional[int] = None,
-    budget: Optional[Budget] = None,
-) -> int:
+def chromatic_number(g: FiniteGraph, budget: Optional[Budget] = None) -> int:
     """Exact chromatic number; raises UndecidedError if the budget runs out."""
-    result = chromatic_info(g, upper_hint, budget)
+    result = chromatic_info(g, budget)
     if result.undecided:
         raise UndecidedError(
             f"chromatic number undecided at budget: in [{result.lower}, {result.upper}]",

@@ -52,7 +52,7 @@ from .towers import (
     random_tower,
     witness_k_insufficient,
 )
-from .twoended import color_two_ended, family_metrics
+from .twoended import color_two_ended
 
 OK, VIOLATION, INPUT_ERROR, UNDECIDED = 0, 1, 2, 3
 BROKEN_PIPE = 141  # the shell's code for a writer whose reader left
@@ -105,6 +105,19 @@ def _verdict(outcomes) -> Optional[bool]:
 
 EXIT_CODES = {True: OK, False: VIOLATION, None: UNDECIDED}
 
+_TRUTH = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _truth(text: str) -> bool:
+    """A true/false option value, in any case; anything else is a usage
+    error rather than a silent false."""
+    try:
+        return _TRUTH[text.lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"expected true/false, yes/no or 1/0, got {text!r}"
+        ) from None
+
 
 # -- subcommand handlers -------------------------------------------------------
 
@@ -113,26 +126,19 @@ def cmd_cayley(args, report) -> int:
     spec = _group_spec(args)
     if args.modulus is not None:
         graph = build_quotient(spec, args.modulus).graph
-        report["results"] = {"vertices": graph.n, "edges": graph.edge_count}
     else:
         graph = cayley_window(spec, args.levels)
-        report["results"] = {"vertices": graph.n, "edges": graph.edge_count}
+    report["results"] = {"vertices": graph.n, "edges": graph.edge_count}
     if args.format == "dimacs":
         text = graph_to_dimacs(graph, comment=f"{spec.name} window/quotient")
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-            report.setdefault("artifacts", {})["out"] = args.out
-            _emit(args, report, [f"wrote {args.out}"])
-        else:
-            _emit(args, report, [text.rstrip()])
-    else:
-        doc = graph_to_json(graph)
-        if args.out:
-            _write_artifact(args, doc, report)
-            _emit(args, report, [f"wrote {args.out}"])
-        else:
-            _emit(args, report, [json.dumps(doc)])
+    else:  # indented in a file, one line on stdout
+        text = json.dumps(graph_to_json(graph), indent=2 if args.out else None)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+        report.setdefault("artifacts", {})["out"] = args.out
+        text = f"wrote {args.out}"
+    _emit(args, report, [text.rstrip()])
     return OK
 
 
@@ -196,14 +202,13 @@ def cmd_two_ended_color(args, report) -> int:
         budget=_budget_from(args),
         chi=args.chi,
     )
-    metrics = family_metrics(inst, result.family)
+    stats = result.complement_stats
     report["results"] = {
         "chi": result.chi,
         "palette": result.coloring.palette,
         "colors_used": result.colors_used,
         "family": result.family.to_json(),
-        "family_metrics": metrics,
-        "complement_stats": result.complement_stats,
+        "complement_stats": stats,
     }
     _write_artifact(args, result.to_json(), report)
     _emit(
@@ -213,7 +218,7 @@ def cmd_two_ended_color(args, report) -> int:
             f"colored {inst.graph.n} vertices with {result.colors_used} colors "
             f"(bound {result.coloring.palette}, chi {result.chi})",
             f"separators: {len(result.family.members)}, "
-            f"min pairwise distance {metrics['min_pairwise_distance']}",
+            f"passage degrees {stats['degrees']}, shape ok {stats['shape_ok']}",
         ],
     )
     return OK
@@ -221,10 +226,6 @@ def cmd_two_ended_color(args, report) -> int:
 
 def cmd_shift_color(args, report) -> int:
     tower = load_tower(args.anchors)
-    if args.k is not None and args.k != tower.k:
-        raise InputError(
-            f"--k {args.k} disagrees with the anchors file (k={tower.k})"
-        )
     if args.mode is not None and args.mode != tower.mode:
         tower = AnchoredTower(tower.k, tower.extent, args.mode, tower.anchors)
     result = color_tower(tower)
@@ -250,8 +251,7 @@ def cmd_shift_color(args, report) -> int:
 
 
 def cmd_quotient_chi(args, report) -> int:
-    spec = _group_spec(args)
-    result = quotient_chi(spec, args.modulus, budget=_budget_from(args))
+    result = quotient_chi(_group_spec(args), args.modulus, budget=_budget_from(args))
     report["results"] = {
         "group": args.group,
         "k": args.k,
@@ -261,16 +261,6 @@ def cmd_quotient_chi(args, report) -> int:
         "chi": result.value,
         "undecided": result.undecided,
     }
-    if args.export:
-        graph = build_quotient(spec, args.modulus).graph
-        path = args.out or f"quotient-{args.group}-k{args.k}-M{args.modulus}.{args.export}"
-        if args.export == "dimacs":
-            with open(path, "w") as fh:
-                fh.write(graph_to_dimacs(graph))
-        else:
-            with open(path, "w") as fh:
-                json.dump(graph_to_json(graph), fh)
-        report.setdefault("artifacts", {})["export"] = path
     if result.undecided:
         _emit(args, report, [f"undecided at budget: chi in [{result.lower}, {result.upper}]"])
         return UNDECIDED
@@ -299,7 +289,7 @@ def _chi_claim(got, holds) -> tuple:
 
 
 def _claim_grid_chi(k, budget, rng, towers):
-    return _chi_claim(chromatic_info(grid_graph(k).graph, budget=budget), lambda c: c == k)
+    return _chi_claim(chromatic_info(grid_graph(k), budget=budget), lambda c: c == k)
 
 
 def _claim_dichotomy(k, budget, rng, towers):
@@ -352,14 +342,17 @@ def _claim_two_ended(k, budget, rng, towers):
     for name, inst in suite.items():
         chi = chromatic_number(inst.graph, budget=budget)  # a declared chi is not trusted
         got = color_two_ended(inst, budget=budget, chi=chi)
-        members, stats = got.family.members, got.complement_stats
+        stats = got.complement_stats
         values[name] = {"colors": got.colors_used, "bound": 2 * chi - 1}
         if not (
             is_proper(inst.graph, got.coloring)
             and got.colors_used <= 2 * chi - 1
-            and all(set_distance(inst.graph, a, b) >= 4 for a, b in combinations(members, 2))
-            # cycle-mode members are all interior: passage degree exactly 2
-            and all(got.family.degree(i) == 2 for i in range(len(members)))
+            and all(
+                set_distance(inst.graph, a, b) >= 4
+                for a, b in combinations(got.family.members, 2)
+            )
+            # cycle mode: the passages form one cycle, every degree exactly 2
+            and stats["shape_ok"]
             and stats["satisfied"]
             and stats["max_component_blocks"] < stats["largest_gap"]
         ):
@@ -481,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument(
         "--twisted",
-        type=lambda s: s.lower() in ("1", "true", "yes"),
+        type=_truth,
         default=False,
         help="true: adjacent layers must swap orientation",
     )
@@ -505,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shift-color", help="spare-color propagation over an anchored tower")
     p.add_argument("--anchors", required=True, help="tower JSON file")
-    p.add_argument("--k", type=int, default=None, help="must agree with the anchors file")
     p.add_argument("--mode", choices=(SEGMENT, CYCLE), default=None)
     p.add_argument("--out", default=None)
     common(p, budget=False)
@@ -515,8 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", choices=("delta", "gamma"), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--M", dest="modulus", type=int, required=True)
-    p.add_argument("--export", choices=("json", "dimacs"), default=None)
-    p.add_argument("--out", default=None)
     common(p)
     p.set_defaults(func=cmd_quotient_chi)
 

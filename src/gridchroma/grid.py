@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
-from .chi import Budget, Coloring, enumerate_colorings, is_proper
+from .chi import Budget, Coloring, enumerate_colorings
 from .errors import InputError, InvariantViolation, UndecidedError
 from .graphs import FiniteGraph
 from .groups import GroupElement, MarkedGroupSpec, generator_element, generators, multiply
@@ -35,36 +35,14 @@ from .groups import GroupElement, MarkedGroupSpec, generator_element, generators
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 
-SINGLETON = "singleton"
-NOT_INDEPENDENT = "not-independent"
 
-
-@dataclass(frozen=True)
-class GridGraphH:
-    """The grid graph for one modulus k, with (a, b) labels."""
-
-    k: int
-    graph: FiniteGraph
-
-    def index(self, a: int, b: int) -> int:
-        return a * self.k + b
-
-    def cell(self, v: int) -> tuple[int, int]:
-        return divmod(v, self.k)
-
-    def row(self, b: int) -> list[int]:
-        return [self.index(a, b) for a in range(self.k)]
-
-    def column(self, a: int) -> list[int]:
-        return [self.index(a, b) for b in range(self.k)]
-
-
-def grid_graph(k: int) -> GridGraphH:
-    """Build the complete-difference graph on the k x k grid."""
+def grid_graph(k: int) -> FiniteGraph:
+    """Build the complete-difference graph on the k x k grid; cell (a, b)
+    is vertex a*k+b and carries that label."""
     if k < 3:
         raise InputError(f"grid modulus must be >= 3, got {k}")
     labels = [(a, b) for a in range(k) for b in range(k)]
-    return GridGraphH(k, FiniteGraph(k * k, _grid_edges(k), labels))
+    return FiniteGraph(k * k, _grid_edges(k), labels)
 
 
 def _grid_edges(k: int) -> list[tuple[int, int]]:
@@ -78,41 +56,6 @@ def _grid_edges(k: int) -> list[tuple[int, int]]:
                     if b2 != b:
                         edges.append((u, a2 * k + b2))
     return edges
-
-
-@dataclass(frozen=True)
-class Classification:
-    """Shape of an independent set: singleton, horizontal(b), vertical(a)."""
-
-    kind: str
-    index: Optional[int] = None
-
-
-def classify_independent_set(h: GridGraphH, vertices: Iterable[int]) -> Classification:
-    """Classify a non-empty vertex set of the grid graph.
-
-    Size >= 2 independent sets always sit inside exactly one row or one
-    column; the classification carries the witnessing index.
-    """
-    vs = sorted(set(vertices))
-    if not vs:
-        raise InputError("cannot classify the empty set")
-    cells = [h.cell(v) for v in vs]
-    for i, (a, b) in enumerate(cells):
-        for a2, b2 in cells[i + 1 :]:
-            if a != a2 and b != b2:
-                return Classification(NOT_INDEPENDENT)
-    if len(vs) == 1:
-        return Classification(SINGLETON)
-    a_values = {a for a, _ in cells}
-    b_values = {b for _, b in cells}
-    if len(b_values) == 1:
-        return Classification(HORIZONTAL, b_values.pop())
-    if len(a_values) == 1:
-        return Classification(VERTICAL, a_values.pop())
-    raise InvariantViolation(
-        "independent set of size >= 2 confined to neither a row nor a column"
-    )
 
 
 def _orientation_flags(k: int, cols: tuple[int, ...]) -> tuple[bool, bool]:
@@ -141,22 +84,6 @@ def _orientation_flags(k: int, cols: tuple[int, ...]) -> tuple[bool, bool]:
     return rows == every, columns == every
 
 
-def orientation(h: GridGraphH, coloring: Coloring) -> str:
-    """Which side of the coloring dichotomy a proper (2k-2)-coloring is on."""
-    if coloring.palette != 2 * h.k - 2:
-        raise InputError(
-            f"orientation is defined for palette {2 * h.k - 2}, got {coloring.palette}"
-        )
-    if not is_proper(h.graph, coloring):
-        raise InputError("orientation requires a proper coloring")
-    horiz, vert = _orientation_flags(h.k, coloring.colors)
-    if horiz == vert:
-        raise InvariantViolation(
-            f"coloring dichotomy failed: horizontal={horiz}, vertical={vert}"
-        )
-    return HORIZONTAL if horiz else VERTICAL
-
-
 def projection_coloring(k: int, axis: str, palette: Optional[int] = None) -> Coloring:
     """The k-coloring of the grid by one coordinate (axis 'a' or 'b').
 
@@ -176,31 +103,11 @@ def projection_coloring(k: int, axis: str, palette: Optional[int] = None) -> Col
 # -- the two-orbit graph ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoOrbitGraph:
-    """Two adjacent grid layers of a tower, with cross edges by group law."""
-
-    k: int
-    twisted: bool
-    graph: FiniteGraph
-
-    def index(self, a: int, b: int, level: int) -> int:
-        return level * self.k * self.k + a * self.k + b
-
-    def layer(self, level: int) -> range:
-        base = level * self.k * self.k
-        return range(base, base + self.k * self.k)
-
-    def layer_colors(self, coloring: Coloring, level: int) -> tuple[int, ...]:
-        base = level * self.k * self.k
-        return coloring.colors[base : base + self.k * self.k]
-
-
-def two_orbit_graph(k: int, twisted: bool) -> TwoOrbitGraph:
-    """Build two adjacent layers; cross edges come from the group product,
-    so the twisted case needs no hand-coded offsets."""
-    spec = MarkedGroupSpec(k, twisted=twisted)
-    return TwoOrbitGraph(k, twisted, layer_graph(spec, 2))
+def two_orbit_graph(k: int, twisted: bool) -> FiniteGraph:
+    """Two adjacent grid layers of a tower; cell (a, b) on level n is
+    vertex n*k^2 + a*k + b.  Cross edges come from the group product, so
+    the twisted case needs no hand-coded offsets."""
+    return layer_graph(MarkedGroupSpec(k, twisted=twisted), 2)
 
 
 # -- the level-template builder -----------------------------------------------
@@ -373,6 +280,32 @@ class _StopVerification(Exception):
     pass
 
 
+def _enumerate_into(
+    report: VerificationReport,
+    graph: FiniteGraph,
+    palette: int,
+    visit,
+    budget: Optional[Budget],
+    canonical: bool = False,
+) -> VerificationReport:
+    """Run the enumeration behind a verifier and fill in its report.
+
+    When the budget runs out the report is undecided and its count holds
+    the colorings visited before the stop, which the enumeration's
+    UndecidedError carries as its lower bound.
+    """
+    try:
+        report.count = enumerate_colorings(
+            graph, palette, visit, canonical=canonical, budget=budget
+        )
+    except UndecidedError as exc:
+        report.count = exc.lower
+        report.undecided = True
+    except _StopVerification:
+        pass
+    return report
+
+
 def verify_dichotomy(
     k: int,
     budget: Optional[Budget] = None,
@@ -391,7 +324,6 @@ def verify_dichotomy(
     palette = 2 * k - 2
     if canonical is None:
         canonical = k > 3
-    h = grid_graph(k)
     report = VerificationReport(
         "dichotomy", {"k": k, "palette": palette, "canonical": canonical}
     )
@@ -403,15 +335,7 @@ def verify_dichotomy(
                 {"coloring": list(cols), "horizontal": horiz, "vertical": vert}
             )
 
-    try:
-        report.count = enumerate_colorings(
-            h.graph, palette, visit, canonical=canonical, budget=budget
-        )
-    except UndecidedError:
-        report.undecided = True
-    except _StopVerification:
-        pass
-    return report
+    return _enumerate_into(report, grid_graph(k), palette, visit, budget, canonical)
 
 
 def verify_invariance(
@@ -429,7 +353,7 @@ def verify_invariance(
     if k < 3:
         raise InputError(f"k must be >= 3, got {k}")
     palette = 2 * k - 2
-    tg = two_orbit_graph(k, twisted)
+    graph = two_orbit_graph(k, twisted)
     kk = k * k
     want_equal = not twisted
     report = VerificationReport(
@@ -461,13 +385,7 @@ def verify_invariance(
                 }
             )
 
-    try:
-        report.count = enumerate_colorings(tg.graph, palette, visit, budget=budget)
-    except UndecidedError:
-        report.undecided = True
-    except _StopVerification:
-        pass
-    return report
+    return _enumerate_into(report, graph, palette, visit, budget)
 
 
 def verify_rigidity(
@@ -482,7 +400,7 @@ def verify_rigidity(
     """
     if k < 3:
         raise InputError(f"k must be >= 3, got {k}")
-    tg = two_orbit_graph(k, twisted=False)
+    graph = two_orbit_graph(k, twisted=False)
     kk = k * k
     report = VerificationReport("rigidity", {"k": k, "palette": k})
 
@@ -503,10 +421,4 @@ def verify_rigidity(
                 {"coloring": list(cols), "layer0_axis": axis0, "layer1_axis": axis1}
             )
 
-    try:
-        report.count = enumerate_colorings(tg.graph, k, visit, budget=budget)
-    except UndecidedError:
-        report.undecided = True
-    except _StopVerification:
-        pass
-    return report
+    return _enumerate_into(report, graph, k, visit, budget)

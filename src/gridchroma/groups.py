@@ -38,9 +38,6 @@ class Generator(NamedTuple):
     eps: int
 
 
-IDENTITY = GroupElement(0, 0, 0)
-
-
 @dataclass(frozen=True)
 class MarkedGroupSpec:
     """Grid modulus k plus the choice between plain and twisted product."""
@@ -60,11 +57,6 @@ class MarkedGroupSpec:
     @property
     def name(self) -> str:
         return f"{'twisted' if self.twisted else 'plain'}(k={self.k})"
-
-
-def element(spec: MarkedGroupSpec, a: int, b: int, n: int) -> GroupElement:
-    """Build an element with the grid part reduced mod k."""
-    return GroupElement(a % spec.k, b % spec.k, n)
 
 
 def multiply(spec: MarkedGroupSpec, g: GroupElement, h: GroupElement) -> GroupElement:

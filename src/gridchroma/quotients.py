@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .chi import Budget, ChiResult, Coloring, chromatic_info, find_coloring, is_proper
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, UndecidedError
 from .graphs import FiniteGraph
 from .grid import (
     HORIZONTAL,
@@ -52,11 +52,6 @@ class QuotientGraph:
     def index(self, a: int, b: int, n: int) -> int:
         k = self.spec.k
         return (n % self.modulus) * k * k + a * k + b
-
-    def layer(self, n: int) -> range:
-        kk = self.spec.k ** 2
-        base = (n % self.modulus) * kk
-        return range(base, base + kk)
 
     def layer_colors(self, coloring: Coloring, n: int) -> tuple[int, ...]:
         kk = self.spec.k ** 2
@@ -134,8 +129,6 @@ def verify_alternation_obstruction(
         "alternation", {"k": k, "modulus": modulus, "palette": palette}
     )
     q = build_quotient(MarkedGroupSpec(k, twisted=True), modulus)
-    from .errors import UndecidedError
-
     try:
         found = find_coloring(q.graph, palette, budget=budget)
     except UndecidedError:

@@ -73,10 +73,8 @@ class AnchoredTower:
                 raise InputError(
                     f"anchor gap {p2 - p1} must exceed 3k = {floor}"
                 )
-        if self.mode == CYCLE and len(self.anchors) >= 1:
+        if self.mode == CYCLE:
             wrap = positions[0] + self.extent - positions[-1]
-            if len(self.anchors) == 1:
-                wrap = self.extent
             if wrap <= floor:
                 raise InputError(
                     f"wrap-around anchor gap {wrap} must exceed 3k = {floor}"
@@ -184,14 +182,9 @@ def color_tower(tower: AnchoredTower) -> TowerColoring:
         maps[pos] = anchor_coloring(k, a0)
 
     pairs = list(zip(tower.anchors, tower.anchors[1:]))
-    if tower.mode == CYCLE:
-        if len(tower.anchors) == 1:
-            pos, (a0, _) = tower.anchors[0]
-            pairs.append(((pos, (a0, 0)), (pos + tower.extent, (a0, 0))))
-        else:
-            first_pos, first_off = tower.anchors[0]
-            last = tower.anchors[-1]
-            pairs.append((last, (first_pos + tower.extent, first_off)))
+    if tower.mode == CYCLE:  # the wrap gap, from the last anchor round to the first
+        first_pos, first_off = tower.anchors[0]
+        pairs.append((tower.anchors[-1], (first_pos + tower.extent, first_off)))
     for (pos_a, (a0_a, _)), (pos_b, (a0_b, _)) in pairs:
         source = anchor_coloring(k, a0_a)
         target = anchor_coloring(k, a0_b)

@@ -20,7 +20,6 @@ The union is proper and uses at most 2*chi - 1 colors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Optional
 
 from .chi import Budget, Coloring, chromatic_number, find_coloring, is_proper
@@ -117,25 +116,12 @@ def find_separators(
 
 @dataclass
 class SeparatorFamily:
-    """Pairwise-far two-sided cuts plus their passage adjacency.
-
-    passage_edges lists one (i, j) entry per complement component whose
-    boundary touches members i and j, so two members flanking two distinct
-    gaps of a short cycle contribute two parallel entries; degrees are
-    counted with that multiplicity.
-    """
+    """Pairwise-far two-sided cuts, in selection order."""
 
     members: tuple[frozenset[int], ...]
-    passage_edges: tuple[tuple[int, int], ...]
-
-    def degree(self, i: int) -> int:
-        return sum(1 for e in self.passage_edges for x in e if x == i)
 
     def to_json(self) -> dict:
-        return {
-            "members": [sorted(s) for s in self.members],
-            "passage_edges": [list(e) for e in self.passage_edges],
-        }
+        return {"members": [sorted(s) for s in self.members]}
 
 
 def build_separator_family(
@@ -152,69 +138,50 @@ def build_separator_family(
             set_distance(g, cand, other) >= MIN_SEPARATION for other in selected
         ):
             selected.append(cand)
-    covered = set().union(*selected)
-    edges: list[tuple[int, int]] = []
-    for comp in components(g, set(range(g.n)) - covered):
-        comp_set = set(comp)
-        flank = sorted(
-            i
-            for i, member in enumerate(selected)
-            if any(w in comp_set for v in member for w in g.adj[v])
-        )
-        for pair in combinations(flank, 2):
-            edges.append(pair)
-    return SeparatorFamily(tuple(selected), tuple(edges))
-
-
-def family_metrics(inst: LineInstance, family: SeparatorFamily) -> dict:
-    """Structural facts about a family: distances, degrees, shape."""
-    g = inst.graph
-    members = family.members
-    pairwise = [
-        set_distance(g, a, b) for a, b in combinations(members, 2)
-    ]
-    degrees = [family.degree(i) for i in range(len(members))]
-    if inst.mode == CYCLE:
-        shape_ok = (
-            len(family.passage_edges) == len(members) >= 2
-            and all(d == 2 for d in degrees)
-        )
-    else:
-        shape_ok = (
-            len(family.passage_edges) == max(0, len(members) - 1)
-            and all(d <= 2 for d in degrees)
-        )
-    return {
-        "member_count": len(members),
-        "min_pairwise_distance": min(pairwise) if pairwise else None,
-        "degrees": degrees,
-        "shape_ok": shape_ok,
-        "each_divides": all(divides_into_two(inst, s) for s in members),
-    }
+    return SeparatorFamily(tuple(selected))
 
 
 def check_complement_bounded(inst: LineInstance, family: SeparatorFamily) -> dict:
-    """Confirm components outside the family stay inside one inter-member
-    gap: each spans fewer blocks than the largest gap.  Segment-mode pieces
-    touching an end block are exempt (they stand in for the ends)."""
+    """Check a family against the components outside it.
+
+    Each component stays inside one inter-member gap: it spans fewer
+    blocks than the largest gap.  Segment-mode pieces touching an end
+    block are exempt (they stand in for the ends).  Each component is also
+    a passage between every pair of members its boundary touches, so two
+    members flanking two distinct gaps of a short cycle are joined twice;
+    a member's passage degree counts that multiplicity.  The family has
+    its scaffold shape when the passages form a cycle through all members
+    (cycle mode, at least two) or a path (segment mode).
+    """
     g = inst.graph
     m = inst.block_count
-    covered = set().union(*family.members) if family.members else set()
-    comps = components(g, set(range(g.n)) - covered)
+    members = family.members
+    owner = {v: i for i, member in enumerate(members) for v in member}
+    comps = components(g, [v for v in range(g.n) if v not in owner])
     flag = None
-    if inst.mode == CYCLE and len(family.members) < 2:
+    if inst.mode == CYCLE and len(members) < 2:
         flag = "separator family too small to bound gaps; maximality failed upstream"
     spans = []
     sizes = []
+    degrees = [0] * len(members)
+    passages = 0
     for comp in comps:
+        flank = {owner[w] for v in comp for w in g.adj[v] if w in owner}
+        passages += len(flank) * (len(flank) - 1) // 2
+        for i in flank:
+            degrees[i] += len(flank) - 1
         blocks = {inst.block_of(v) for v in comp}
         if inst.mode == SEGMENT and (0 in blocks or m - 1 in blocks):
             continue
         spans.append(len(blocks))
         sizes.append(len(comp))
+    if inst.mode == CYCLE:
+        shape_ok = passages == len(members) >= 2 and all(d == 2 for d in degrees)
+    else:
+        shape_ok = passages == max(0, len(members) - 1) and all(d <= 2 for d in degrees)
     intervals = sorted(
         (min(inst.block_of(v) for v in s), max(inst.block_of(v) for v in s))
-        for s in family.members
+        for s in members
     )
     gaps = []
     for (lo1, hi1), (lo2, hi2) in zip(intervals, intervals[1:]):
@@ -231,6 +198,8 @@ def check_complement_bounded(inst: LineInstance, family: SeparatorFamily) -> dic
         "max_component_blocks": max(spans) if spans else 0,
         "largest_gap": largest_gap,
         "component_count": len(comps),
+        "degrees": degrees,
+        "shape_ok": shape_ok,
         "satisfied": satisfied,
         "flag": flag,
     }

@@ -16,13 +16,8 @@ from gridchroma.cli import CLAIMS, STATUS
 from gridchroma.graphs import FiniteGraph
 from gridchroma.grid import grid_graph
 from gridchroma.groups import MarkedGroupSpec
-from gridchroma.instances import CYCLE, cayley_cycle_instance, path_instance
-from gridchroma.twoended import (
-    build_separator_family,
-    check_complement_bounded,
-    family_metrics,
-    find_separators,
-)
+from gridchroma.instances import CYCLE, cayley_cycle_instance, divides_into_two, path_instance
+from gridchroma.twoended import build_separator_family, check_complement_bounded, find_separators
 
 TOWERS = "tower palette <= k+1 over {towers} seeded towers"
 
@@ -107,7 +102,7 @@ def test_criterion_8_oracle_consistency():
         "path cycle C12": path_instance(12, CYCLE).graph,
         "odd cycle C9": FiniteGraph(9, [(i, (i + 1) % 9) for i in range(9)]),
         "K4": FiniteGraph(4, list(itertools.combinations(range(4), 2))),
-        "grid k=3": grid_graph(3).graph,
+        "grid k=3": grid_graph(3),
         "path P5": FiniteGraph(5, [(i, i + 1) for i in range(4)]),
         "single edge": FiniteGraph(2, [(0, 1)]),
         "triangle": FiniteGraph(3, [(0, 1), (1, 2), (0, 2)]),
@@ -127,7 +122,7 @@ def test_separator_examples_match_greedy_trace():
     family = build_separator_family(inst, find_separators(inst, 1, 9))
     starts = [min(inst.block_of(v) for v in s) for s in family.members]
     assert starts == [0, 4, 8]
-    metrics = family_metrics(inst, family)
-    assert metrics["shape_ok"] and metrics["each_divides"]
+    assert all(divides_into_two(inst, s) for s in family.members)
     bound = check_complement_bounded(inst, family)
+    assert bound["shape_ok"] and bound["degrees"] == [2, 2, 2]
     assert bound["satisfied"] and bound["max_component_blocks"] == 3

@@ -222,17 +222,13 @@ class TestSubcommands:
              "--window", "1", "--cap", "9", "--chi", "3"]
         )
         assert code == 0
-        assert report["results"]["family_metrics"]["shape_ok"]
+        assert report["results"]["complement_stats"]["shape_ok"]
 
     def test_shift_color(self, tower_file):
         code, report = run(["shift-color", "--anchors", tower_file])
         assert code == 0
         assert report["results"]["proper"]
         assert report["results"]["colors_used"] == 4
-
-    def test_shift_color_k_mismatch(self, tower_file):
-        code, _ = run(["shift-color", "--anchors", tower_file, "--k", "4"])
-        assert code == 2
 
     def test_json_output_mode(self, capsys):
         code, _ = run(["verify-rigidity", "--k", "3", "--json"])
@@ -244,6 +240,18 @@ class TestSubcommands:
         code, report = run(["verify-invariance", "--k", "3", "--twisted", "true"])
         assert code == 0
         assert report["results"]["params"]["twisted"] is True
+
+    @pytest.mark.parametrize("value", ["FALSE", "No", "0"])
+    def test_invariance_false_spellings(self, value):
+        code, report = run(["verify-invariance", "--k", "3", "--twisted", value])
+        assert code == 0
+        assert report["results"]["params"]["twisted"] is False
+
+    def test_invariance_bad_twisted_value_is_usage_error(self, capsys):
+        code, report = run(["verify-invariance", "--k", "3", "--twisted", "ture"])
+        assert code == 2
+        assert "results" not in report
+        assert "'ture'" in capsys.readouterr().err
 
 
 class TestReport:

@@ -4,20 +4,16 @@ import random
 import pytest
 
 from gridchroma.chi import Budget, Coloring, chromatic_number, enumerate_colorings, is_proper
-from gridchroma.errors import InputError, InvariantViolation
+from gridchroma.errors import InputError, InvariantViolation, UndecidedError
 from gridchroma.groups import MarkedGroupSpec, multiply
 import gridchroma.grid
 from gridchroma.grid import (
     HORIZONTAL,
-    NOT_INDEPENDENT,
-    SINGLETON,
     VERTICAL,
     _orientation_flags,
-    classify_independent_set,
     grid_graph,
     layer_graph,
     layer_templates,
-    orientation,
     projection_coloring,
     two_orbit_graph,
     verify_dichotomy,
@@ -25,7 +21,15 @@ from gridchroma.grid import (
     verify_rigidity,
 )
 from gridchroma.quotients import build_quotient
-from oracles import edge_list_layer_graph, is_independent, is_regular
+from oracles import (
+    NOT_INDEPENDENT,
+    SINGLETON,
+    classify_independent_set,
+    edge_list_layer_graph,
+    is_independent,
+    is_regular,
+    orientation,
+)
 
 H3 = grid_graph(3)
 
@@ -34,22 +38,23 @@ class TestGridGraph:
     def test_vertex_count_and_regularity(self):
         for k in (3, 4, 5):
             h = grid_graph(k)
-            assert h.graph.n == k * k
-            assert is_regular(h.graph, (k - 1) ** 2)
+            assert h.n == k * k
+            assert is_regular(h, (k - 1) ** 2)
 
     def test_adjacency_rule(self):
         # edges join cells differing in both coordinates
-        for v in range(H3.graph.n):
-            a, b = H3.cell(v)
-            for w in H3.graph.adj[v]:
-                a2, b2 = H3.cell(w)
+        for v in range(H3.n):
+            a, b = divmod(v, 3)
+            assert H3.labels[v] == (a, b)
+            for w in H3.adj[v]:
+                a2, b2 = divmod(w, 3)
                 assert a != a2 and b != b2
 
     def test_column_is_independent(self):
-        assert is_independent(H3.graph, H3.column(0))
+        assert is_independent(H3, [0 * 3 + b for b in range(3)])
 
     def test_row_is_independent(self):
-        assert is_independent(H3.graph, H3.row(2))
+        assert is_independent(H3, [a * 3 + 2 for a in range(3)])
 
     def test_chromatic_number_is_three(self):
         # oracle: no independent set of size 4 exists, so chi >= 9/3 = 3,
@@ -57,44 +62,44 @@ class TestGridGraph:
         sizes = [
             len(s)
             for s in itertools.combinations(range(9), 4)
-            if is_independent(H3.graph, s)
+            if is_independent(H3, s)
         ]
         assert sizes == []
-        assert is_proper(H3.graph, projection_coloring(3, "a"))
-        assert chromatic_number(H3.graph) == 3
+        assert is_proper(H3, projection_coloring(3, "a"))
+        assert chromatic_number(H3) == 3
 
     def test_no_two_coloring_exists(self):
         from gridchroma.chi import find_coloring
 
-        assert find_coloring(H3.graph, 2) is None
+        assert find_coloring(H3, 2) is None
 
 
 class TestClassification:
     def test_singleton(self):
-        assert classify_independent_set(H3, [H3.index(0, 2)]).kind == SINGLETON
+        assert classify_independent_set(3, [0 * 3 + 2]).kind == SINGLETON
 
     def test_column_is_vertical(self):
-        got = classify_independent_set(H3, [H3.index(0, b) for b in range(3)])
+        got = classify_independent_set(3, [0 * 3 + b for b in range(3)])
         assert (got.kind, got.index) == (VERTICAL, 0)
 
     def test_row_is_horizontal(self):
-        got = classify_independent_set(H3, [H3.index(a, 1) for a in range(3)])
+        got = classify_independent_set(3, [a * 3 + 1 for a in range(3)])
         assert (got.kind, got.index) == (HORIZONTAL, 1)
 
     def test_both_coordinates_differ_means_edge(self):
-        got = classify_independent_set(H3, [H3.index(0, 0), H3.index(1, 1)])
+        got = classify_independent_set(3, [0 * 3 + 0, 1 * 3 + 1])
         assert got.kind == NOT_INDEPENDENT
 
     def test_empty_set_rejected(self):
         with pytest.raises(InputError):
-            classify_independent_set(H3, [])
+            classify_independent_set(3, [])
 
     def test_exhaustive_trichotomy_k3(self):
         # every nonempty subset classifies consistently with raw independence
         for size in range(1, 10):
             for subset in itertools.combinations(range(9), size):
-                got = classify_independent_set(H3, subset)
-                indep = is_independent(H3.graph, subset)
+                got = classify_independent_set(3, subset)
+                indep = is_independent(H3, subset)
                 if not indep:
                     assert got.kind == NOT_INDEPENDENT
                 elif size == 1:
@@ -108,8 +113,8 @@ class TestClassification:
         for _ in range(400):
             size = rng.randint(2, 6)
             subset = rng.sample(range(16), size)
-            got = classify_independent_set(h4, subset)
-            if is_independent(h4.graph, subset):
+            got = classify_independent_set(4, subset)
+            if is_independent(h4, subset):
                 assert got.kind in (HORIZONTAL, VERTICAL)
             else:
                 assert got.kind == NOT_INDEPENDENT
@@ -118,42 +123,40 @@ class TestClassification:
 class TestOrientation:
     def test_first_coordinate_coloring_is_vertical(self):
         # its color sets are full columns
-        assert orientation(H3, projection_coloring(3, "a", palette=4)) == VERTICAL
+        assert orientation(3, projection_coloring(3, "a", palette=4)) == VERTICAL
 
     def test_second_coordinate_coloring_is_horizontal(self):
-        assert orientation(H3, projection_coloring(3, "b", palette=4)) == HORIZONTAL
+        assert orientation(3, projection_coloring(3, "b", palette=4)) == HORIZONTAL
 
     def test_improper_coloring_rejected(self):
         with pytest.raises(InputError):
-            orientation(H3, Coloring((1,) * 9, 4))
+            orientation(3, Coloring((1,) * 9, 4))
 
     def test_wrong_palette_rejected(self):
         with pytest.raises(InputError):
-            orientation(H3, projection_coloring(3, "a", palette=5))
+            orientation(3, projection_coloring(3, "a", palette=5))
 
     def test_stable_under_color_permutation(self):
         samples = []
         enumerate_colorings(
-            H3.graph, 4, lambda cols: len(samples) < 40 and samples.append(cols)
+            H3, 4, lambda cols: len(samples) < 40 and samples.append(cols)
         )
         rng = random.Random(7)
         for cols in samples:
-            base = orientation(H3, Coloring(cols, 4))
+            base = orientation(3, Coloring(cols, 4))
             perm = [0, 1, 2, 3, 4]
             tail = perm[1:]
             rng.shuffle(tail)
             perm[1:] = tail
             permuted = tuple(perm[c] for c in cols)
-            assert orientation(H3, Coloring(permuted, 4)) == base
+            assert orientation(3, Coloring(permuted, 4)) == base
 
     @pytest.mark.parametrize("k, canonical, count", [(3, False, 1056), (4, True, 3826)])
     def test_flags_match_classification_oracle(self, k, canonical, count):
-        h = grid_graph(k)
-
         def oracle(cols):
             rows, columns = set(), set()
             for c in set(cols):
-                shape = classify_independent_set(h, [v for v, x in enumerate(cols) if x == c])
+                shape = classify_independent_set(k, [v for v, x in enumerate(cols) if x == c])
                 if shape.kind == HORIZONTAL:
                     rows.add(shape.index)
                 elif shape.kind == VERTICAL:
@@ -161,7 +164,7 @@ class TestOrientation:
             return len(rows) == k, len(columns) == k
 
         seen = []
-        enumerate_colorings(h.graph, 2 * k - 2, seen.append, canonical=canonical)
+        enumerate_colorings(grid_graph(k), 2 * k - 2, seen.append, canonical=canonical)
         assert len(seen) == count
         for cols in seen:
             assert _orientation_flags(k, cols) == oracle(cols), cols
@@ -172,18 +175,20 @@ class TestTwoOrbitGraph:
     def test_degrees(self, twisted):
         tg = two_orbit_graph(3, twisted)
         # each layer contributes (k-1)^2 inside plus (k-1)^2 across
-        assert is_regular(tg.graph, 8)
+        assert is_regular(tg, 8)
 
     def test_cross_adjacency_plain(self):
         tg = two_orbit_graph(3, twisted=False)
-        u = tg.index(0, 0, 0)
-        cross = {tg.graph.labels[w] for w in tg.graph.adj[u] if tg.graph.labels[w][2] == 1}
+        u = 0 * 9 + 0 * 3 + 0  # n*k*k + a*k + b
+        assert tg.labels[u] == (0, 0, 0)
+        cross = {tg.labels[w] for w in tg.adj[u] if tg.labels[w][2] == 1}
         assert cross == {(a, b, 1) for a in (1, 2) for b in (1, 2)}
 
     def test_cross_adjacency_twisted_swaps(self):
         tg = two_orbit_graph(3, twisted=True)
-        u = tg.index(0, 1, 0)
-        cross = {tg.graph.labels[w] for w in tg.graph.adj[u] if tg.graph.labels[w][2] == 1}
+        u = 0 * 9 + 0 * 3 + 1  # n*k*k + a*k + b
+        assert tg.labels[u] == (0, 1, 0)
+        cross = {tg.labels[w] for w in tg.adj[u] if tg.labels[w][2] == 1}
         # neighbors (c,d,1) satisfy c != b and d != a
         assert cross == {(c, d, 1) for c in (0, 2) for d in (1, 2)}
 
@@ -192,7 +197,7 @@ class TestTwoOrbitGraph:
         lo = projection_coloring(3, "a").colors
         hi = projection_coloring(3, "b").colors
         mixed = Coloring(lo + hi, 3)
-        assert not is_proper(tg.graph, mixed)
+        assert not is_proper(tg, mixed)
 
 
 class TestVerifiers:
@@ -211,6 +216,19 @@ class TestVerifiers:
         report = verify_dichotomy(4, budget=Budget(max_nodes=500))
         assert report.undecided
         assert not report.ok
+
+    def test_budget_stop_keeps_the_colorings_visited(self):
+        report = verify_dichotomy(4, budget=Budget(max_nodes=5000))
+        assert report.undecided and not report.ok
+        seen = []
+        with pytest.raises(UndecidedError) as stop:
+            enumerate_colorings(
+                grid_graph(4), 6, seen.append, canonical=True, budget=Budget(max_nodes=5000)
+            )
+        assert report.count == stop.value.lower == len(seen) > 0
+        report = verify_invariance(3, False, budget=Budget(max_nodes=20000))
+        assert report.undecided
+        assert 0 < report.count < 12288
 
     def test_invariance_plain_layers_match(self):
         report = verify_invariance(3, twisted=False)
@@ -298,7 +316,7 @@ class TestLayerGraph:
 
 def test_raw_scan_oracle_for_dichotomy_count():
     """Independent count of proper 4-colorings: scan all 4^9 assignments."""
-    edges = list(H3.graph.edges())
+    edges = list(H3.edges())
     count = 0
     for assign in itertools.product((1, 2, 3, 4), repeat=9):
         if all(assign[u] != assign[v] for u, v in edges):

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from gridchroma.errors import InputError
 from gridchroma.groups import (
-    IDENTITY,
     GroupElement,
     MarkedGroupSpec,
     generator_element,
@@ -12,6 +11,7 @@ from gridchroma.groups import (
     untwist,
 )
 
+IDENTITY = GroupElement(0, 0, 0)
 PLAIN3 = MarkedGroupSpec(3)
 TWISTED3 = MarkedGroupSpec(3, twisted=True)
 

@@ -71,7 +71,7 @@ class TestConstruction:
     def test_window_of_two_levels_matches_two_orbit_graph(self):
         for twisted in (False, True):
             window = cayley_window(MarkedGroupSpec(3, twisted=twisted), 2)
-            direct = two_orbit_graph(3, twisted).graph
+            direct = two_orbit_graph(3, twisted)
             assert list(window.edges()) == list(direct.edges())
 
     def test_window_interior_degree(self):
@@ -148,7 +148,7 @@ class TestTemplateBuilderMatchesDefinition:
             assert graph.labels == labels
 
     def test_two_orbit_graph(self, spec):
-        graph = two_orbit_graph(spec.k, spec.twisted).graph
+        graph = two_orbit_graph(spec.k, spec.twisted)
         edges, labels = reference_edges(spec, 2, cyclic=False)
         assert set(graph.edges()) == edges
         assert graph.labels == labels

@@ -95,9 +95,9 @@ class TestTransferSchedule:
         for lo, hi in zip(states, states[1:]):
             cols = tuple(
                 (lo if lvl == 0 else hi)[a]
-                for (a, b, lvl) in tg.graph.labels
+                for (a, b, lvl) in tg.labels
             )
-            assert is_proper(tg.graph, Coloring(cols, k + 1))
+            assert is_proper(tg, Coloring(cols, k + 1))
 
     def test_spare_bearing_source_rejected(self):
         with pytest.raises(InputError):
@@ -126,6 +126,19 @@ class TestColorTower:
         result = color_tower(tower)
         assert is_proper(result.graph, result.coloring)
         assert result.colors_used <= 4
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_one_anchor_cycle_uses_k_colors(self, k):
+        # the lone anchor is its own neighbor across the wrap gap of
+        # extent layers, so every layer keeps the anchor's map
+        for offset in ((0, 0), (k - 1, 1)):
+            tower = AnchoredTower(k, 3 * k + 1, CYCLE, ((2, offset),))
+            result = color_tower(tower)
+            assert is_proper(result.graph, result.coloring)
+            assert result.colors_used == k
+            assert set(result.orbit_maps) == {anchor_coloring(k, offset[0])}
+        with pytest.raises(InputError, match="wrap-around"):
+            AnchoredTower(k, 3 * k, CYCLE, ((0, (0, 0)),))
 
     def test_consecutive_maps_differ_on_at_most_one_column(self):
         tower = AnchoredTower(3, 20, CYCLE, ((0, (1, 0)), (10, (2, 0))))

@@ -13,6 +13,7 @@ from gridchroma.instances import (
     SEGMENT,
     cayley_cycle_instance,
     cayley_segment_instance,
+    divides_into_two,
     ladder_instance,
     path_instance,
 )
@@ -22,7 +23,6 @@ from gridchroma.twoended import (
     check_complement_bounded,
     color_two_ended,
     connected_subsets,
-    family_metrics,
     find_separators,
 )
 from oracles import is_connected_set, is_independent, set_based_connected_subsets
@@ -144,24 +144,25 @@ class TestBuildFamily:
         inst = cayley_cycle_instance(DELTA3, 12, chi=3)
         fam = build_separator_family(inst, find_separators(inst, 1, 9))
         assert [min(inst.block_of(v) for v in s) for s in fam.members] == [0, 4, 8]
-        metrics = family_metrics(inst, fam)
-        assert metrics["degrees"] == [2, 2, 2]
-        assert metrics["shape_ok"]
-        assert metrics["each_divides"]
+        report = check_complement_bounded(inst, fam)
+        assert report["degrees"] == [2, 2, 2]
+        assert report["shape_ok"]
+        assert all(divides_into_two(inst, s) for s in fam.members)
 
     def test_two_member_cycle_family_has_parallel_passages(self):
         inst = cayley_cycle_instance(DELTA3, 9, chi=3)
         fam = build_separator_family(inst, find_separators(inst, 1, 9))
         assert len(fam.members) == 2
-        assert len(fam.passage_edges) == 2
-        assert fam.degree(0) == fam.degree(1) == 2
+        report = check_complement_bounded(inst, fam)
+        assert report["degrees"] == [2, 2]
+        assert report["shape_ok"]
 
     def test_segment_family_is_a_path(self):
         inst = path_instance(13, SEGMENT)
         fam = build_separator_family(inst, find_separators(inst, 1, 1))
-        metrics = family_metrics(inst, fam)
-        assert metrics["shape_ok"]
-        assert metrics["degrees"] == [1, 2, 1]
+        report = check_complement_bounded(inst, fam)
+        assert report["shape_ok"]
+        assert report["degrees"] == [1, 2, 1]
 
     def test_no_candidates_is_an_error(self):
         inst = ladder_instance(8, CYCLE)
@@ -187,7 +188,7 @@ class TestComplementBound:
 
     def test_degenerate_single_member_cycle_family_flagged(self):
         inst = path_instance(12, CYCLE)
-        fam = SeparatorFamily((frozenset({0}),), ())
+        fam = SeparatorFamily((frozenset({0}),))
         report = check_complement_bounded(inst, fam)
         assert not report["satisfied"]
         assert "maximality" in report["flag"]
