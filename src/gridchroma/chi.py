@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import InputError, UndecidedError
+from .errors import InputError, StopEnumeration, UndecidedError
 from .graphs import FiniteGraph
 
 
@@ -78,21 +78,27 @@ class Budget:
                 raise UndecidedError(f"{what}: time budget exhausted")
 
 
-def _dsatur_keys(g: FiniteGraph, assign: list[int], banned: list[int]) -> tuple[list[int], int]:
-    """One integer per vertex ordering the DSATUR choice (Brelaz 1979):
-    highest saturation (number of colors banned on it), then highest
-    degree, then lowest index.  The key is saturation*step + degree*n +
-    (n-1-v), so the pick is `key.index(max(key))`; a colored vertex holds
-    -1.  Returns the keys and step, the amount a key gains with each newly
-    banned color."""
-    n = g.n
-    degrees = [len(a) for a in g.adj]
-    step = (max(degrees, default=0) + 1) * n
-    key = [
-        -1 if assign[v] else banned[v].bit_count() * step + degrees[v] * n + n - 1 - v
-        for v in range(n)
-    ]
-    return key, step
+def _degree_classes(g: FiniteGraph) -> list[int]:
+    """The vertices of each degree as bitmasks, highest degree first, for the
+    DSATUR tie-break (Brelaz 1979); empty when the graph is regular."""
+    by_degree: dict[int, int] = {}
+    for v, nbrs in enumerate(g.adj):
+        by_degree[len(nbrs)] = by_degree.get(len(nbrs), 0) | 1 << v
+    if len(by_degree) < 2:
+        return []
+    return [by_degree[d] for d in sorted(by_degree, reverse=True)]
+
+
+def _raise_saturation(level: list[int], newly: int, s: int):
+    """Move the vertices of `newly` up one saturation level, in place;
+    none of them sits above level s."""
+    while newly:
+        x = level[s] & newly
+        if x:
+            level[s] ^= x
+            level[s + 1] |= x
+            newly ^= x
+        s -= 1
 
 
 # -- enumeration -------------------------------------------------------------
@@ -111,7 +117,8 @@ def enumerate_colorings(
 
     Colors may go unused.  Enumeration assigns vertices 0..n-1 in order and
     colors in ascending order, so the visit sequence is deterministic and
-    lexicographic.  Returns the total count.
+    lexicographic.  Returns the total count, or the count so far when the
+    visitor raises StopEnumeration.
 
     base_forbidden gives a per-vertex bitmask of disallowed colors (bit c =
     color c), useful for enumerating extensions of an already-colored
@@ -162,7 +169,10 @@ def enumerate_colorings(
         else:
             count += 1
             if visitor is not None:
-                visitor(tuple(assign))
+                try:
+                    visitor(tuple(assign))
+                except StopEnumeration:
+                    return count
             d = n - 1
         while not todo[d]:
             if d == 0:
@@ -191,13 +201,23 @@ def find_coloring(
 
     Complete search: a None answer is a proof of non-existence (subject to
     the budget; running out raises UndecidedError).  Vertex selection is
-    saturation-first with degree and index tie-breaks, so results are
-    deterministic.  When no constraints are given, color symmetry is broken
-    by only ever introducing the lowest unused color.
+    DSATUR: highest saturation (colors banned on it), then highest degree,
+    then lowest index, so results are deterministic.  Colors are tried in
+    ascending order, and color symmetry is broken by only ever introducing
+    the lowest color that neither a pin nor the search has used yet: the
+    colors no pin uses are interchangeable.
 
-    The walk keeps an explicit stack, one frame per colored vertex, so its
-    depth is not bounded by the interpreter's recursion limit.  Each search
-    node spends one budget unit.
+    The state is bitmasks over the vertices: per color, the uncolored
+    vertices that have it banned; per saturation level s, the uncolored
+    vertices with s colors banned.  Coloring v with c bans c on the
+    neighbors that lacked it and moves them up one level; c is rejected
+    when one of them would reach level `palette`.  The pick is the lowest
+    vertex of the top non-empty level, narrowed to the highest degree
+    class in it.  The walk keeps an explicit stack, one frame per colored
+    vertex, so its depth is not bounded by the interpreter's recursion
+    limit; each frame keeps the level list it started from, so
+    backtracking restores rather than recomputes.  Each search node spends
+    one budget unit.
     """
     if palette < 1:
         raise InputError(f"palette must be >= 1, got {palette}")
@@ -205,90 +225,88 @@ def find_coloring(
     if n == 0:
         return Coloring((), palette)
     constraints = constraints or {}
-    full = 0
-    for c in range(1, palette + 1):
-        full |= 1 << c
-    banned = [0] * n
-    assign = [0] * n
-    symmetry_break = not constraints
-
     for v, c in constraints.items():
         if not (0 <= v < n):
             raise InputError(f"constrained vertex {v} out of range")
         if not (1 <= c <= palette):
             raise InputError(f"constraint color {c} outside palette {palette}")
+    return _dsatur(g, palette, constraints, budget)
 
+
+def _dsatur(
+    g: FiniteGraph, palette: int, constraints: dict[int, int], budget: Optional[Budget]
+) -> Optional[Coloring]:
+    """The search behind `find_coloring`, which checks its arguments."""
+    n = g.n
     # seed pinned vertices first; a contradiction among them is final
-    used_mask = 0
-    unassigned = n
+    adj = g.neighbor_masks()
+    assign = [0] * n
+    ban = [0] * (palette + 1)
+    uncolored = (1 << n) - 1
+    used = 0
     for v, c in sorted(constraints.items()):
-        bit = 1 << c
-        if banned[v] & bit:
+        if ban[c] >> v & 1:
             return None
         assign[v] = c
-        used_mask |= bit
-        unassigned -= 1
-        for w in g.adj[v]:
-            if not assign[w]:
-                banned[w] |= bit
+        used |= 1 << c
+        uncolored ^= 1 << v
+        ban[c] |= adj[v]
+    level = [uncolored] + [0] * palette
+    for banned in ban:
+        _raise_saturation(level, banned & uncolored, palette - 1)
 
-    key, step = _dsatur_keys(g, assign, banned)
-    adj = g.adj
-    # Per depth: the vertex, the colors still to try, the used-color mask
-    # before it was colored, its key, and the neighbors that gained its
-    # current color.
-    verts = [0] * unassigned
-    todo = [0] * unassigned
-    useds = [0] * unassigned
-    keys = [0] * unassigned
-    touched: list[list[int]] = [[] for _ in range(unassigned)]
-    used = used_mask
-    d = 0
+    full = (1 << (palette + 1)) - 2
+    dead = palette - 1
+    classes = _degree_classes(g)
+    # one frame per colored vertex: what it needs to try its next color
+    stack: list[tuple] = []
+    s = palette
     while True:
         if budget is not None:
             budget.spend("find_coloring")
-        if d == unassigned:
+        if not uncolored:
             return Coloring(tuple(assign), palette)
-        v = key.index(max(key))
-        allowed = full & ~banned[v]
-        if symmetry_break:
-            lowest_unused = (~used) & full
-            lowest_unused &= -lowest_unused
-            allowed &= used | lowest_unused
-        verts[d], todo[d], useds[d], keys[d] = v, allowed, used, key[v]
-        key[v] = -1
-        # try the next color at depth d, backtracking while none is left
+        while not level[s]:
+            s -= 1
+        pick = level[s]
+        for same_degree in classes:
+            if pick & same_degree:
+                pick &= same_degree
+                break
+        vbit = pick & -pick
+        level[s] ^= vbit
+        uncolored ^= vbit
+        v = vbit.bit_length() - 1
+        nbrs = adj[v]
+        spare = ~used & full
+        todo = used | spare & -spare
+        # try the next color of v, backtracking while none is left
         while True:
-            allowed = todo[d]
-            if allowed:
-                bit = allowed & -allowed
-                todo[d] = allowed ^ bit
-                assign[v] = bit.bit_length() - 1
-                grown = touched[d] = []
-                dead = False
-                for w in adj[v]:
-                    if not assign[w] and not banned[w] & bit:
-                        banned[w] |= bit
-                        key[w] += step
-                        grown.append(w)
-                        if banned[w] == full:
-                            dead = True
-                            break
-                if not dead:
-                    used = useds[d] | bit
-                    d += 1
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                c = bit.bit_length() - 1
+                banned = ban[c]
+                if banned & vbit:
+                    continue
+                newly = nbrs & uncolored & ~banned
+                if not newly & level[dead]:
                     break
             else:
-                assign[v] = 0
-                key[v] = keys[d]
-                if d == 0:
+                if not stack:
                     return None
-                d -= 1
-                v = verts[d]
-                bit = 1 << assign[v]
-            for w in touched[d]:
-                banned[w] ^= bit
-                key[w] -= step
+                uncolored |= vbit
+                v, vbit, nbrs, s, todo, used, level, c, banned = stack.pop()
+                ban[c] = banned
+                continue
+            break
+        stack.append((v, vbit, nbrs, s, todo, used, level, c, banned))
+        assign[v] = c
+        used |= bit
+        ban[c] = banned | newly
+        level = level[:]
+        _raise_saturation(level, newly, s)
+        s += 1
 
 
 # -- bounds and the chromatic number ------------------------------------------
@@ -312,27 +330,12 @@ def greedy_clique(g: FiniteGraph) -> list[int]:
 
 
 def dsatur_greedy(g: FiniteGraph) -> Coloring:
-    """Greedy saturation-order coloring; an upper-bound witness."""
-    n = g.n
-    assign = [0] * n
-    banned = [0] * n
-    key, step = _dsatur_keys(g, assign, banned)
-    top = 1
-    for _ in range(n):
-        best = key.index(max(key))
-        key[best] = -1
-        c = 1
-        while banned[best] >> c & 1:
-            c += 1
-        assign[best] = c
-        top = max(top, c)
-        bit = 1 << c
-        for w in g.adj[best]:
-            if not banned[w] & bit:
-                banned[w] |= bit
-                if not assign[w]:
-                    key[w] += step
-    return Coloring(tuple(assign), top)
+    """Greedy saturation-order coloring; an upper-bound witness.  It is the
+    first descent of `find_coloring` with one color more than the largest
+    degree: no vertex can run out of colors, so the search never backtracks
+    and each vertex takes its lowest free color."""
+    found = _dsatur(g, max(map(len, g.adj), default=0) + 1, {}, None)
+    return Coloring(found.colors, max(found.colors, default=1))
 
 
 @dataclass

@@ -18,6 +18,12 @@ class UndecidedError(RuntimeError):
         self.upper = upper
 
 
+class StopEnumeration(Exception):
+    """Raised by an enumeration visitor to end the walk early; the
+    enumeration then returns the count of colorings visited, this one
+    included."""
+
+
 class InvariantViolation(AssertionError):
     """An internal structural guarantee failed to hold.
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .chi import Budget, Coloring, enumerate_colorings
-from .errors import InputError, InvariantViolation, UndecidedError
+from .errors import InputError, InvariantViolation, StopEnumeration, UndecidedError
 from .graphs import FiniteGraph
 from .groups import GroupElement, MarkedGroupSpec, generator_element, generators, multiply
 
@@ -262,7 +262,7 @@ class VerificationReport:
             self.violations.append(item)
         else:
             self.violations.append("... further violations suppressed")
-            raise _StopVerification
+            raise StopEnumeration
 
     def to_json(self) -> dict:
         return {
@@ -276,10 +276,6 @@ class VerificationReport:
         }
 
 
-class _StopVerification(Exception):
-    pass
-
-
 def _enumerate_into(
     report: VerificationReport,
     graph: FiniteGraph,
@@ -290,9 +286,10 @@ def _enumerate_into(
 ) -> VerificationReport:
     """Run the enumeration behind a verifier and fill in its report.
 
-    When the budget runs out the report is undecided and its count holds
-    the colorings visited before the stop, which the enumeration's
-    UndecidedError carries as its lower bound.
+    The count is the colorings visited, also when the run stops early:
+    at the violation cap, which ends the enumeration, or when the budget
+    runs out, which leaves the report undecided and the count in the
+    enumeration's UndecidedError as its lower bound.
     """
     try:
         report.count = enumerate_colorings(
@@ -301,8 +298,6 @@ def _enumerate_into(
     except UndecidedError as exc:
         report.count = exc.lower
         report.undecided = True
-    except _StopVerification:
-        pass
     return report
 
 

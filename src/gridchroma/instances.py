@@ -310,18 +310,6 @@ def cayley_segment_instance(
 # -- serialization ------------------------------------------------------------
 
 
-def instance_to_json(inst: LineInstance) -> dict:
-    doc = {
-        "mode": inst.mode,
-        "vertices": inst.graph.n,
-        "edges": [list(e) for e in inst.graph.edges()],
-        "blocks": [list(b) for b in inst.blocks],
-    }
-    if inst.chi is not None:
-        doc["chi"] = inst.chi
-    return doc
-
-
 def instance_from_json(doc: dict) -> LineInstance:
     try:
         graph = FiniteGraph(

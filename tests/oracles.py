@@ -1,5 +1,6 @@
-"""Graph predicates, grid-shape classifiers and a reference graph builder
-the test suites use as oracles.
+"""Graph predicates, grid-shape classifiers, a reference graph builder, the
+key-list DSATUR solver and an instance serializer the test suites use as
+oracles.
 
 Nothing in the package needs them, so they live with the tests.
 """
@@ -7,10 +8,11 @@ Nothing in the package needs them, so they live with the tests.
 from dataclasses import dataclass
 from typing import Optional
 
-from gridchroma.chi import Coloring, is_proper
+from gridchroma.chi import Budget, Coloring, is_proper
 from gridchroma.errors import InputError, InvariantViolation
 from gridchroma.graphs import FiniteGraph, components
 from gridchroma.grid import HORIZONTAL, VERTICAL, _orientation_flags, grid_graph, layer_templates
+from gridchroma.instances import LineInstance
 
 SINGLETON = "singleton"
 NOT_INDEPENDENT = "not-independent"
@@ -128,3 +130,149 @@ def orientation(k: int, coloring: Coloring) -> str:
             f"coloring dichotomy failed: horizontal={horiz}, vertical={vert}"
         )
     return HORIZONTAL if horiz else VERTICAL
+
+
+def instance_to_json(inst: LineInstance) -> dict:
+    """The instance document `instances.load_instance` reads."""
+    doc = {
+        "mode": inst.mode,
+        "vertices": inst.graph.n,
+        "edges": [list(e) for e in inst.graph.edges()],
+        "blocks": [list(b) for b in inst.blocks],
+    }
+    if inst.chi is not None:
+        doc["chi"] = inst.chi
+    return doc
+
+
+# -- the key-list DSATUR solver ------------------------------------------------
+#
+# The solver as it stood before its state moved to saturation-level bitmasks:
+# one integer key per vertex, picked by `key.index(max(key))`, and one banned
+# color mask per vertex updated neighbor by neighbor.  Unpinned, the bitmask
+# search must match it witness for witness and node for node.  Pinned, it
+# breaks no color symmetry, so it may only spend more nodes.
+
+
+def _dsatur_keys(g: FiniteGraph, assign: list[int], banned: list[int]) -> tuple[list[int], int]:
+    """One integer per vertex ordering the DSATUR choice (Brelaz 1979):
+    highest saturation (number of colors banned on it), then highest
+    degree, then lowest index.  The key is saturation*step + degree*n +
+    (n-1-v), so the pick is `key.index(max(key))`; a colored vertex holds
+    -1.  Returns the keys and step, the amount a key gains with each newly
+    banned color."""
+    n = g.n
+    degrees = [len(a) for a in g.adj]
+    step = (max(degrees, default=0) + 1) * n
+    key = [
+        -1 if assign[v] else banned[v].bit_count() * step + degrees[v] * n + n - 1 - v
+        for v in range(n)
+    ]
+    return key, step
+
+
+def key_list_find_coloring(
+    g: FiniteGraph,
+    palette: int,
+    constraints: Optional[dict[int, int]] = None,
+    budget: Optional[Budget] = None,
+) -> Optional[Coloring]:
+    """A proper coloring extending the constraints, or None; color symmetry
+    is broken only when no vertex is pinned."""
+    n = g.n
+    if n == 0:
+        return Coloring((), palette)
+    constraints = constraints or {}
+    full = (1 << (palette + 1)) - 2
+    banned = [0] * n
+    assign = [0] * n
+    symmetry_break = not constraints
+    used_mask = 0
+    unassigned = n
+    for v, c in sorted(constraints.items()):
+        bit = 1 << c
+        if banned[v] & bit:
+            return None
+        assign[v] = c
+        used_mask |= bit
+        unassigned -= 1
+        for w in g.adj[v]:
+            if not assign[w]:
+                banned[w] |= bit
+    key, step = _dsatur_keys(g, assign, banned)
+    adj = g.adj
+    verts = [0] * unassigned
+    todo = [0] * unassigned
+    useds = [0] * unassigned
+    keys = [0] * unassigned
+    touched: list[list[int]] = [[] for _ in range(unassigned)]
+    used = used_mask
+    d = 0
+    while True:
+        if budget is not None:
+            budget.spend("find_coloring")
+        if d == unassigned:
+            return Coloring(tuple(assign), palette)
+        v = key.index(max(key))
+        allowed = full & ~banned[v]
+        if symmetry_break:
+            lowest_unused = (~used) & full
+            lowest_unused &= -lowest_unused
+            allowed &= used | lowest_unused
+        verts[d], todo[d], useds[d], keys[d] = v, allowed, used, key[v]
+        key[v] = -1
+        while True:
+            allowed = todo[d]
+            if allowed:
+                bit = allowed & -allowed
+                todo[d] = allowed ^ bit
+                assign[v] = bit.bit_length() - 1
+                grown = touched[d] = []
+                dead = False
+                for w in adj[v]:
+                    if not assign[w] and not banned[w] & bit:
+                        banned[w] |= bit
+                        key[w] += step
+                        grown.append(w)
+                        if banned[w] == full:
+                            dead = True
+                            break
+                if not dead:
+                    used = useds[d] | bit
+                    d += 1
+                    break
+            else:
+                assign[v] = 0
+                key[v] = keys[d]
+                if d == 0:
+                    return None
+                d -= 1
+                v = verts[d]
+                bit = 1 << assign[v]
+            for w in touched[d]:
+                banned[w] ^= bit
+                key[w] -= step
+
+
+def key_list_dsatur_greedy(g: FiniteGraph) -> Coloring:
+    """Greedy saturation-order coloring over the key list."""
+    n = g.n
+    assign = [0] * n
+    banned = [0] * n
+    key, step = _dsatur_keys(g, assign, banned)
+    top = 1
+    for _ in range(n):
+        best = key.index(max(key))
+        key[best] = -1
+        c = 1
+        while banned[best] >> c & 1:
+            c += 1
+        assign[best] = c
+        top = max(top, c)
+        bit = 1 << c
+        for w in g.adj[best]:
+            if not banned[w] & bit:
+                banned[w] |= bit
+                if not assign[w]:
+                    key[w] += step
+    return Coloring(tuple(assign), top)

@@ -21,6 +21,7 @@ from gridchroma.graphs import FiniteGraph
 from gridchroma.grid import grid_graph, two_orbit_graph
 from gridchroma.groups import MarkedGroupSpec
 from gridchroma.quotients import build_quotient
+from oracles import key_list_dsatur_greedy, key_list_find_coloring
 
 
 def cycle_graph(n):
@@ -225,6 +226,39 @@ class TestFindColoring:
         else:
             assert "".join(map(str, got.colors)) == witness
             assert is_proper(g, got)
+
+    @pytest.mark.parametrize("k, modulus, palette, nodes", [(3, 5, 4, 7273), (4, 3, 6, 1990)])
+    def test_pins_keep_the_unpinned_colors_interchangeable(self, k, modulus, palette, nodes):
+        # pinning vertex 0 to color 1 leaves colors 2..palette symmetric; the
+        # key-list oracle breaks no symmetry under pins and needs 43,630 and
+        # 236,366 nodes for the same proofs
+        budget = Budget()
+        assert find_coloring(twisted_quotient(k, modulus), palette, {0: 1}, budget=budget) is None
+        assert budget.nodes == nodes
+        with pytest.raises(UndecidedError):
+            key_list_find_coloring(twisted_quotient(k, modulus), palette, {0: 1}, Budget(max_nodes=nodes))
+
+    def test_matches_key_list_oracle(self):
+        # unpinned: same witness and node for node; pinned: same witness in
+        # no more nodes; the greedy coloring unchanged either way
+        rng = random.Random(29)
+        for trial in range(400):
+            n = rng.randint(0, 14)
+            g = random_graph(n, rng.choice((0.15, 0.3, 0.5, 0.7)), seed=1000 + trial)
+            # near the greedy bound, where the searches branch most
+            palette = min(5, max(1, dsatur_greedy(g).palette - rng.randint(0, 2)))
+            pins = {}
+            if n and trial % 2:
+                for v in rng.sample(range(n), rng.randint(1, min(n, 3))):
+                    pins[v] = rng.randint(1, palette)
+            got, want = Budget(), Budget()
+            found = find_coloring(g, palette, dict(pins), budget=got)
+            assert found == key_list_find_coloring(g, palette, dict(pins), want), (trial, pins)
+            if pins:
+                assert got.nodes <= want.nodes, trial
+            else:
+                assert got.nodes == want.nodes, trial
+            assert dsatur_greedy(g) == key_list_dsatur_greedy(g), trial
 
     def test_matches_brute_force_with_random_pins(self):
         rng = random.Random(17)

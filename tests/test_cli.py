@@ -11,7 +11,8 @@ from gridchroma.cli import run
 from gridchroma.errors import InvariantViolation, UndecidedError
 from gridchroma.grid import VerificationReport
 from gridchroma.groups import MarkedGroupSpec
-from gridchroma.instances import cayley_cycle_instance, instance_to_json
+from gridchroma.instances import cayley_cycle_instance
+from oracles import instance_to_json
 
 
 @pytest.fixture
@@ -294,6 +295,21 @@ class TestReport:
         rows = {row["row"]: row["pass"] for row in report["results"]["rows"]}
         assert rows["invariance: plain equal / twisted opposite"] is False
         assert code == 1
+
+    def test_invariance_halves_get_their_own_budgets(self, monkeypatch):
+        clock = [100.0]
+        seen = []
+
+        def invariance(k, twisted, budget=None):  # plain takes 0.3 s of the row's 1 s
+            seen.append((twisted, budget.ms))
+            clock[0] += 0.0 if twisted else 0.3
+            return VerificationReport("invariance", {}, count=5)
+
+        monkeypatch.setattr(gridchroma.cli.time, "monotonic", lambda: clock[0])
+        monkeypatch.setattr(gridchroma.cli, "verify_invariance", invariance)
+        got = gridchroma.cli._claim_invariance(3, Budget(ms=1000), None, 0)
+        assert got == (True, {"plain": 5, "twisted": 5})
+        assert seen == [(False, 500), (True, pytest.approx(700))]
 
     def test_violation_outranks_undecided_in_a_verifier(self, monkeypatch):
         def dichotomy(k, budget=None, canonical=None):

@@ -230,6 +230,15 @@ class TestVerifiers:
         assert report.undecided
         assert 0 < report.count < 12288
 
+    def test_violation_cap_keeps_the_colorings_visited(self, monkeypatch):
+        # every coloring escapes the dichotomy: ten are recorded, the
+        # eleventh adds the suppression note and stops the enumeration
+        monkeypatch.setattr(gridchroma.grid, "_orientation_flags", lambda k, cols: (True, True))
+        report = verify_dichotomy(3)
+        assert not report.ok and not report.undecided
+        assert report.count == 11
+        assert len(report.violations) == 11
+
     def test_invariance_plain_layers_match(self):
         report = verify_invariance(3, twisted=False)
         assert report.ok

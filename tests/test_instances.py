@@ -15,12 +15,11 @@ from gridchroma.instances import (
     cayley_segment_instance,
     divides_into_two,
     instance_from_json,
-    instance_to_json,
     ladder_instance,
     path_instance,
 )
 from gridchroma.twoended import connected_subsets
-from oracles import is_connected_set, is_regular, set_based_connected_subsets
+from oracles import instance_to_json, is_connected_set, is_regular, set_based_connected_subsets
 
 DELTA3 = MarkedGroupSpec(3)
 
