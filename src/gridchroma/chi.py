@@ -89,16 +89,16 @@ def _degree_classes(g: FiniteGraph) -> list[int]:
     return [by_degree[d] for d in sorted(by_degree, reverse=True)]
 
 
-def _raise_saturation(level: list[int], newly: int, s: int):
-    """Move the vertices of `newly` up one saturation level, in place;
-    none of them sits above level s."""
+def _shift_saturation(level: list[int], newly: int, s: int, step: int):
+    """Move the vertices of `newly` one saturation level up (step 1, none
+    above level s) or down (step -1, s = 1, none on level 0), in place."""
     while newly:
         x = level[s] & newly
         if x:
             level[s] ^= x
-            level[s + 1] |= x
+            level[s + step] |= x
             newly ^= x
-        s -= 1
+        s -= step
 
 
 # -- enumeration -------------------------------------------------------------
@@ -203,21 +203,20 @@ def find_coloring(
     the budget; running out raises UndecidedError).  Vertex selection is
     DSATUR: highest saturation (colors banned on it), then highest degree,
     then lowest index, so results are deterministic.  Colors are tried in
-    ascending order, and color symmetry is broken by only ever introducing
-    the lowest color that neither a pin nor the search has used yet: the
-    colors no pin uses are interchangeable.
+    ascending order, and only the lowest color that neither a pin nor the
+    search has used yet is ever introduced: colors no pin uses are
+    interchangeable.
 
-    The state is bitmasks over the vertices: per color, the uncolored
-    vertices that have it banned; per saturation level s, the uncolored
-    vertices with s colors banned.  Coloring v with c bans c on the
-    neighbors that lacked it and moves them up one level; c is rejected
-    when one of them would reach level `palette`.  The pick is the lowest
-    vertex of the top non-empty level, narrowed to the highest degree
-    class in it.  The walk keeps an explicit stack, one frame per colored
-    vertex, so its depth is not bounded by the interpreter's recursion
-    limit; each frame keeps the level list it started from, so
-    backtracking restores rather than recomputes.  Each search node spends
-    one budget unit.
+    The state is vertex bitmasks: per color, the uncolored vertices that
+    have it banned; per saturation level, those with that many colors
+    banned.  Coloring v with c moves the neighbors that lacked c up one
+    level, and c is rejected when one would reach level `palette`.  The
+    pick is the lowest vertex of the top level's highest degree class.
+    The walk keeps an explicit stack, so the recursion limit does not
+    bound its depth.  A frame holds the neighbors its color banned, shifted
+    down to its vertex's lowest neighbor; a backtrack unbans them and moves
+    them back down a level in place.  With more colors than the largest
+    degree no frame is kept.  Each search node spends one budget unit.
     """
     if palette < 1:
         raise InputError(f"palette must be >= 1, got {palette}")
@@ -253,13 +252,16 @@ def _dsatur(
         ban[c] |= adj[v]
     level = [uncolored] + [0] * palette
     for banned in ban:
-        _raise_saturation(level, banned & uncolored, palette - 1)
+        _shift_saturation(level, banned & uncolored, palette - 1, 1)
 
     full = (1 << (palette + 1)) - 2
     dead = palette - 1
     classes = _degree_classes(g)
-    # one frame per colored vertex: what it needs to try its next color
+    low = [((m & -m) >> 1).bit_length() for m in adj]
+    # one frame per colored vertex: what it needs to undo its color and
+    # try the next one; none when no vertex can run out of colors
     stack: list[tuple] = []
+    keep = palette <= max(map(len, g.adj), default=0)
     s = palette
     while True:
         if budget is not None:
@@ -296,16 +298,21 @@ def _dsatur(
                 if not stack:
                     return None
                 uncolored |= vbit
-                v, vbit, nbrs, s, todo, used, level, c, banned = stack.pop()
-                ban[c] = banned
+                level[s] |= vbit
+                v, s, todo, used, c, newly = stack.pop()
+                vbit = 1 << v
+                nbrs = adj[v]
+                newly <<= low[v]
+                ban[c] ^= newly
+                _shift_saturation(level, newly, 1, -1)
                 continue
             break
-        stack.append((v, vbit, nbrs, s, todo, used, level, c, banned))
+        if keep:
+            stack.append((v, s, todo, used, c, newly >> low[v]))
         assign[v] = c
         used |= bit
         ban[c] = banned | newly
-        level = level[:]
-        _raise_saturation(level, newly, s)
+        _shift_saturation(level, newly, s, 1)
         s += 1
 
 
@@ -330,10 +337,9 @@ def greedy_clique(g: FiniteGraph) -> list[int]:
 
 
 def dsatur_greedy(g: FiniteGraph) -> Coloring:
-    """Greedy saturation-order coloring; an upper-bound witness.  It is the
-    first descent of `find_coloring` with one color more than the largest
-    degree: no vertex can run out of colors, so the search never backtracks
-    and each vertex takes its lowest free color."""
+    """Greedy saturation-order coloring; an upper-bound witness: the search
+    with one color more than the largest degree, which cannot backtrack,
+    so each vertex takes its lowest free color."""
     found = _dsatur(g, max(map(len, g.adj), default=0) + 1, {}, None)
     return Coloring(found.colors, max(found.colors, default=1))
 

@@ -298,12 +298,10 @@ def _claim_dichotomy(k, budget, rng, towers):
 
 
 def _claim_invariance(k, budget, rng, towers):
-    # each half gets its own clock, so plain cannot spend twisted's time:
-    # plain gets half the row's time, twisted all that plain leaves
-    timed = budget is not None and budget.ms is not None
+    # plain gets half the row's time on its own clock, twisted all it leaves
     start = time.monotonic()
-    plain = verify_invariance(k, twisted=False, budget=Budget(ms=budget.ms / 2) if timed else budget)
-    if timed:
+    plain = verify_invariance(k, twisted=False, budget=budget and Budget(ms=budget.ms / 2))
+    if budget is not None:
         budget = Budget(ms=max(0.0, budget.ms - 1000 * (time.monotonic() - start)))
     twisted = verify_invariance(k, twisted=True, budget=budget)
     outcome = _verdict((_outcome(plain), _outcome(twisted))) and plain.count == twisted.count

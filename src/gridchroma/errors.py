@@ -19,9 +19,8 @@ class UndecidedError(RuntimeError):
 
 
 class StopEnumeration(Exception):
-    """Raised by an enumeration visitor to end the walk early; the
-    enumeration then returns the count of colorings visited, this one
-    included."""
+    """Raised by an enumeration visitor to end the walk early; the count
+    returned is of the colorings visited, this one included."""
 
 
 class InvariantViolation(AssertionError):

@@ -286,10 +286,9 @@ def _enumerate_into(
 ) -> VerificationReport:
     """Run the enumeration behind a verifier and fill in its report.
 
-    The count is the colorings visited, also when the run stops early:
-    at the violation cap, which ends the enumeration, or when the budget
-    runs out, which leaves the report undecided and the count in the
-    enumeration's UndecidedError as its lower bound.
+    The count is the colorings visited, also when the run stops early: at
+    the violation cap, or when the budget runs out, which leaves the report
+    undecided and the count in the UndecidedError as its lower bound.
     """
     try:
         report.count = enumerate_colorings(

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -322,6 +323,24 @@ class TestFindColoring:
         finally:
             gc.set_debug(0)
             gc.garbage.clear()
+
+    @pytest.mark.parametrize("shape", ["star", "path"])
+    def test_peak_memory_grows_linearly(self, shape):
+        # a frame keeps its banned neighbors shifted down to its vertex's
+        # lowest neighbor, and no copy of the level list; keeping full-width
+        # masks per frame, or copying the levels, breaks the bound at 4,000
+        # vertices (the star's greedy bound has 4,000 colors)
+        n = 4000
+        g = FiniteGraph(n, [(0, v) for v in range(1, n)]) if shape == "star" else path_graph(n)
+        g.neighbor_masks()
+        tracemalloc.start()
+        try:
+            assert chromatic_info(g).value == 2
+            assert find_coloring(g, 2) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * n
 
 
 class TestChromaticNumber:
