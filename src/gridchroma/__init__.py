@@ -58,7 +58,6 @@ from .quotients import (
     QuotientGraph,
     build_quotient,
     cayley_window,
-    orientation_sequence,
     quotient_chi,
     verify_alternation_obstruction,
     verify_even_quotient_isomorphism,

@@ -77,11 +77,14 @@ def _group_spec(args) -> MarkedGroupSpec:
     return MarkedGroupSpec(args.k, twisted=(args.group == "gamma"))
 
 
-def _write_artifact(args, doc: dict, report: dict) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-        report.setdefault("artifacts", {})["out"] = args.out
+def _write_file(report: dict, key: str, path: str, content) -> None:
+    """Write a file and list it under the report's artifacts: `content` is
+    text, or a document written as indented JSON."""
+    if not isinstance(content, str):
+        content = json.dumps(content, indent=2, default=str)
+    with open(path, "w") as fh:
+        fh.write(content)
+    report.setdefault("artifacts", {})[key] = path
 
 
 def _emit(args, report: dict, lines: list[str]) -> None:
@@ -134,35 +137,39 @@ def cmd_cayley(args, report) -> int:
     else:  # indented in a file, one line on stdout
         text = json.dumps(graph_to_json(graph), indent=2 if args.out else None)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        report.setdefault("artifacts", {})["out"] = args.out
+        _write_file(report, "out", args.out, text)
         text = f"wrote {args.out}"
     _emit(args, report, [text.rstrip()])
     return OK
 
 
-def cmd_chi(args, report) -> int:
-    graph = load_graph(args.graph)
-    result = chromatic_info(graph, budget=_budget_from(args))
+def _chi_answer(args, report, result, line: str, head: dict, tail: dict) -> int:
+    """The tail shared by `chi` and `quotient-chi`: the results (the bounds
+    and the value between `head` and `tail`), then the value line (and the
+    witness file, when asked for) if proven, else the bounds."""
     report["results"] = {
+        **head,
         "lower": result.lower,
         "upper": result.upper,
         "chi": result.value,
-        "nodes": result.nodes,
+        **tail,
         "undecided": result.undecided,
     }
     if result.undecided:
         _emit(args, report, [f"undecided at budget: chi in [{result.lower}, {result.upper}]"])
         return UNDECIDED
-    lines = [f"chi = {result.value}"]
-    if args.witness and result.witness is not None:
-        with open(args.witness, "w") as fh:
-            json.dump(result.witness.to_json(), fh, indent=2)
-        report.setdefault("artifacts", {})["witness"] = args.witness
-        lines.append(f"witness written to {args.witness}")
+    lines = [line]
+    witness = getattr(args, "witness", None)
+    if witness and result.witness is not None:
+        _write_file(report, "witness", witness, result.witness.to_json())
+        lines.append(f"witness written to {witness}")
     _emit(args, report, lines)
     return OK
+
+
+def cmd_chi(args, report) -> int:
+    result = chromatic_info(load_graph(args.graph), budget=_budget_from(args))
+    return _chi_answer(args, report, result, f"chi = {result.value}", {}, {"nodes": result.nodes})
 
 
 def _verified(args, report, got, head: str) -> int:
@@ -210,7 +217,8 @@ def cmd_two_ended_color(args, report) -> int:
         "family": result.family.to_json(),
         "complement_stats": stats,
     }
-    _write_artifact(args, result.to_json(), report)
+    if args.out:
+        _write_file(report, "out", args.out, result.to_json())
     _emit(
         args,
         report,
@@ -238,7 +246,8 @@ def cmd_shift_color(args, report) -> int:
         "colors_used": result.colors_used,
         "proper": proper,
     }
-    _write_artifact(args, result.to_json(), report)
+    if args.out:
+        _write_file(report, "out", args.out, result.to_json())
     _emit(
         args,
         report,
@@ -252,20 +261,8 @@ def cmd_shift_color(args, report) -> int:
 
 def cmd_quotient_chi(args, report) -> int:
     result = quotient_chi(_group_spec(args), args.modulus, budget=_budget_from(args))
-    report["results"] = {
-        "group": args.group,
-        "k": args.k,
-        "modulus": args.modulus,
-        "lower": result.lower,
-        "upper": result.upper,
-        "chi": result.value,
-        "undecided": result.undecided,
-    }
-    if result.undecided:
-        _emit(args, report, [f"undecided at budget: chi in [{result.lower}, {result.upper}]"])
-        return UNDECIDED
-    _emit(args, report, [f"{result.value}"])
-    return OK
+    head = {"group": args.group, "k": args.k, "modulus": args.modulus}
+    return _chi_answer(args, report, result, f"{result.value}", head, {})
 
 
 def cmd_verify_alternation(args, report) -> int:
@@ -450,8 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cayley", help="generate and export a window or quotient graph")
     p.add_argument("--group", choices=("delta", "gamma"), required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--levels", type=int, default=4, help="window height (ignored with --M)")
-    p.add_argument("--M", dest="modulus", type=int, default=None, help="cyclic quotient modulus")
+    shape = p.add_mutually_exclusive_group()
+    # a string default is converted like a given value but is never the
+    # same object as one, so argparse sees `--levels 4 --M 3` clash too
+    shape.add_argument("--levels", type=int, default="4", help="window height")
+    shape.add_argument("--M", dest="modulus", type=int, default=None, help="cyclic quotient modulus")
     p.add_argument("--format", choices=("json", "dimacs"), default="json")
     p.add_argument("--out", default=None)
     common(p, budget=False)
@@ -574,9 +574,12 @@ def run(argv: list[str]) -> tuple[int, dict]:
     report.setdefault("timings_ms", {})["wall"] = round(
         1000 * (time.monotonic() - start), 1
     )
-    if getattr(args, "out", None) and "artifacts" not in report and args.command == "report":
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, default=str)
+    if args.command == "report" and args.out:  # written last: it holds the wall time and any error
+        try:
+            _write_file(report, "out", args.out, report)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = INPUT_ERROR
     return code, report
 
 

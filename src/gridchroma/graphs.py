@@ -287,14 +287,20 @@ def graph_from_dimacs(text: str) -> FiniteGraph:
     return FiniteGraph(n, edges)
 
 
-def load_graph(path: str) -> FiniteGraph:
-    """Load a graph from a .json or DIMACS .col file, picked by extension."""
+def read_json(path: str):
+    """The document in a JSON file; text that does not parse is an
+    InputError."""
     with open(path) as fh:
         text = fh.read()
-    if path.endswith(".col") or path.endswith(".dimacs"):
-        return graph_from_dimacs(text)
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"cannot parse {path}: {exc}") from exc
-    return graph_from_json(doc)
+
+
+def load_graph(path: str) -> FiniteGraph:
+    """Load a graph from a .json or DIMACS .col file, picked by extension."""
+    if path.endswith((".col", ".dimacs")):
+        with open(path) as fh:
+            return graph_from_dimacs(fh.read())
+    return graph_from_json(read_json(path))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .chi import Budget, Coloring, enumerate_colorings
+from .chi import Budget, enumerate_colorings
 from .errors import InputError, InvariantViolation, StopEnumeration, UndecidedError
 from .graphs import FiniteGraph
 from .groups import GroupElement, MarkedGroupSpec, generator_element, generators, multiply
@@ -84,22 +84,6 @@ def _orientation_flags(k: int, cols: tuple[int, ...]) -> tuple[bool, bool]:
     return rows == every, columns == every
 
 
-def projection_coloring(k: int, axis: str, palette: Optional[int] = None) -> Coloring:
-    """The k-coloring of the grid by one coordinate (axis 'a' or 'b').
-
-    The palette can be padded upward (e.g. to 2k-2) with colors unused.
-    """
-    if axis not in ("a", "b"):
-        raise InputError("axis must be 'a' or 'b'")
-    palette = palette or k
-    if palette < k:
-        raise InputError("palette too small for a coordinate coloring")
-    cols = tuple(
-        (a if axis == "a" else b) + 1 for a in range(k) for b in range(k)
-    )
-    return Coloring(cols, palette)
-
-
 # -- the two-orbit graph ------------------------------------------------------
 
 
@@ -121,36 +105,24 @@ UNIT_SHIFT = GroupElement(0, 0, 1)
 MAX_LAYER_GRAPH_EDGES = 10_000_000
 
 
-def layer_templates(
-    spec: MarkedGroupSpec,
-) -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]:
+@lru_cache(maxsize=32)
+def _templates(spec: MarkedGroupSpec, product) -> tuple:
     """The edge templates of the tower graphs, as pairs of cell indices
-    a*k+b: (intra, cross).
+    a*k+b, and the per-cell neighbor tuples: (intra, cross, cells).
 
     intra holds the pairs (u, v), u < v, of cells joined inside one layer;
     cross holds the pairs (u, v) joining cell u on level n to cell v on
-    level n+1.  Both are read off the group product at level 0.  Two
-    invariants are checked, not assumed.  For every generator, the edges
-    computed at level 1 must be those of level 0 moved up a level (left
-    multiplication commutes with the right unit shift); the product sees a
-    level only through its parity, so the templates then hold on every
-    level and descend to every cyclic quotient.  And the intra template
-    must be the grid graph.  The templates are derived once per spec and
-    group product and kept in a bounded memo, hence the frozensets.
-    """
-    intra, cross, _ = _templates(spec, multiply)
-    return intra, cross
+    level n+1; cells holds, per cell, the sorted neighbor tuples on the
+    same level, the level above and the level below.  All are read off the
+    group product at level 0.  Two invariants are checked, not assumed.
+    For every generator, the edges computed at level 1 must be those of
+    level 0 moved up a level (left multiplication commutes with the right
+    unit shift); the product sees a level only through its parity, so the
+    templates then hold on every level and descend to every cyclic
+    quotient.  And the intra template must be the grid graph.
 
-
-@lru_cache(maxsize=32)
-def _templates(spec: MarkedGroupSpec, product) -> tuple:
-    """`layer_templates` for one spec and one group product, plus the
-    per-cell neighbor tuples (same level, level above, level below), each
-    sorted.
-
-    Keyed on the product as well as the spec, so a replaced
-    `grid.multiply` is derived and checked afresh rather than served from
-    the memo.
+    The bounded memo (hence the frozensets) is keyed on the product as well
+    as the spec, so a replaced `grid.multiply` is derived and checked afresh.
     """
     k = spec.k
     intra: set[tuple[int, int]] = set()

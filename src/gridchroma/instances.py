@@ -28,12 +28,11 @@ the test answers it without a search.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import InputError
-from .graphs import FiniteGraph, components, json_int, reach_mask
+from .graphs import FiniteGraph, components, json_int, reach_mask, read_json
 from .groups import MarkedGroupSpec
 from .quotients import build_quotient, cayley_window
 
@@ -333,9 +332,4 @@ def instance_from_json(doc: dict) -> LineInstance:
 
 
 def load_instance(path: str) -> LineInstance:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"cannot parse {path}: {exc}") from exc
-    return instance_from_json(doc)
+    return instance_from_json(read_json(path))

@@ -17,14 +17,13 @@ rotation needs at most 3k/2 steps).
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Optional
 
 from .chi import Budget, Coloring, find_coloring, is_proper
 from .errors import InputError, InvariantViolation
-from .graphs import FiniteGraph, json_int
+from .graphs import FiniteGraph, json_int, read_json
 from .groups import MarkedGroupSpec
 from .instances import CYCLE, SEGMENT
 from .quotients import build_quotient, cayley_window
@@ -39,7 +38,9 @@ class AnchoredTower:
     anchors: ordered (position, (a0, b0)) pairs; the offset is the grid
     location of the anchor point, so the column shift across a gap is the
     difference of consecutive a0 values.  Every gap (including the wrap
-    gap in cycle mode) must exceed 3k layers.
+    gap in cycle mode) must exceed 3k layers.  k, extent, positions and
+    offsets must be integers: a float or a bool is an InputError, never
+    truncated.
     """
 
     k: int
@@ -48,6 +49,12 @@ class AnchoredTower:
     anchors: tuple[tuple[int, tuple[int, int]], ...]
 
     def __post_init__(self):
+        for pos, (a0, b0) in self.anchors:
+            json_int(pos, "anchor position")
+            json_int(a0, "anchor offset")
+            json_int(b0, "anchor offset")
+        json_int(self.k, "k")
+        json_int(self.extent, "extent")
         if self.k < 3:
             raise InputError(f"k must be >= 3, got {self.k}")
         if self.mode not in (SEGMENT, CYCLE):
@@ -58,7 +65,7 @@ class AnchoredTower:
             self,
             "anchors",
             tuple(
-                (int(pos), (a0 % self.k, b0 % self.k))
+                (pos, (a0 % self.k, b0 % self.k))
                 for pos, (a0, b0) in self.anchors
             ),
         )
@@ -79,10 +86,6 @@ class AnchoredTower:
                 raise InputError(
                     f"wrap-around anchor gap {wrap} must exceed 3k = {floor}"
                 )
-
-    @property
-    def gap_count(self) -> int:
-        return len(self.anchors) - (0 if self.mode == CYCLE else 1)
 
 
 def anchor_coloring(k: int, column_offset: int = 0) -> OrbitMap:
@@ -277,29 +280,12 @@ def tower_to_json(tower: AnchoredTower) -> dict:
 def tower_from_json(doc: dict) -> AnchoredTower:
     try:
         anchors = tuple(
-            (
-                json_int(a["position"], "anchor position"),
-                (
-                    json_int(a["offset"][0], "anchor offset"),
-                    json_int(a["offset"][1], "anchor offset"),
-                ),
-            )
-            for a in doc["anchors"]
+            (a["position"], (a["offset"][0], a["offset"][1])) for a in doc["anchors"]
         )
-        return AnchoredTower(
-            json_int(doc["k"], "k"),
-            json_int(doc["extent"], "extent"),
-            doc["mode"],
-            anchors,
-        )
+        return AnchoredTower(doc["k"], doc["extent"], doc["mode"], anchors)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise InputError(f"malformed tower document: {exc}") from exc
 
 
 def load_tower(path: str) -> AnchoredTower:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"cannot parse {path}: {exc}") from exc
-    return tower_from_json(doc)
+    return tower_from_json(read_json(path))

@@ -1,6 +1,6 @@
-"""Graph predicates, grid-shape classifiers, a reference graph builder, the
-key-list DSATUR solver and an instance serializer the test suites use as
-oracles.
+"""Graph predicates, grid-shape classifiers, the coordinate colorings of the
+grid, a reference graph builder, the key-list DSATUR solver and an instance
+serializer the test suites use as oracles.
 
 Nothing in the package needs them, so they live with the tests.
 """
@@ -11,7 +11,8 @@ from typing import Optional
 from gridchroma.chi import Budget, Coloring, is_proper
 from gridchroma.errors import InputError, InvariantViolation
 from gridchroma.graphs import FiniteGraph, components
-from gridchroma.grid import HORIZONTAL, VERTICAL, _orientation_flags, grid_graph, layer_templates
+from gridchroma import grid
+from gridchroma.grid import HORIZONTAL, VERTICAL, _orientation_flags, grid_graph
 from gridchroma.instances import LineInstance
 
 SINGLETON = "singleton"
@@ -66,7 +67,7 @@ def edge_list_layer_graph(spec, levels: int, cyclic: bool = False) -> FiniteGrap
     """A tower graph from its edge list: each level's copy of the intra
     template and, to the level above (wrapping when cyclic), of the cross
     template, handed to the edge-list constructor."""
-    intra, cross = layer_templates(spec)
+    intra, cross, _ = grid._templates(spec, grid.multiply)
     k = spec.k
     kk = k * k
     edges = []
@@ -113,6 +114,13 @@ def classify_independent_set(k: int, vertices) -> Classification:
     raise InvariantViolation(
         "independent set of size >= 2 confined to neither a row nor a column"
     )
+
+
+def projection_coloring(k: int, axis: str, palette: Optional[int] = None) -> Coloring:
+    """The k-coloring of the k x k grid by one coordinate (axis 'a' or 'b'),
+    cell a*k+b colored a+1 or b+1; the palette may be padded above k."""
+    cols = tuple((a if axis == "a" else b) + 1 for a in range(k) for b in range(k))
+    return Coloring(cols, palette or k)
 
 
 def orientation(k: int, coloring: Coloring) -> str:

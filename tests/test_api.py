@@ -1,11 +1,12 @@
 """Every public name has a caller in the package or the benchmark.
 
-A public name is one exported from `gridchroma/__init__.py` or any
-module-level function or class of `src/gridchroma` whose name does not
-start with an underscore.  It must be used (read as a name or an
-attribute) in some module of `src/gridchroma` other than `__init__.py`,
-or in `benchmark/*.py`.  A definition, an import or a docstring does not
-count: a name whose only users are the tests belongs with the tests.
+A public name is one exported from `gridchroma/__init__.py`, any
+module-level function or class of `src/gridchroma`, or any method or
+property of such a class, whose name does not start with an underscore.
+It must be used (read as a name or an attribute) in some module of
+`src/gridchroma` other than `__init__.py`, or in `benchmark/*.py`.  A
+definition, an import or a docstring does not count: a name whose only
+users are the tests belongs with the tests.
 """
 
 import ast
@@ -14,14 +15,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gridchroma"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-
-# kept for the ROADMAP items that will call them: the layered invariance
-# check (item 2) and the transfer certificate for every modulus (item 3)
-AWAITING_A_CALLER = {
-    "layer_templates",  # item 2: base_forbidden read off the cross template
-    "projection_coloring",  # item 3: the plain self-loop of T_k
-    "orientation_sequence",  # item 3: the parity route for odd M
-}
 
 
 def exported_names() -> set[str]:
@@ -34,13 +27,28 @@ def exported_names() -> set[str]:
     }
 
 
+def module_bodies():
+    return [node for path in MODULES for node in ast.parse(path.read_text()).body]
+
+
 def defined_names() -> set[str]:
     """The public module-level functions and classes of the package."""
     return {
         node.name
-        for path in MODULES
-        for node in ast.parse(path.read_text()).body
+        for node in module_bodies()
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def member_names() -> set[str]:
+    """The public methods and properties of the package's classes, as
+    `Class.member`."""
+    return {
+        f"{cls.name}.{node.name}"
+        for cls in module_bodies()
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     }
 
 
@@ -60,10 +68,11 @@ def package_uses() -> set[str]:
 
 
 def test_public_names_have_a_caller():
-    unused = (exported_names() | defined_names()) - package_uses() - AWAITING_A_CALLER
+    unused = (exported_names() | defined_names()) - package_uses()
     assert not unused, f"public but used only by tests: {sorted(unused)}"
 
 
-def test_the_exceptions_are_still_needed():
-    assert AWAITING_A_CALLER <= defined_names()
-    assert not AWAITING_A_CALLER & package_uses(), "a kept name found its caller"
+def test_public_members_have_a_caller():
+    uses = package_uses()
+    unused = {name for name in member_names() if name.split(".")[1] not in uses}
+    assert not unused, f"public members used only by tests: {sorted(unused)}"

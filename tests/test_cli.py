@@ -128,6 +128,28 @@ class TestExitCodes:
         code, _ = run(["verify-dichotomy", "--bogus"])
         assert code == 2
 
+    @pytest.mark.parametrize("levels", ["4", "5"])  # 4 is the default
+    def test_cayley_levels_with_modulus_is_usage_error(self, levels, capsys):
+        code, report = run(
+            ["cayley", "--group", "delta", "--k", "3", "--levels", levels, "--M", "3"]
+        )
+        assert code == 2
+        assert "results" not in report
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "not allowed with argument --levels" in err
+
+    @pytest.mark.parametrize("shape, n", [(["--levels", "2"], 18), (["--M", "3"], 27), ([], 36)])
+    def test_cayley_levels_or_modulus_alone(self, shape, n):
+        code, report = run(["cayley", "--group", "delta", "--k", "3", *shape])
+        assert code == 0
+        assert report["results"]["vertices"] == n
+
+    def test_unwritable_report_file_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        code, report = run(["report", "--k", "3", "--towers", "1", "--out", str(out)])
+        assert code == 2
+        assert "No such file" in capsys.readouterr().err
+
     def test_closed_stdout_exits_141_quietly(self, monkeypatch, capsys):
         class ClosedPipe:
             def write(self, text):

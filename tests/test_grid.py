@@ -13,8 +13,6 @@ from gridchroma.grid import (
     _orientation_flags,
     grid_graph,
     layer_graph,
-    layer_templates,
-    projection_coloring,
     two_orbit_graph,
     verify_dichotomy,
     verify_invariance,
@@ -29,6 +27,7 @@ from oracles import (
     is_independent,
     is_regular,
     orientation,
+    projection_coloring,
 )
 
 H3 = grid_graph(3)
@@ -300,7 +299,8 @@ class TestLayerGraph:
             assert (got.n, got.adj, got.labels) == (want.n, want.adj, want.labels)
 
     def test_templates_are_frozen(self):
-        intra, cross = layer_templates(MarkedGroupSpec(3, twisted=True))
+        spec = MarkedGroupSpec(3, twisted=True)
+        intra, cross, _ = gridchroma.grid._templates(spec, gridchroma.grid.multiply)
         assert type(intra) is frozenset and type(cross) is frozenset
 
     def test_too_few_levels_refused(self):

@@ -1,9 +1,9 @@
 import pytest
 
 from gridchroma import grid
-from gridchroma.chi import Budget, Coloring, find_coloring, is_proper
+from gridchroma.chi import Budget, find_coloring
 from gridchroma.errors import InputError, InvariantViolation
-from gridchroma.grid import HORIZONTAL, VERTICAL, two_orbit_graph
+from gridchroma.grid import two_orbit_graph
 from gridchroma.groups import (
     GroupElement,
     MarkedGroupSpec,
@@ -15,7 +15,6 @@ from gridchroma.groups import (
 from gridchroma.quotients import (
     build_quotient,
     cayley_window,
-    orientation_sequence,
     quotient_chi,
     verify_alternation_obstruction,
     verify_even_quotient_isomorphism,
@@ -196,39 +195,21 @@ class TestQuotientChi:
         assert res.undecided
 
 
-class TestOrientationSequence:
-    def test_plain_projection_is_constant(self):
-        q = build_quotient(DELTA3, 3)
-        cols = tuple(a + 1 for (a, b, n) in q.graph.labels)
-        seq = orientation_sequence(q, Coloring(cols, 4))
-        assert seq == [VERTICAL] * 3
-
-    def test_twisted_even_alternates(self):
-        q = build_quotient(GAMMA3, 4)
-        cols = tuple(
-            (a if n % 2 == 0 else b) + 1 for (a, b, n) in q.graph.labels
-        )
-        coloring = Coloring(cols, 4)
-        assert is_proper(q.graph, coloring)
-        seq = orientation_sequence(q, coloring)
-        assert seq == [VERTICAL, HORIZONTAL, VERTICAL, HORIZONTAL]
-
-    def test_improper_coloring_rejected(self):
-        q = build_quotient(DELTA3, 3)
-        with pytest.raises(InputError):
-            orientation_sequence(q, Coloring((1,) * 27, 4))
-
-    def test_twisted_odd_has_no_4_coloring(self):
-        q = build_quotient(GAMMA3, 3)
-        assert find_coloring(q.graph, 4) is None
-
-
 class TestAlternation:
     @pytest.mark.parametrize("modulus", [3, 5])
     def test_obstruction_verified(self, modulus):
         report = verify_alternation_obstruction(3, modulus)
         assert report.ok
         assert len(report.notes) == 2  # search route plus parity route
+        assert report.notes[1] == (
+            "parity: layer orientations would alternate across every twisted "
+            f"layer boundary, but a {modulus}-cycle admits no proper 2-coloring "
+            "(its chromatic number is 3)"
+        )
+
+    def test_twisted_odd_has_no_4_coloring(self):
+        q = build_quotient(GAMMA3, 3)
+        assert find_coloring(q.graph, 4) is None
 
     def test_even_modulus_rejected(self):
         with pytest.raises(InputError):

@@ -170,6 +170,14 @@ class TestColorTower:
         with pytest.raises(InputError):
             AnchoredTower(3, 25, SEGMENT, ((10, (0, 0)), (0, (0, 0))))
 
+    @pytest.mark.parametrize(
+        "extent, position, what",
+        [(22, 0.9, "anchor position"), (22, True, "anchor position"), (22.0, 0, "extent")],
+    )
+    def test_non_integer_field_is_input_error(self, extent, position, what):
+        with pytest.raises(InputError, match=f"{what} must be an integer"):
+            AnchoredTower(3, extent, CYCLE, ((position, (1, 0)), (11, (2, 0))))
+
 
 class TestWitness:
     @pytest.mark.parametrize("offset", [(1, 0), (2, 0), (1, 1), (2, 2)])
