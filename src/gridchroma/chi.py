@@ -12,6 +12,7 @@ Colors are 1-based throughout (palette p means colors 1..p).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -58,12 +59,18 @@ class Budget:
     """Search budget: wall-clock milliseconds and/or a node cap.
 
     Node counting is deterministic; the millisecond limit is checked every
-    few thousand nodes so light runs never pay for a clock read.
+    few thousand nodes so light runs never pay for a clock read.  Searches
+    charge nodes ahead (`_run`): no caller may share a budget with a search
+    that is still running.
     """
 
     CHECK_EVERY = 4096
 
     def __init__(self, ms: Optional[float] = None, max_nodes: Optional[int] = None):
+        if ms is not None and not (isinstance(ms, (int, float)) and 0 <= ms < math.inf):
+            raise InputError(f"budget must be a finite, nonnegative number of ms, got {ms!r}")
+        if max_nodes is not None and (type(max_nodes) is not int or max_nodes < 0):
+            raise InputError(f"node budget must be a nonnegative int, got {max_nodes!r}")
         self.ms = ms
         self.max_nodes = max_nodes
         self.nodes = 0
@@ -76,6 +83,21 @@ class Budget:
         if self._deadline is not None and self.nodes % self.CHECK_EVERY == 0:
             if time.monotonic() > self._deadline:
                 raise UndecidedError(f"{what}: time budget exhausted")
+
+    def _run(self, what: str, lower: Optional[int] = None) -> int:
+        """Spend a node (an UndecidedError carries `lower`), then charge and
+        return the longest run of further nodes that reaches neither
+        `max_nodes` nor a clock read; the caller gives back what is left."""
+        try:
+            self.spend(what)
+        except UndecidedError as exc:
+            exc.lower = lower
+            raise
+        run = self.CHECK_EVERY - 1 - self.nodes % self.CHECK_EVERY
+        if self.max_nodes is not None:
+            run = min(run, self.max_nodes - self.nodes)
+        self.nodes += run
+        return run
 
 
 def _degree_classes(g: FiniteGraph) -> list[int]:
@@ -128,16 +150,20 @@ def enumerate_colorings(
 
     The walk keeps an explicit stack (one mask of colors still to try per
     depth), so its depth is not bounded by the interpreter's recursion
-    limit.  Each search node, leaves included, spends one budget unit;
-    when the budget runs out, the UndecidedError raised carries the count
-    of colorings visited so far as its lower bound.
+    limit; the last vertex's colors are walked in one loop, a leaf each.
+    Each search node, leaves included, spends one budget unit, charged in
+    runs; when the budget runs out, the UndecidedError raised carries the
+    count of colorings visited so far as its lower bound.
     """
     if palette < 1:
         raise InputError(f"palette must be >= 1, got {palette}")
     n = g.n
     if n == 0:
         if visitor is not None:
-            visitor(())
+            try:
+                visitor(())
+            except StopEnumeration:
+                pass
         return 1
     forb = list(base_forbidden) if base_forbidden is not None else [0] * n
     if len(forb) != n:
@@ -154,37 +180,49 @@ def enumerate_colorings(
     todo = [0] * n
     count = 0
     d = 0
-    while True:
-        if budget is not None:
-            try:
-                budget.spend("enumerate_colorings")
-            except UndecidedError as exc:
-                exc.lower = count
-                raise
-        if d < n:
+    last = n - 1
+    run = -1 if budget is None else 0  # nodes charged ahead; -1 never runs out
+    try:
+        while True:
+            if run:
+                run -= 1
+            else:
+                run = budget._run("enumerate_colorings", count)
             banned = forb[d]
             for w in earlier[d]:
                 banned |= bits[w]
-            todo[d] = caps[d] & ~banned
-        else:
-            count += 1
-            if visitor is not None:
-                try:
-                    visitor(tuple(assign))
-                except StopEnumeration:
+            free = caps[d] & ~banned
+            if d == last:
+                # one leaf per free color of the last vertex
+                while free:
+                    if run:
+                        run -= 1
+                    else:
+                        run = budget._run("enumerate_colorings", count)
+                    bit = free & -free
+                    free ^= bit
+                    assign[d] = bit.bit_length() - 1
+                    count += 1
+                    if visitor is not None:
+                        try:
+                            visitor(tuple(assign))
+                        except StopEnumeration:
+                            return count
+            todo[d] = free
+            while not todo[d]:
+                if d == 0:
                     return count
-            d = n - 1
-        while not todo[d]:
-            if d == 0:
-                return count
-            d -= 1
-        bit = todo[d] & -todo[d]
-        todo[d] ^= bit
-        bits[d] = bit
-        assign[d] = bit.bit_length() - 1
-        d += 1
-        if canonical and d < n:
-            caps[d] = (caps[d - 1] | bit << 1) & full
+                d -= 1
+            bit = todo[d] & -todo[d]
+            todo[d] ^= bit
+            bits[d] = bit
+            assign[d] = bit.bit_length() - 1
+            d += 1
+            if canonical:
+                caps[d] = (caps[d - 1] | bit << 1) & full
+    finally:
+        if run > 0:
+            budget.nodes -= run
 
 
 # -- decision search ---------------------------------------------------------
@@ -216,7 +254,8 @@ def find_coloring(
     bound its depth.  A frame holds the neighbors its color banned, shifted
     down to its vertex's lowest neighbor; a backtrack unbans them and moves
     them back down a level in place.  With more colors than the largest
-    degree no frame is kept.  Each search node spends one budget unit.
+    degree no frame is kept.  Each search node spends one budget unit,
+    charged in node runs.
     """
     if palette < 1:
         raise InputError(f"palette must be >= 1, got {palette}")
@@ -263,57 +302,64 @@ def _dsatur(
     stack: list[tuple] = []
     keep = palette <= max(map(len, g.adj), default=0)
     s = palette
-    while True:
-        if budget is not None:
-            budget.spend("find_coloring")
-        if not uncolored:
-            return Coloring(tuple(assign), palette)
-        while not level[s]:
-            s -= 1
-        pick = level[s]
-        for same_degree in classes:
-            if pick & same_degree:
-                pick &= same_degree
-                break
-        vbit = pick & -pick
-        level[s] ^= vbit
-        uncolored ^= vbit
-        v = vbit.bit_length() - 1
-        nbrs = adj[v]
-        spare = ~used & full
-        todo = used | spare & -spare
-        # try the next color of v, backtracking while none is left
+    run = -1 if budget is None else 0  # nodes charged ahead; -1 never runs out
+    try:
         while True:
-            while todo:
-                bit = todo & -todo
-                todo ^= bit
-                c = bit.bit_length() - 1
-                banned = ban[c]
-                if banned & vbit:
-                    continue
-                newly = nbrs & uncolored & ~banned
-                if not newly & level[dead]:
-                    break
+            if run:
+                run -= 1
             else:
-                if not stack:
-                    return None
-                uncolored |= vbit
-                level[s] |= vbit
-                v, s, todo, used, c, newly = stack.pop()
-                vbit = 1 << v
-                nbrs = adj[v]
-                newly <<= low[v]
-                ban[c] ^= newly
-                _shift_saturation(level, newly, 1, -1)
-                continue
-            break
-        if keep:
-            stack.append((v, s, todo, used, c, newly >> low[v]))
-        assign[v] = c
-        used |= bit
-        ban[c] = banned | newly
-        _shift_saturation(level, newly, s, 1)
-        s += 1
+                run = budget._run("find_coloring")
+            if not uncolored:
+                return Coloring(tuple(assign), palette)
+            while not level[s]:
+                s -= 1
+            pick = level[s]
+            for same_degree in classes:
+                if pick & same_degree:
+                    pick &= same_degree
+                    break
+            vbit = pick & -pick
+            level[s] ^= vbit
+            uncolored ^= vbit
+            v = vbit.bit_length() - 1
+            nbrs = adj[v]
+            spare = ~used & full
+            todo = used | spare & -spare
+            # try the next color of v, backtracking while none is left
+            while True:
+                while todo:
+                    bit = todo & -todo
+                    todo ^= bit
+                    c = bit.bit_length() - 1
+                    banned = ban[c]
+                    if banned & vbit:
+                        continue
+                    newly = nbrs & uncolored & ~banned
+                    if not newly & level[dead]:
+                        break
+                else:
+                    if not stack:
+                        return None
+                    uncolored |= vbit
+                    level[s] |= vbit
+                    v, s, todo, used, c, newly = stack.pop()
+                    vbit = 1 << v
+                    nbrs = adj[v]
+                    newly <<= low[v]
+                    ban[c] ^= newly
+                    _shift_saturation(level, newly, 1, -1)
+                    continue
+                break
+            if keep:
+                stack.append((v, s, todo, used, c, newly >> low[v]))
+            assign[v] = c
+            used |= bit
+            ban[c] = banned | newly
+            _shift_saturation(level, newly, s, 1)
+            s += 1
+    finally:
+        if run > 0:
+            budget.nodes -= run
 
 
 # -- bounds and the chromatic number ------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional
 
 from .chi import Budget, enumerate_colorings
@@ -58,30 +59,29 @@ def _grid_edges(k: int) -> list[tuple[int, int]]:
     return edges
 
 
+@lru_cache(maxsize=None)
+def _lines(k: int) -> tuple[tuple[itemgetter, ...], tuple[itemgetter, ...]]:
+    """Getters of each row's and each column's cells from a flat grid tuple."""
+    kk = k * k
+    rows = tuple(itemgetter(*range(b, kk, k)) for b in range(k))
+    columns = tuple(itemgetter(*range(a * k, a * k + k)) for a in range(k))
+    return rows, columns
+
+
 def _orientation_flags(k: int, cols: tuple[int, ...]) -> tuple[bool, bool]:
     """(horizontal?, vertical?) for a proper grid coloring given as a flat
-    tuple indexed by a*k+b.  Assumes properness.
-
-    Each color class is a bitmask of cells; a class of two or more cells
-    marks row b when it lies inside row b's mask, else column a when it
-    lies inside column a's mask (b and a read off its lowest cell).
-    """
-    by_color: dict[int, int] = {}
-    for v, c in enumerate(cols):
-        by_color[c] = by_color.get(c, 0) | 1 << v
-    row0 = sum(1 << (a * k) for a in range(k))  # row b is row0 << b
-    column0 = (1 << k) - 1  # column a is column0 << a*k
-    rows = columns = 0
-    for cells in by_color.values():
-        if not cells & (cells - 1):
-            continue
-        a0, b0 = divmod((cells & -cells).bit_length() - 1, k)
-        if not cells & ~(row0 << b0):
-            rows |= 1 << b0
-        elif not cells & ~(column0 << a0 * k):
-            columns |= 1 << a0
-    every = (1 << k) - 1
-    return rows == every, columns == every
+    tuple indexed by a*k+b: a row (column) is marked when a color repeats
+    in it, which assumes properness, since a class of two or more cells
+    then lies inside one row or one column."""
+    flags = []
+    for lines in _lines(k):
+        for line in lines:
+            if len(set(line(cols))) == k:
+                flags.append(False)
+                break
+        else:
+            flags.append(True)
+    return flags[0], flags[1]
 
 
 # -- the two-orbit graph ------------------------------------------------------
@@ -328,15 +328,10 @@ def verify_invariance(
 
     flags: dict[tuple[int, ...], tuple[bool, bool]] = {}
 
-    def layer_flags(layer: tuple[int, ...]) -> tuple[bool, bool]:
-        got = flags.get(layer)
-        if got is None:
-            got = flags[layer] = _orientation_flags(k, layer)
-        return got
-
     def visit(cols: tuple[int, ...]):
-        h0, v0 = layer_flags(cols[:kk])
-        h1, v1 = layer_flags(cols[kk:])
+        lo, hi = cols[:kk], cols[kk:]
+        h0, v0 = flags.get(lo) or flags.setdefault(lo, _orientation_flags(k, lo))
+        h1, v1 = flags.get(hi) or flags.setdefault(hi, _orientation_flags(k, hi))
         if h0 == v0 or h1 == v1:
             report.record_violation(
                 {"coloring": list(cols), "reason": "layer escaped the dichotomy"}
@@ -370,13 +365,12 @@ def verify_rigidity(
     kk = k * k
     report = VerificationReport("rigidity", {"k": k, "palette": k})
 
+    rows, columns = _lines(k)
+
     def projection_axis(layer: tuple[int, ...]) -> Optional[str]:
-        if all(
-            layer[a * k + b] == layer[a * k] for a in range(k) for b in range(k)
-        ):
-            return "a"
-        if all(layer[a * k + b] == layer[b] for a in range(k) for b in range(k)):
-            return "b"
+        for axis, lines in (("a", columns), ("b", rows)):
+            if all(len(set(line(layer))) == 1 for line in lines):
+                return axis
         return None
 
     def visit(cols: tuple[int, ...]):

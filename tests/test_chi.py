@@ -1,11 +1,14 @@
 import gc
 import itertools
+import math
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
 
+import gridchroma.chi as chi
 from gridchroma.chi import (
     Budget,
     Coloring,
@@ -17,7 +20,7 @@ from gridchroma.chi import (
     greedy_clique,
     is_proper,
 )
-from gridchroma.errors import InputError, UndecidedError
+from gridchroma.errors import InputError, StopEnumeration, UndecidedError
 from gridchroma.graphs import FiniteGraph
 from gridchroma.grid import grid_graph, two_orbit_graph
 from gridchroma.groups import MarkedGroupSpec
@@ -104,6 +107,12 @@ class TestEnumerate:
         enumerate_colorings(g, 3, seen.append)
         for cols in seen:
             assert is_proper(g, Coloring(cols, 3))
+
+    def test_visitor_may_stop_on_the_empty_graph(self):
+        def stop(cols):
+            raise StopEnumeration
+
+        assert enumerate_colorings(FiniteGraph(0, []), 2, stop) == 1
 
     def test_deterministic_lexicographic_order(self):
         g = path_graph(3)
@@ -397,6 +406,149 @@ class TestChromaticNumber:
 
     def test_edgeless_graph(self):
         assert chromatic_number(FiniteGraph(5, [])) == 1
+
+
+def budgeted_enumeration(g, palette, budget, options):
+    """(count or None when the budget ran out, colorings seen)."""
+    seen = []
+    try:
+        count = enumerate_colorings(g, palette, seen.append, budget=budget, **options)
+    except UndecidedError as exc:
+        assert exc.lower == len(seen)
+        return None, seen
+    assert count == len(seen)
+    return count, seen
+
+
+def budgeted_search(g, palette, budget, options):
+    """(the found coloring's colors or None, False when the budget ran out)."""
+    try:
+        found = find_coloring(g, palette, budget=budget, **options)
+    except UndecidedError:
+        return None, False
+    return (found and found.colors), True
+
+
+ENUMERATION_CASES = [
+    (cycle_graph(5), 3, {}),
+    (random_graph(7, 0.4, seed=2), 3, {"canonical": True}),
+    (grid_graph(3), 3, {}),
+    (path_graph(4), 3, {"base_forbidden": [0, 0b100, 0, 0b10]}),
+]
+SEARCH_CASES = [
+    (twisted_quotient(3, 3), 4, {}),
+    (twisted_quotient(3, 3), 5, {}),
+    (random_graph(12, 0.5, seed=3), 4, {"constraints": {0: 2, 5: 1}}),
+    (cycle_graph(9), 2, {}),
+]
+
+
+class TestBudget:
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            {"ms": -1},
+            {"ms": float("nan")},
+            {"ms": float("inf")},
+            {"ms": "5"},
+            {"max_nodes": -1},
+            {"max_nodes": True},
+            {"max_nodes": 2.0},
+        ],
+    )
+    def test_rejects_bad_limits(self, limits):
+        with pytest.raises(InputError):
+            Budget(**limits)
+
+    def test_zero_node_limit_stops_at_the_first_node(self):
+        budget = Budget(ms=0.0, max_nodes=0)
+        with pytest.raises(UndecidedError) as stop:
+            enumerate_colorings(cycle_graph(4), 2, budget=budget)
+        assert stop.value.lower == 0
+        assert budget.nodes == 1
+
+    @pytest.mark.parametrize("search", [budgeted_enumeration, budgeted_search])
+    @pytest.mark.parametrize("offset", [0, 4090])
+    def test_node_limit_is_exact(self, search, offset):
+        # a budget already spent up to `offset` puts the clock-read
+        # boundary at node 4096 inside the search
+        cases = ENUMERATION_CASES if search is budgeted_enumeration else SEARCH_CASES
+        for g, palette, options in cases:
+            full = Budget()
+            full.nodes = offset
+            want = search(g, palette, full, options)
+            total = full.nodes - offset
+            # past the total, the run left unused at the end is 1, 2, ...
+            for limit in range(1, total + 3):
+                budget = Budget(max_nodes=offset + limit)
+                budget.nodes = offset
+                got = search(g, palette, budget, options)
+                if limit < total:
+                    assert budget.nodes == offset + limit + 1
+                    if search is budgeted_enumeration:
+                        assert got[0] is None
+                        assert got[1] == want[1][: len(got[1])]
+                    else:
+                        assert got == (None, False)
+                else:
+                    assert budget.nodes == offset + total
+                    assert got == want
+
+    @pytest.mark.parametrize(
+        "search, g, palette, total",
+        [
+            (budgeted_enumeration, two_orbit_graph(4, False), 4, 10649),
+            (budgeted_search, twisted_quotient(3, 5), 4, 7274),
+        ],
+    )
+    def test_node_limit_is_exact_across_clock_reads(self, search, g, palette, total):
+        for limit in (4095, 4096, 4097, 8191, 8192, total - 1, total):
+            budget = Budget(max_nodes=limit)
+            search(g, palette, budget, {})
+            assert budget.nodes == min(limit + 1, total)
+
+    @pytest.mark.parametrize("stop_at", [1, 5, 300, 5000])
+    @pytest.mark.parametrize("error", [KeyError, StopEnumeration])
+    def test_visitor_exception_leaves_the_nodes_visited(self, stop_at, error):
+        g = two_orbit_graph(3, False)
+        budget = Budget()
+        seen = []
+
+        def visit(cols):
+            seen.append(cols)
+            if len(seen) == stop_at:
+                raise error
+
+        try:
+            assert enumerate_colorings(g, 4, visit, budget=budget) == stop_at
+        except KeyError:
+            assert error is KeyError
+        # the stop_at-th leaf is the last node visited: a node limit at
+        # budget.nodes reaches it and one node less does not
+        for limit, leaves in ((budget.nodes, stop_at), (budget.nodes - 1, stop_at - 1)):
+            assert budgeted_enumeration(g, 4, Budget(max_nodes=limit), {})[1] == seen[:leaves]
+
+    def test_clock_read_only_every_check_every_nodes(self, monkeypatch):
+        budget = Budget(ms=10**9)
+        reads = []
+        clock = time.monotonic
+
+        def read():
+            reads.append(budget.nodes)
+            return clock()
+
+        monkeypatch.setattr(chi.time, "monotonic", read)
+        assert enumerate_colorings(two_orbit_graph(3, False), 4, budget=budget) == 12288
+        assert find_coloring(twisted_quotient(3, 5), 4, budget=budget) is None
+        assert budget.nodes == 59293 + 7274
+        assert reads == list(range(Budget.CHECK_EVERY, budget.nodes + 1, Budget.CHECK_EVERY))
+
+    def test_time_limit_stops_at_a_clock_read(self, monkeypatch):
+        budget = Budget(ms=1)
+        monkeypatch.setattr(chi.time, "monotonic", lambda: math.inf)
+        count, seen = budgeted_enumeration(two_orbit_graph(3, False), 4, budget, {})
+        assert count is None and seen
+        assert budget.nodes == Budget.CHECK_EVERY
 
 
 class TestBounds:

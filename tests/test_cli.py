@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -371,6 +372,22 @@ class TestReport:
         assert rows[1] == {"row": "settle", "pass": True, "value": "settled"}
         assert code == 3
         assert report["timings_ms"]["total"] < 1000  # the budget still bounds the run
+
+    def test_report_times_each_row(self, monkeypatch):
+        def quick(k, budget, rng, towers):
+            return True, "quick"
+
+        def slow(k, budget, rng, towers):
+            time.sleep(0.05)
+            return True, "slow"
+
+        monkeypatch.setattr(gridchroma.cli, "CLAIMS", (("quick", quick), ("slow", slow)))
+        code, report = run(["report"])
+        assert code == 0
+        timings = report["timings_ms"]
+        assert len(timings["rows"]) == len(report["results"]["rows"]) == 2
+        assert timings["rows"][0] < 50 <= timings["rows"][1]
+        assert sum(timings["rows"]) <= timings["total"] + 0.1  # each is rounded to 0.1 ms
 
 
 def test_console_script_wiring():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from gridchroma.chi import Budget, Coloring, chromatic_number, enumerate_colorings, is_proper
-from gridchroma.errors import InputError, InvariantViolation, UndecidedError
+from gridchroma.errors import InputError, InvariantViolation, StopEnumeration, UndecidedError
 from gridchroma.groups import MarkedGroupSpec, multiply
 import gridchroma.grid
 from gridchroma.grid import (
@@ -31,6 +31,18 @@ from oracles import (
 )
 
 H3 = grid_graph(3)
+
+
+def oracle_flags(k, cols):
+    """(horizontal?, vertical?) from the shape of each color class."""
+    rows, columns = set(), set()
+    for c in set(cols):
+        shape = classify_independent_set(k, [v for v, x in enumerate(cols) if x == c])
+        if shape.kind == HORIZONTAL:
+            rows.add(shape.index)
+        elif shape.kind == VERTICAL:
+            columns.add(shape.index)
+    return len(rows) == k, len(columns) == k
 
 
 class TestGridGraph:
@@ -150,23 +162,61 @@ class TestOrientation:
             permuted = tuple(perm[c] for c in cols)
             assert orientation(3, Coloring(permuted, 4)) == base
 
-    @pytest.mark.parametrize("k, canonical, count", [(3, False, 1056), (4, True, 3826)])
-    def test_flags_match_classification_oracle(self, k, canonical, count):
-        def oracle(cols):
-            rows, columns = set(), set()
-            for c in set(cols):
-                shape = classify_independent_set(k, [v for v, x in enumerate(cols) if x == c])
-                if shape.kind == HORIZONTAL:
-                    rows.add(shape.index)
-                elif shape.kind == VERTICAL:
-                    columns.add(shape.index)
-            return len(rows) == k, len(columns) == k
-
+    @pytest.mark.parametrize(
+        "k, palette, canonical, count, outcomes",
+        [
+            pytest.param(k, palette, canonical, count, outcomes, id=f"{k}-{canonical}-{count}")
+            for k, palette, canonical, count, outcomes in [
+                (3, 3, False, 12, {(True, False), (False, True)}),
+                (3, 4, False, 1056, {(True, False), (False, True)}),
+                (3, 5, True, 230, {(True, False), (False, True), (False, False)}),
+                (4, 4, False, 48, {(True, False), (False, True)}),
+                (4, 5, True, 146, {(True, False), (False, True)}),
+                (4, 6, True, 3826, {(True, False), (False, True)}),
+            ]
+        ],
+    )
+    def test_flags_match_classification_oracle(self, k, palette, canonical, count, outcomes):
         seen = []
-        enumerate_colorings(grid_graph(k), 2 * k - 2, seen.append, canonical=canonical)
+        enumerate_colorings(grid_graph(k), palette, seen.append, canonical=canonical)
         assert len(seen) == count
         for cols in seen:
-            assert _orientation_flags(k, cols) == oracle(cols), cols
+            assert _orientation_flags(k, cols) == oracle_flags(k, cols), cols
+        assert {oracle_flags(k, cols) for cols in seen} == outcomes
+
+    def test_both_flags_hold_on_row_and_column_pairs(self):
+        # one pair of cells per column, then one per row in the cells left:
+        # eight classes of two, so all four rows and all four columns marked
+        classes = [
+            [(0, 0), (0, 1)], [(1, 2), (1, 3)], [(2, 0), (2, 1)], [(3, 2), (3, 3)],
+            [(1, 0), (3, 0)], [(1, 1), (3, 1)], [(0, 2), (2, 2)], [(0, 3), (2, 3)],
+        ]
+        cols = [0] * 16
+        for color, cells in enumerate(classes, start=1):
+            for a, b in cells:
+                cols[a * 4 + b] = color
+        assert is_proper(grid_graph(4), Coloring(tuple(cols), 8))
+        assert _orientation_flags(4, tuple(cols)) == oracle_flags(4, cols) == (True, True)
+
+    def test_flags_match_oracle_on_sampled_k5_colorings(self):
+        # a seeded sample of the canonical 8-colorings of the 5 x 5 grid;
+        # lexicographic order colors column 0 first, so nearly all are
+        # vertical, and their transposes (also proper) cover horizontal
+        rng = random.Random(5)
+        sample = []
+
+        def keep(cols):
+            if rng.random() < 0.005:
+                sample.append(cols)
+                if len(sample) == 100:
+                    raise StopEnumeration
+
+        enumerate_colorings(grid_graph(5), 8, keep, canonical=True)
+        assert len(sample) == 100
+        transposed = [tuple(cols[b * 5 + a] for a in range(5) for b in range(5)) for cols in sample]
+        for cols in sample + transposed:
+            assert _orientation_flags(5, cols) == oracle_flags(5, cols), cols
+        assert {oracle_flags(5, cols) for cols in sample + transposed} == {(True, False), (False, True)}
 
 
 class TestTwoOrbitGraph:
