@@ -8,8 +8,7 @@ reruns the headline table at a chosen k.
 Exit codes: 0 success or property verified; 1 property violation, or
 "none exists" where existence was asserted; 2 input error; 3 undecided at
 the configured budget; 141 stdout closed by its reader.  A proven violation
-outranks undecided.  The default time budget comes from
-GRIDCHROMA_BUDGET_MS when set.
+outranks undecided.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .groups import MarkedGroupSpec
 from .instances import (
     CYCLE,
     SEGMENT,
-    LineInstance,
     cayley_cycle_instance,
     ladder_instance,
     load_instance,
@@ -58,16 +56,7 @@ BROKEN_PIPE = 141  # the shell's code for a writer whose reader left
 
 
 def _budget_from(args) -> Optional[Budget]:
-    ms = getattr(args, "budget_ms", None)
-    if ms is None:
-        env = os.environ.get("GRIDCHROMA_BUDGET_MS")
-        if not env:
-            return None
-        try:
-            ms = float(env)
-        except ValueError:
-            raise InputError(f"GRIDCHROMA_BUDGET_MS is not a number: {env!r}") from None
-    return Budget(ms=ms)
+    return None if args.budget_ms is None else Budget(ms=args.budget_ms)
 
 
 def _group_spec(args) -> MarkedGroupSpec:
@@ -180,7 +169,7 @@ def _verified(args, report, got, head: str) -> int:
 
 
 def cmd_verify_dichotomy(args, report) -> int:
-    got = verify_dichotomy(args.k, budget=_budget_from(args), canonical=args.canonical)
+    got = verify_dichotomy(args.k, budget=_budget_from(args))
     return _verified(args, report, got, f"dichotomy k={args.k}: colorings={got.count} ")
 
 
@@ -197,8 +186,6 @@ def cmd_verify_rigidity(args, report) -> int:
 
 def cmd_two_ended_color(args, report) -> int:
     inst = load_instance(args.instance)
-    if args.mode is not None and args.mode != inst.mode:
-        inst = LineInstance(inst.graph, inst.blocks, args.mode, inst.chi)
     result = color_two_ended(
         inst,
         window_blocks=args.window,
@@ -231,17 +218,14 @@ def cmd_two_ended_color(args, report) -> int:
 
 def cmd_shift_color(args, report) -> int:
     tower = load_tower(args.anchors)
-    if args.mode is not None and args.mode != tower.mode:
-        tower = AnchoredTower(tower.k, tower.extent, args.mode, tower.anchors)
-    result = color_tower(tower)
-    proper = is_proper(result.graph, result.coloring)
+    result = color_tower(tower)  # an improper coloring raises InvariantViolation
     report["results"] = {
         "k": tower.k,
         "extent": tower.extent,
         "mode": tower.mode,
         "palette": result.coloring.palette,
         "colors_used": result.colors_used,
-        "proper": proper,
+        "proper": True,
     }
     if args.out:
         _write_file(report, "out", args.out, result.to_json())
@@ -250,10 +234,10 @@ def cmd_shift_color(args, report) -> int:
         report,
         [
             f"colored {result.graph.n} vertices with {result.colors_used} colors "
-            f"(palette {result.coloring.palette}); proper={proper}"
+            f"(palette {result.coloring.palette}); proper=True"
         ],
     )
-    return OK if proper else VIOLATION
+    return OK
 
 
 def cmd_quotient_chi(args, report) -> int:
@@ -352,7 +336,6 @@ def _claim_two_ended(k, budget, rng, towers):
             # cycle mode: the passages form one cycle, every degree exactly 2
             and stats["shape_ok"]
             and stats["satisfied"]
-            and stats["max_component_blocks"] < stats["largest_gap"]
         ):
             return False, values  # refuted: the instances after it cannot change the row
     return True, values
@@ -441,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--budget-ms",
                 type=float,
                 default=None,
-                help="time budget in milliseconds (default: GRIDCHROMA_BUDGET_MS)",
+                help="time budget in milliseconds",
             )
 
     p = sub.add_parser("cayley", help="generate and export a window or quotient graph")
@@ -465,12 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-dichotomy", help="exhaustive grid coloring dichotomy check")
     p.add_argument("--k", type=int, default=3)
-    p.add_argument(
-        "--canonical",
-        action="store_true",
-        default=None,
-        help="enumerate one representative per color permutation (default for k > 3)",
-    )
     common(p)
     p.set_defaults(func=cmd_verify_dichotomy)
 
@@ -494,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--window", type=int, default=1, help="separator search window in blocks")
     p.add_argument("--cap", type=int, default=None, help="separator size cap")
-    p.add_argument("--mode", choices=(SEGMENT, CYCLE), default=None)
     p.add_argument("--chi", type=int, default=None, help="override the declared chromatic number")
     p.add_argument("--out", default=None)
     common(p)
@@ -502,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shift-color", help="spare-color propagation over an anchored tower")
     p.add_argument("--anchors", required=True, help="tower JSON file")
-    p.add_argument("--mode", choices=(SEGMENT, CYCLE), default=None)
     p.add_argument("--out", default=None)
     common(p, budget=False)
     p.set_defaults(func=cmd_shift_color)

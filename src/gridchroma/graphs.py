@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
@@ -99,25 +98,24 @@ class FiniteGraph:
 
 def set_distance(g: FiniteGraph, a: Iterable[int], b: Iterable[int]) -> float:
     """Minimum path distance over pairs in A x B; INF when disconnected."""
-    a_set = set(a)
-    b_set = set(b)
-    if not a_set or not b_set:
+    a_mask, b_mask = vertex_mask(g, a), vertex_mask(g, b)
+    if not a_mask or not b_mask:
         raise InputError("set_distance requires non-empty vertex sets")
-    for v in a_set | b_set:
-        _check_vertex(g, v)
-    if a_set & b_set:
-        return 0
-    # multi-source BFS from A until any vertex of B is hit
-    seen = set(a_set)
-    frontier = deque((v, 0) for v in sorted(a_set))
+    # grow the ball around A one layer at a time until it meets B
+    masks = g.neighbor_masks()
+    ball = frontier = a_mask
+    d = 0
     while frontier:
-        x, d = frontier.popleft()
-        for w in g.adj[x]:
-            if w in b_set:
-                return d + 1
-            if w not in seen:
-                seen.add(w)
-                frontier.append((w, d + 1))
+        if frontier & b_mask:
+            return d
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & ~ball
+        ball |= frontier
+        d += 1
     return INF
 
 
@@ -129,31 +127,29 @@ def components(
     Components are ordered by their smallest vertex; with no restriction
     the whole vertex set is used.
     """
-    if restrict_to is None:
-        allowed = None
-        universe = range(g.n)
-    else:
-        allowed = set(restrict_to)
-        for v in allowed:
-            _check_vertex(g, v)
-        universe = sorted(allowed)
-    seen: set[int] = set()
+    allowed = (1 << g.n) - 1 if restrict_to is None else vertex_mask(g, restrict_to)
+    masks = g.neighbor_masks()
     out: list[list[int]] = []
-    for start in universe:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for w in g.adj[x]:
-                if w in seen or (allowed is not None and w not in allowed):
-                    continue
-                seen.add(w)
-                comp.append(w)
-                queue.append(w)
-        out.append(sorted(comp))
+    while allowed:
+        comp = reach_mask(masks, allowed & -allowed, allowed)
+        allowed ^= comp
+        members = []
+        while comp:
+            low = comp & -comp
+            members.append(low.bit_length() - 1)
+            comp ^= low
+        out.append(members)
+    return out
+
+
+def vertex_mask(g: FiniteGraph, vertices: Iterable[int]) -> int:
+    """The bitmask of the given vertices; InputError on any that is not a
+    vertex of g."""
+    out = 0
+    for v in vertices:
+        if not isinstance(v, int) or not (0 <= v < g.n):
+            raise InputError(f"vertex {v!r} out of range for {g.n} vertices")
+        out |= 1 << v
     return out
 
 
@@ -209,11 +205,6 @@ def induced_subgraph(
     return FiniteGraph(len(keep), edges, labels), keep
 
 
-def _check_vertex(g: FiniteGraph, v: int):
-    if not isinstance(v, int) or not (0 <= v < g.n):
-        raise InputError(f"vertex {v!r} out of range for {g.n} vertices")
-
-
 # -- serialization ----------------------------------------------------------
 
 
@@ -240,11 +231,11 @@ def graph_from_json(doc: dict) -> FiniteGraph:
             (json_int(u, "edge endpoint"), json_int(v, "edge endpoint"))
             for u, v in doc["edges"]
         ]
+        labels = doc.get("labels")
+        if labels is not None:
+            labels = [tuple(l) if isinstance(l, list) else l for l in labels]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph document: {exc}") from exc
-    labels = doc.get("labels")
-    if labels is not None:
-        labels = [tuple(l) if isinstance(l, list) else l for l in labels]
     return FiniteGraph(n, edges, labels)
 
 

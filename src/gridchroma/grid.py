@@ -36,12 +36,19 @@ from .groups import GroupElement, MarkedGroupSpec, generator_element, generators
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 
+# The most layer tuples `verify_invariance` memoizes flags for: at k=3 a
+# layer takes at most 1,056 colorings; from k=4 on nearly every lookup of
+# the second layer misses, and an unbounded memo grew to 776 MB at k=5.
+FLAG_MEMO_CAP = 1 << 16
+
 
 def grid_graph(k: int) -> FiniteGraph:
     """Build the complete-difference graph on the k x k grid; cell (a, b)
-    is vertex a*k+b and carries that label."""
+    is vertex a*k+b and carries that label.  Refuses, before building, a k
+    whose k^2(k-1)^2/2 edges exceed MAX_LAYER_GRAPH_EDGES."""
     if k < 3:
         raise InputError(f"grid modulus must be >= 3, got {k}")
+    _refuse_above_cap(f"the grid graph at k={k}", k * k * (k - 1) ** 2 // 2)
     labels = [(a, b) for a in range(k) for b in range(k)]
     return FiniteGraph(k * k, _grid_edges(k), labels)
 
@@ -98,11 +105,20 @@ def two_orbit_graph(k: int, twisted: bool) -> FiniteGraph:
 
 UNIT_SHIFT = GroupElement(0, 0, 1)
 
-# The most edges `layer_graph` will build: about 2 GB of adjacency sets
-# and tuples.  The largest builds in the tests and the benchmark, k=5
-# towers, stay under 40,000 edges; `cayley --k 50 --M 1000` would ask for
-# about 9*10^9.
+# The most edges `layer_graph` or `grid_graph` will build: about 2 GB of
+# adjacency sets and tuples.  The largest builds in the tests and the
+# benchmark, k=5 towers, stay under 40,000 edges; `cayley --k 50 --M 1000`
+# would ask for about 9*10^9, the grid at k=150 for about 2.5*10^8.
 MAX_LAYER_GRAPH_EDGES = 10_000_000
+
+
+def _refuse_above_cap(what: str, edges: int) -> None:
+    """InputError when a build of about `edges` edges exceeds the cap."""
+    if edges > MAX_LAYER_GRAPH_EDGES:
+        raise InputError(
+            f"{what} needs about {edges:,} edges, "
+            f"more than the cap of {MAX_LAYER_GRAPH_EDGES:,}"
+        )
 
 
 @lru_cache(maxsize=32)
@@ -184,12 +200,7 @@ def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> Fin
     least = 3 if cyclic else 1
     if levels < least:
         raise InputError(f"layer graph needs at least {least} levels, got {levels}")
-    estimate = levels * spec.k ** 2 * spec.degree // 2
-    if estimate > MAX_LAYER_GRAPH_EDGES:
-        raise InputError(
-            f"{spec.name} on {levels} levels needs about {estimate:,} edges, "
-            f"more than the cap of {MAX_LAYER_GRAPH_EDGES:,}"
-        )
+    _refuse_above_cap(f"{spec.name} on {levels} levels", levels * spec.k ** 2 * spec.degree // 2)
     _, _, (same, above, below) = _templates(spec, multiply)
     k = spec.k
     kk = k * k
@@ -314,7 +325,8 @@ def verify_invariance(
     Enumerates every proper (2k-2)-coloring of the two-orbit graph; plain
     layers must share an orientation, twisted layers must swap it.  A layer
     takes far fewer distinct colorings than the pair does, so the flags of
-    each layer tuple are worked out once per call.
+    each layer tuple are memoized; the memo is emptied when a miss finds it
+    holding FLAG_MEMO_CAP tuples, which at k=3 it never does.
     """
     if k < 3:
         raise InputError(f"k must be >= 3, got {k}")
@@ -328,10 +340,16 @@ def verify_invariance(
 
     flags: dict[tuple[int, ...], tuple[bool, bool]] = {}
 
+    def miss(layer: tuple[int, ...]) -> tuple[bool, bool]:
+        if len(flags) >= FLAG_MEMO_CAP:
+            flags.clear()
+        got = flags[layer] = _orientation_flags(k, layer)
+        return got
+
     def visit(cols: tuple[int, ...]):
         lo, hi = cols[:kk], cols[kk:]
-        h0, v0 = flags.get(lo) or flags.setdefault(lo, _orientation_flags(k, lo))
-        h1, v1 = flags.get(hi) or flags.setdefault(hi, _orientation_flags(k, hi))
+        h0, v0 = flags.get(lo) or miss(lo)
+        h1, v1 = flags.get(hi) or miss(hi)
         if h0 == v0 or h1 == v1:
             report.record_violation(
                 {"coloring": list(cols), "reason": "layer escaped the dichotomy"}

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import InputError
-from .graphs import FiniteGraph, components, json_int, reach_mask, read_json
+from .graphs import FiniteGraph, components, json_int, reach_mask, read_json, vertex_mask
 from .groups import MarkedGroupSpec
 from .quotients import build_quotient, cayley_window
 
@@ -121,11 +121,11 @@ class LineInstance:
         n = self.graph.n
         if self.mode == SEGMENT:
             masks = self.graph.neighbor_masks()
-            blocks = [_mask(b) for b in self.blocks]
+            blocks = [vertex_mask(self.graph, b) for b in self.blocks]
         else:
             m = self.block_count
-            first = _mask(self.blocks[rotation])
-            last = _mask(self.blocks[rotation - 1])
+            first = vertex_mask(self.graph, self.blocks[rotation])
+            last = vertex_mask(self.graph, self.blocks[rotation - 1])
             copy_masks = self.graph.neighbor_masks()
             masks = []
             for c in range(3):
@@ -143,7 +143,7 @@ class LineInstance:
                         out |= across << to * n
                     masks.append(out)
             blocks = [
-                _mask(self.blocks[(rotation + r) % m]) << c * n
+                vertex_mask(self.graph, self.blocks[(rotation + r) % m]) << c * n
                 for c in range(3)
                 for r in range(m)
             ]
@@ -181,13 +181,6 @@ class LineInstance:
         boundary, bridges = near[0], near[0] & near[1]
         self._unrolls[key] = (masks, left, right, pre, boundary, suf, bridges)
         return self._unrolls[key]
-
-
-def _mask(vertices: Iterable[int]) -> int:
-    out = 0
-    for v in vertices:
-        out |= 1 << v
-    return out
 
 
 def divides_into_two(inst: LineInstance, cut: Iterable[int]) -> bool:

@@ -30,6 +30,7 @@ from .graphs import (
     components,
     induced_subgraph,
     set_distance,
+    vertex_mask,
 )
 from .instances import CYCLE, SEGMENT, LineInstance, divides_into_two
 
@@ -46,11 +47,7 @@ def connected_subsets(
     """
     if max_size < 1:
         raise InputError(f"max_size must be >= 1, got {max_size}")
-    allowed = 0
-    for v in vertices:
-        if not isinstance(v, int) or not (0 <= v < g.n):
-            raise InputError(f"vertex {v!r} out of range for {g.n} vertices")
-        allowed |= 1 << v
+    allowed = vertex_mask(g, vertices)
     masks = g.neighbor_masks()
     found: list[tuple[int, ...]] = []
     # an explicit stack: a recursive closure is a reference cycle, which

@@ -1,10 +1,13 @@
-"""Graph predicates, grid-shape classifiers, the coordinate colorings of the
-grid, a reference graph builder, the key-list DSATUR solver and an instance
-serializer the test suites use as oracles.
+"""Graph predicates, set-based references for the bitmask traversals,
+grid-shape classifiers, the coordinate colorings of the grid, a reference
+graph builder, the key-list DSATUR solver and an instance serializer the
+test suites use as oracles.
 
 Nothing in the package needs them, so they live with the tests.
 """
 
+import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,6 +64,68 @@ def set_based_connected_subsets(g: FiniteGraph, vertices, max_size: int):
                     (sub | {w}, ext + sorted(fresh), sub_reach | {w} | set(fresh))
                 )
     return sorted(out, key=lambda s: tuple(sorted(s)))
+
+
+def _check_vertex(g: FiniteGraph, v):
+    if not isinstance(v, int) or not (0 <= v < g.n):
+        raise InputError(f"vertex {v!r} out of range for {g.n} vertices")
+
+
+def set_based_set_distance(g: FiniteGraph, a, b) -> float:
+    """Minimum path distance over pairs in A x B, INF when disconnected:
+    the multi-source breadth-first search over Python sets and a deque
+    that the bitmask layer walk must agree with."""
+    a_set = set(a)
+    b_set = set(b)
+    if not a_set or not b_set:
+        raise InputError("set_distance requires non-empty vertex sets")
+    for v in a_set | b_set:
+        _check_vertex(g, v)
+    if a_set & b_set:
+        return 0
+    seen = set(a_set)
+    frontier = deque((v, 0) for v in sorted(a_set))
+    while frontier:
+        x, d = frontier.popleft()
+        for w in g.adj[x]:
+            if w in b_set:
+                return d + 1
+            if w not in seen:
+                seen.add(w)
+                frontier.append((w, d + 1))
+    return math.inf
+
+
+def set_based_components(g: FiniteGraph, restrict_to=None) -> list[list[int]]:
+    """Connected components of the induced subgraph as sorted lists,
+    ordered by smallest vertex: the breadth-first search over Python sets
+    and a deque that the bitmask reach must agree with."""
+    if restrict_to is None:
+        allowed = None
+        universe = range(g.n)
+    else:
+        allowed = set(restrict_to)
+        for v in allowed:
+            _check_vertex(g, v)
+        universe = sorted(allowed)
+    seen: set[int] = set()
+    out: list[list[int]] = []
+    for start in universe:
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for w in g.adj[x]:
+                if w in seen or (allowed is not None and w not in allowed):
+                    continue
+                seen.add(w)
+                comp.append(w)
+                queue.append(w)
+        out.append(sorted(comp))
+    return out
 
 
 def edge_list_layer_graph(spec, levels: int, cyclic: bool = False) -> FiniteGraph:

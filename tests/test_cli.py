@@ -115,11 +115,29 @@ class TestExitCodes:
         assert "must be an integer" in report["error"]
 
     @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-5"])
-    def test_bad_budget_variable_is_input_error(self, monkeypatch, value):
-        monkeypatch.setenv("GRIDCHROMA_BUDGET_MS", value)
-        code, report = run(["quotient-chi", "--group", "gamma", "--k", "3", "--M", "3"])
+    def test_bad_budget_value_is_input_error(self, value, capsys):
+        code, report = run(
+            ["quotient-chi", "--group", "gamma", "--k", "3", "--M", "3", "--budget-ms", value]
+        )
         assert code == 2
-        assert "budget" in report["error"].lower()
+        assert "results" not in report
+        if value != "abc":  # argparse refuses abc before any run
+            assert "budget" in report["error"].lower()
+        assert "budget" in capsys.readouterr().err.lower()
+
+    def test_malformed_labels_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "graph.json"
+        bad.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]], "labels": 5}))
+        code, report = run(["chi", "--graph", str(bad)])
+        assert code == 2
+        assert "malformed graph document" in report["error"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["verify-dichotomy", "--budget-ms", "1000"], ["report"]])
+    def test_oversized_grid_is_input_error(self, command):
+        code, report = run([*command, "--k", "150"])
+        assert code == 2
+        assert "cap of 10,000,000" in report["error"]
 
     def test_missing_file_is_input_error(self):
         code, _ = run(["chi", "--graph", "/no/such/file.json"])

@@ -15,8 +15,9 @@ from gridchroma.graphs import (
     graph_to_json,
     induced_subgraph,
     set_distance,
+    vertex_mask,
 )
-from oracles import is_connected_set, is_independent
+from oracles import is_connected_set, is_independent, set_based_components, set_based_set_distance
 
 
 def path_graph(n):
@@ -137,6 +138,86 @@ class TestComponents:
         blocks = components(g, restrict)
         flat = sorted(v for b in blocks for v in b)
         assert flat == sorted(restrict)
+
+
+class TestAgainstSetBasedSearches:
+    """The bitmask components and set_distance against the set-and-deque
+    searches in the oracles, on seeded random graphs up to 40 vertices."""
+
+    DENSITIES = [0.04, 0.1, 0.5]  # mostly disconnected, near the threshold, dense
+
+    def graphs(self, p):
+        for seed in range(30):
+            n = random.Random(seed).randint(1, 40)
+            yield random_graph(n, p, seed), random.Random(seed + 1000)
+
+    @pytest.mark.parametrize("p", DENSITIES)
+    def test_components(self, p):
+        split = 0
+        for g, rng in self.graphs(p):
+            n = g.n
+            half = [v for v in range(n) if rng.random() < 0.5]
+            few = rng.sample(range(n), min(n, 3))
+            for restrict in (None, [], range(n), half, half + half[:3], few, range(0, n, 2)):
+                want = set_based_components(g, restrict)
+                assert components(g, restrict) == want
+                split += len(want) > 1
+            assert components(g, iter(half)) == set_based_components(g, half)
+        assert split  # some restrictions fall apart
+
+    @pytest.mark.parametrize("p", DENSITIES)
+    def test_set_distance(self, p):
+        seen = set()
+        for g, rng in self.graphs(p):
+            n = g.n
+            for _ in range(20):
+                a = rng.sample(range(n), rng.randint(1, min(n, 4)))
+                rest = [v for v in range(n) if v not in a]
+                pairs = [(a, [a[0]] + rng.sample(range(n), rng.randint(0, min(n, 3))))]
+                if rest:  # disjoint
+                    pairs.append((a, rng.sample(rest, rng.randint(1, min(len(rest), 4)))))
+                for x, y in pairs:
+                    want = set_based_set_distance(g, x, y)
+                    assert set_distance(g, x, y) == want
+                    assert set_distance(g, iter(y), iter(x)) == want
+                    seen.add(want)
+        assert 0 in seen and 1 in seen and max(seen - {math.inf}) >= 2
+
+    @pytest.mark.parametrize("bad", [-1, 40, 99, 1.0, "0", None])
+    def test_bad_vertices_raise_alike(self, bad):
+        g = random_graph(40, 0.1, seed=5)
+        calls = [
+            (components, (g, [0, bad]), set_based_components),
+            (set_distance, (g, [0, bad], [3]), set_based_set_distance),
+            (set_distance, (g, [3], [bad]), set_based_set_distance),
+        ]
+        for ours, args, ref in calls:
+            with pytest.raises(InputError) as want:
+                ref(*args)
+            with pytest.raises(InputError) as got:
+                ours(*args)
+            assert str(got.value) == str(want.value)
+
+    def test_empty_sets_raise_alike(self):
+        g = path_graph(3)
+        for a, b in (([], [0]), ([0], []), ([], [])):
+            with pytest.raises(InputError, match="non-empty"):
+                set_based_set_distance(g, a, b)
+            with pytest.raises(InputError, match="non-empty"):
+                set_distance(g, a, b)
+
+
+class TestVertexMask:
+    def test_bits_of_the_vertices(self):
+        g = path_graph(6)
+        assert vertex_mask(g, []) == 0
+        assert vertex_mask(g, [0, 2, 5, 2]) == 0b100101
+        assert vertex_mask(g, iter(range(6))) == 0b111111
+
+    @pytest.mark.parametrize("bad", [-1, 6, 2.0, "1"])
+    def test_rejects_non_vertices(self, bad):
+        with pytest.raises(InputError, match=f"vertex {bad!r} out of range for 6 vertices"):
+            vertex_mask(path_graph(6), [1, bad])
 
 
 class TestIndependence:

@@ -298,6 +298,24 @@ class TestVerifiers:
         assert report.ok
         assert report.count == 12288
 
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_invariance_memo_cap(self, monkeypatch, twisted):
+        calls = []
+
+        def flags(k, cols):
+            calls.append(cols)
+            return _orientation_flags(k, cols)
+
+        monkeypatch.setattr(gridchroma.grid, "_orientation_flags", flags)
+        assert verify_invariance(3, twisted).count == 12288
+        # at k=3 the memo never fills: each layer tuple is worked out once
+        assert len(calls) == len(set(calls)) <= 1056
+        calls.clear()
+        monkeypatch.setattr(gridchroma.grid, "FLAG_MEMO_CAP", 4)
+        report = verify_invariance(3, twisted)
+        assert report.ok and report.count == 12288
+        assert len(calls) > len(set(calls))  # a capped memo forgets and recomputes
+
     def test_invariance_counts_equal_across_twists(self):
         plain = verify_invariance(3, twisted=False)
         twisted = verify_invariance(3, twisted=True)
@@ -323,6 +341,18 @@ class TestSizeGuard:
     def test_oversized_build_refused(self):
         with pytest.raises(InputError, match="9,003,750,000 edges"):
             layer_graph(MarkedGroupSpec(50), 1000, cyclic=True)
+
+    def test_oversized_grid_refused(self):
+        with pytest.raises(InputError, match="249,761,250 edges"):
+            grid_graph(150)
+
+    def test_grid_cap_is_inclusive(self, monkeypatch):
+        # k=3: 9 cells of degree 4, 18 edges
+        monkeypatch.setattr(gridchroma.grid, "MAX_LAYER_GRAPH_EDGES", 18)
+        assert grid_graph(3).edge_count == 18
+        monkeypatch.setattr(gridchroma.grid, "MAX_LAYER_GRAPH_EDGES", 17)
+        with pytest.raises(InputError):
+            grid_graph(3)
 
     def test_cap_is_inclusive(self, monkeypatch):
         # k=3 on 4 cyclic levels: 36 vertices of degree 12, 216 edges
