@@ -39,7 +39,6 @@ from .grid import (
     verify_rigidity,
 )
 from .groups import (
-    Generator,
     GroupElement,
     MarkedGroupSpec,
     generators,

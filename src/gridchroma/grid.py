@@ -15,9 +15,9 @@ and is therefore vertical under this convention.
 The module also holds the one builder of the tower graphs: left
 multiplication by a generator draws the same edges on every level, so
 windows, cyclic quotients and the two-orbit graph (two adjacent grid
-layers, plain or twisted) are all tiled from one layer template and one
-cross-edge template.  It provides exhaustive verifiers for the dichotomy,
-the orientation-propagation law across layers, and the rigidity of
+layers, plain or twisted) are all tiled from one set of per-cell neighbor
+templates.  It provides exhaustive verifiers for the dichotomy, the
+orientation-propagation law across layers, and the rigidity of
 k-colorings.
 """
 
@@ -31,7 +31,7 @@ from typing import Optional
 from .chi import Budget, enumerate_colorings
 from .errors import InputError, InvariantViolation, StopEnumeration, UndecidedError
 from .graphs import FiniteGraph
-from .groups import GroupElement, MarkedGroupSpec, generator_element, generators, multiply
+from .groups import GroupElement, MarkedGroupSpec, generators, multiply
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -123,28 +123,27 @@ def _refuse_above_cap(what: str, edges: int) -> None:
 
 @lru_cache(maxsize=32)
 def _templates(spec: MarkedGroupSpec, product) -> tuple:
-    """The edge templates of the tower graphs, as pairs of cell indices
-    a*k+b, and the per-cell neighbor tuples: (intra, cross, cells).
+    """The per-cell neighbor tuples of the tower graphs: (same, above,
+    below), each holding per cell a*k+b the sorted cells it is joined to
+    on the same level, the level above and the level below.
 
-    intra holds the pairs (u, v), u < v, of cells joined inside one layer;
-    cross holds the pairs (u, v) joining cell u on level n to cell v on
-    level n+1; cells holds, per cell, the sorted neighbor tuples on the
-    same level, the level above and the level below.  All are read off the
-    group product at level 0.  Two invariants are checked, not assumed.
-    For every generator, the edges computed at level 1 must be those of
-    level 0 moved up a level (left multiplication commutes with the right
-    unit shift); the product sees a level only through its parity, so the
+    All are read off the group product at level 0, each edge entered at
+    both of its cells.  Two invariants are checked, not assumed.  For
+    every generator, the edges computed at level 1 must be those of level
+    0 moved up a level (left multiplication commutes with the right unit
+    shift); the product sees a level only through its parity, so the
     templates then hold on every level and descend to every cyclic
-    quotient.  And the intra template must be the grid graph.
+    quotient.  And `same` must be the grid graph's adjacency.
 
-    The bounded memo (hence the frozensets) is keyed on the product as well
-    as the spec, so a replaced `grid.multiply` is derived and checked afresh.
+    The bounded memo (hence the tuples) is keyed on the product as well as
+    the spec, so a replaced `grid.multiply` is derived and checked afresh.
     """
     k = spec.k
-    intra: set[tuple[int, int]] = set()
-    cross: set[tuple[int, int]] = set()
-    for gen in generators(spec):
-        s = generator_element(gen)
+    same, above, below = ([set() for _ in range(k * k)] for _ in range(3))
+    # the templates of the edge's two ends when y0 = s*x0 lies on x0's
+    # level, the level above, or else the level below
+    sides = {0: (same, same), 1: (above, below)}
+    for s in generators(spec):
         for a in range(k):
             for b in range(k):
                 x0 = GroupElement(a, b, 0)
@@ -153,31 +152,16 @@ def _templates(spec: MarkedGroupSpec, product) -> tuple:
                 if y1 != product(spec, y0, UNIT_SHIFT):
                     raise InvariantViolation(
                         "right shift action does not commute with "
-                        f"generator {gen} at {x0}"
+                        f"generator {s} at {x0}"
                     )
+                near, far = sides.get(y0.n, (below, above))
                 u, v = a * k + b, y0.a * k + y0.b
-                if y0.n == 0:
-                    intra.add((u, v) if u < v else (v, u))
-                elif y0.n == 1:
-                    cross.add((u, v))
-                else:  # y0 lies one level below x0, so x0 lies one above y0
-                    cross.add((v, u))
-    if intra != set(_grid_edges(k)):
+                near[u].add(v)
+                far[v].add(u)
+    cells = tuple(tuple(tuple(sorted(c)) for c in side) for side in (same, above, below))
+    if cells[0] != FiniteGraph(k * k, _grid_edges(k)).adj:
         raise InvariantViolation("tower layer is not a copy of the grid graph")
-    same: list[list[int]] = [[] for _ in range(k * k)]
-    above: list[list[int]] = [[] for _ in range(k * k)]
-    below: list[list[int]] = [[] for _ in range(k * k)]
-    for u, v in intra:
-        same[u].append(v)
-        same[v].append(u)
-    for u, v in cross:
-        above[u].append(v)
-        below[v].append(u)
-    cells = tuple(
-        tuple(tuple(sorted(nbrs)) for nbrs in per_cell)
-        for per_cell in (same, above, below)
-    )
-    return frozenset(intra), frozenset(cross), cells
+    return cells
 
 
 def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> FiniteGraph:
@@ -197,11 +181,12 @@ def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> Fin
     level's first vertex; the blocks go in order of that vertex, so the
     tuple comes out sorted with no edge list and no per-vertex sort.
     """
-    least = 3 if cyclic else 1
-    if levels < least:
-        raise InputError(f"layer graph needs at least {least} levels, got {levels}")
+    if cyclic and levels < 3:
+        raise InputError(f"a quotient needs at least 3 levels, got {levels}")
+    if levels < 1:
+        raise InputError(f"a window needs at least one level, got {levels}")
     _refuse_above_cap(f"{spec.name} on {levels} levels", levels * spec.k ** 2 * spec.degree // 2)
-    _, _, (same, above, below) = _templates(spec, multiply)
+    same, above, below = _templates(spec, multiply)
     k = spec.k
     kk = k * k
     adj: list[tuple[int, ...]] = []
@@ -296,8 +281,6 @@ def verify_dichotomy(
     (sound: both branch predicates are invariant under recoloring), and a
     budget turns an unfinished run into an explicit undecided report.
     """
-    if k < 3:
-        raise InputError(f"k must be >= 3, got {k}")
     palette = 2 * k - 2
     if canonical is None:
         canonical = k > 3
@@ -328,8 +311,6 @@ def verify_invariance(
     each layer tuple are memoized; the memo is emptied when a miss finds it
     holding FLAG_MEMO_CAP tuples, which at k=3 it never does.
     """
-    if k < 3:
-        raise InputError(f"k must be >= 3, got {k}")
     palette = 2 * k - 2
     graph = two_orbit_graph(k, twisted)
     kk = k * k
@@ -377,8 +358,6 @@ def verify_rigidity(
     In particular the color pattern of layer 1 equals that of layer 0, the
     finite form of "shifting one layer up never changes the color".
     """
-    if k < 3:
-        raise InputError(f"k must be >= 3, got {k}")
     graph = two_orbit_graph(k, twisted=False)
     kk = k * k
     report = VerificationReport("rigidity", {"k": k, "palette": k})

@@ -30,14 +30,6 @@ class GroupElement(NamedTuple):
     n: int
 
 
-class Generator(NamedTuple):
-    """A generator ((s1, s2), eps) with s1, s2 nonzero and eps in {-1,0,+1}."""
-
-    s1: int
-    s2: int
-    eps: int
-
-
 @dataclass(frozen=True)
 class MarkedGroupSpec:
     """Grid modulus k plus the choice between plain and twisted product."""
@@ -72,19 +64,16 @@ def multiply(spec: MarkedGroupSpec, g: GroupElement, h: GroupElement) -> GroupEl
     return GroupElement((g.a + a) % spec.k, (g.b + b) % spec.k, g.n + h.n)
 
 
-def generators(spec: MarkedGroupSpec) -> list[Generator]:
-    """All 3(k-1)^2 generators, in (s1, s2, eps) lexicographic order."""
+def generators(spec: MarkedGroupSpec) -> list[GroupElement]:
+    """All 3(k-1)^2 generators ((s1, s2), eps), s1 and s2 nonzero, in
+    (s1, s2, eps) lexicographic order."""
     k = spec.k
     return [
-        Generator(s1, s2, eps)
+        GroupElement(s1, s2, eps)
         for s1 in range(1, k)
         for s2 in range(1, k)
         for eps in (-1, 0, 1)
     ]
-
-
-def generator_element(gen: Generator) -> GroupElement:
-    return GroupElement(gen.s1, gen.s2, gen.eps)
 
 
 def untwist(g: GroupElement) -> GroupElement:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import InputError
-from .graphs import FiniteGraph, components, json_int, reach_mask, read_json, vertex_mask
+from .graphs import FiniteGraph, components, graph_from_json, json_int, reach_mask, read_json, vertex_mask
 from .groups import MarkedGroupSpec
 from .quotients import build_quotient, cayley_window
 
@@ -275,42 +275,35 @@ def ladder_instance(m: int, mode: str = CYCLE) -> LineInstance:
     )
 
 
+def _level_blocks(
+    spec: MarkedGroupSpec, graph: FiniteGraph, mode: str, chi: Optional[int]
+) -> LineInstance:
+    """A Cayley window or quotient presented with one block per shift level."""
+    kk = spec.k ** 2
+    blocks = tuple(tuple(range(n, n + kk)) for n in range(0, graph.n, kk))
+    return LineInstance(graph, blocks, mode, chi)
+
+
 def cayley_cycle_instance(
     spec: MarkedGroupSpec, modulus: int, chi: Optional[int] = None
 ) -> LineInstance:
     """The cyclic Cayley quotient presented with one block per shift level."""
-    q = build_quotient(spec, modulus)
-    kk = spec.k ** 2
-    blocks = tuple(
-        tuple(range(n * kk, (n + 1) * kk)) for n in range(modulus)
-    )
-    return LineInstance(q.graph, blocks, CYCLE, chi)
+    return _level_blocks(spec, build_quotient(spec, modulus).graph, CYCLE, chi)
 
 
 def cayley_segment_instance(
     spec: MarkedGroupSpec, levels: int, chi: Optional[int] = None
 ) -> LineInstance:
     """A Cayley window presented with one block per shift level."""
-    g = cayley_window(spec, levels)
-    kk = spec.k ** 2
-    blocks = tuple(
-        tuple(range(n * kk, (n + 1) * kk)) for n in range(levels)
-    )
-    return LineInstance(g, blocks, SEGMENT, chi)
+    return _level_blocks(spec, cayley_window(spec, levels), SEGMENT, chi)
 
 
 # -- serialization ------------------------------------------------------------
 
 
 def instance_from_json(doc: dict) -> LineInstance:
+    graph = graph_from_json(doc)
     try:
-        graph = FiniteGraph(
-            json_int(doc["vertices"], "vertices"),
-            [
-                (json_int(u, "edge endpoint"), json_int(v, "edge endpoint"))
-                for u, v in doc["edges"]
-            ],
-        )
         blocks = tuple(
             tuple(json_int(v, "block vertex") for v in b) for b in doc["blocks"]
         )

@@ -4,11 +4,11 @@ A window keeps the shift coordinate in a range 0..levels-1 and drops edges
 leaving it.  A quotient reduces the shift coordinate modulo M >= 3, which
 is induced by the right action of the shift-by-M element: right and left
 multiplications commute, so left generator edges descend to the cosets.
-Both are tiled by `grid.layer_graph` from one layer template and one
-cross-edge template, and the commutation is checked on the template, once
-per generator when the templates of a group are first derived, rather
-than assumed.  The quotient has k^2 * M vertices and is 3(k-1)^2-regular,
-which is checked per vertex.
+Both are tiled by `grid.layer_graph` from per-cell neighbor templates,
+and the commutation is checked on the templates, once per generator when
+the templates of a group are first derived, rather than assumed.  The
+quotient has k^2 * M vertices and is 3(k-1)^2-regular, which is checked
+per vertex.
 
 Quotients of the plain group stay k-chromatic.  Quotients of the twisted
 group collapse onto the plain ones for even M (swap grid coordinates on
@@ -29,9 +29,7 @@ from .groups import GroupElement, MarkedGroupSpec, untwist
 
 
 def cayley_window(spec: MarkedGroupSpec, levels: int) -> FiniteGraph:
-    """The Cayley graph restricted to shift levels 0..levels-1."""
-    if levels < 1:
-        raise InputError(f"window needs at least one level, got {levels}")
+    """The Cayley graph restricted to shift levels 0..levels-1, levels >= 1."""
     return layer_graph(spec, levels)
 
 
@@ -51,8 +49,6 @@ class QuotientGraph:
 def build_quotient(spec: MarkedGroupSpec, modulus: int) -> QuotientGraph:
     """Build the quotient for M >= 3 (smaller M collapses the two cross
     directions onto each other)."""
-    if modulus < 3:
-        raise InputError(f"quotient modulus must be >= 3, got {modulus}")
     graph = layer_graph(spec, modulus, cyclic=True)
     for v, label in enumerate(graph.labels):
         if graph.degree(v) != spec.degree:
@@ -86,8 +82,6 @@ def verify_alternation_obstruction(
     the twisted quotient must swap orientation, and an odd cycle of layers
     cannot 2-color its orientations (chi of an odd cycle is 3).
     """
-    if k < 3:
-        raise InputError(f"k must be >= 3, got {k}")
     if modulus % 2 == 0:
         raise InputError(
             f"alternation obstruction applies to odd moduli, got {modulus}"

@@ -179,6 +179,7 @@ def color_tower(tower: AnchoredTower) -> TowerColoring:
     anchor.  Layers outside the anchor range (segment mode) copy the
     nearest anchor.  The result is checked proper before returning.
     """
+    graph = tower_graph(tower)  # built, or refused as oversized, before the maps
     k = tower.k
     maps: list[Optional[OrbitMap]] = [None] * tower.extent
     for pos, (a0, _) in tower.anchors:
@@ -209,7 +210,6 @@ def color_tower(tower: AnchoredTower) -> TowerColoring:
             maps[idx] = maps[last_pos]
 
     assert all(m is not None for m in maps)
-    graph = tower_graph(tower)
     colors = [0] * graph.n
     for v, (a, _b, n) in enumerate(graph.labels):
         colors[v] = maps[n][a]

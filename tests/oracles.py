@@ -16,6 +16,7 @@ from gridchroma.errors import InputError, InvariantViolation
 from gridchroma.graphs import FiniteGraph, components
 from gridchroma import grid
 from gridchroma.grid import HORIZONTAL, VERTICAL, _orientation_flags, grid_graph
+from gridchroma.groups import GroupElement, generators
 from gridchroma.instances import LineInstance
 
 SINGLETON = "singleton"
@@ -130,11 +131,23 @@ def set_based_components(g: FiniteGraph, restrict_to=None) -> list[list[int]]:
 
 def edge_list_layer_graph(spec, levels: int, cyclic: bool = False) -> FiniteGraph:
     """A tower graph from its edge list: each level's copy of the intra
-    template and, to the level above (wrapping when cyclic), of the cross
-    template, handed to the edge-list constructor."""
-    intra, cross, _ = grid._templates(spec, grid.multiply)
+    pairs and, to the level above (wrapping when cyclic), of the cross
+    pairs, handed to the edge-list constructor.  The pairs are read off
+    `grid.multiply` at level 0, not taken from `grid._templates`."""
     k = spec.k
     kk = k * k
+    intra, cross = set(), set()
+    for s in generators(spec):
+        for a in range(k):
+            for b in range(k):
+                y = grid.multiply(spec, s, GroupElement(a, b, 0))
+                u, v = a * k + b, y.a * k + y.b
+                if y.n == 0:
+                    intra.add((u, v))
+                elif y.n == 1:
+                    cross.add((u, v))
+                else:  # y lies one level below, so the cell lies one above y
+                    cross.add((v, u))
     edges = []
     for n in range(levels):
         base = n * kk

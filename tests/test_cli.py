@@ -186,6 +186,19 @@ class TestExitCodes:
         assert code == 141
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["quotient-chi", "--group", "delta", "--k", "3", "--M", "2"], "got 2"),
+            (["cayley", "--group", "delta", "--k", "3", "--levels", "0"], "got 0"),
+        ],
+    )
+    def test_too_few_levels_is_input_error(self, argv, count, capsys):
+        code, report = run(argv)
+        assert code == 2
+        assert count in report["error"]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_even_modulus_alternation_is_input_error(self):
         code, _ = run(["verify-alternation", "--k", "3", "--M", "4"])
         assert code == 2
@@ -261,10 +274,15 @@ class TestSubcommands:
     def test_two_ended_color_flags(self, delta_instance_file):
         code, report = run(
             ["two-ended-color", "--instance", delta_instance_file,
-             "--window", "1", "--cap", "9", "--chi", "3"]
+             "--window", "1", "--cap", "9"]
         )
         assert code == 0
         assert report["results"]["complement_stats"]["shape_ok"]
+
+    def test_two_ended_color_takes_chi_from_the_file(self, delta_instance_file, capsys):
+        code, _ = run(["two-ended-color", "--instance", delta_instance_file, "--chi", "3"])
+        assert code == 2
+        assert "unrecognized arguments: --chi" in capsys.readouterr().err
 
     def test_shift_color(self, tower_file):
         code, report = run(["shift-color", "--anchors", tower_file])

@@ -18,7 +18,7 @@ from gridchroma.grid import (
     verify_invariance,
     verify_rigidity,
 )
-from gridchroma.quotients import build_quotient
+from gridchroma.quotients import build_quotient, verify_alternation_obstruction
 from oracles import (
     NOT_INDEPENDENT,
     SINGLETON,
@@ -334,6 +334,8 @@ class TestVerifiers:
             verify_invariance(2, False)
         with pytest.raises(InputError):
             verify_rigidity(2)
+        with pytest.raises(InputError):
+            verify_alternation_obstruction(2, 3)
 
 
 class TestSizeGuard:
@@ -380,8 +382,18 @@ class TestLayerGraph:
 
     def test_templates_are_frozen(self):
         spec = MarkedGroupSpec(3, twisted=True)
-        intra, cross, _ = gridchroma.grid._templates(spec, gridchroma.grid.multiply)
-        assert type(intra) is frozenset and type(cross) is frozenset
+        sides = gridchroma.grid._templates(spec, gridchroma.grid.multiply)
+        assert len(sides) == 3 and type(sides) is tuple
+        for side in sides:
+            assert len(side) == 9 and type(side) is tuple
+            assert all(type(cell) is tuple for cell in side)
+
+    def test_layer_that_is_not_the_grid_is_caught(self, monkeypatch):
+        # the product is intact; the grid it is checked against loses an edge
+        edges = gridchroma.grid._grid_edges(3)[1:]
+        monkeypatch.setattr(gridchroma.grid, "_grid_edges", lambda k: edges)
+        with pytest.raises(InvariantViolation, match="not a copy of the grid graph"):
+            gridchroma.grid._templates.__wrapped__(MarkedGroupSpec(3), multiply)
 
     def test_too_few_levels_refused(self):
         spec = MarkedGroupSpec(3)

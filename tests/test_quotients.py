@@ -7,7 +7,6 @@ from gridchroma.grid import two_orbit_graph
 from gridchroma.groups import (
     GroupElement,
     MarkedGroupSpec,
-    generator_element,
     generators,
     multiply,
     untwist,
@@ -39,7 +38,7 @@ def reference_edges(spec, levels, cyclic):
             for b in range(k):
                 x = GroupElement(a, b, n)
                 for gen in generators(spec):
-                    y = multiply(spec, generator_element(gen), x)
+                    y = multiply(spec, gen, x)
                     if cyclic:
                         m = y.n % levels
                     elif 0 <= y.n < levels:
@@ -66,6 +65,8 @@ class TestConstruction:
     def test_small_modulus_rejected(self):
         with pytest.raises(InputError):
             build_quotient(DELTA3, 2)
+        with pytest.raises(InputError):
+            cayley_window(DELTA3, 0)
 
     def test_window_of_two_levels_matches_two_orbit_graph(self):
         for twisted in (False, True):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -177,6 +178,19 @@ class TestColorTower:
     def test_non_integer_field_is_input_error(self, extent, position, what):
         with pytest.raises(InputError, match=f"{what} must be an integer"):
             AnchoredTower(3, extent, CYCLE, ((position, (1, 0)), (11, (2, 0))))
+
+    def test_oversized_tower_refused_before_its_layer_maps(self):
+        # 2,000,000 levels at k=3 ask for 108M edges; a per-level list of
+        # maps alone would take 16 MB
+        tower = AnchoredTower(3, 2_000_000, CYCLE, ((0, (0, 0)),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="cap of 10,000,000"):
+                color_tower(tower)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestWitness:
