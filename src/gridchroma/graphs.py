@@ -133,12 +133,7 @@ def components(
     while allowed:
         comp = reach_mask(masks, allowed & -allowed, allowed)
         allowed ^= comp
-        members = []
-        while comp:
-            low = comp & -comp
-            members.append(low.bit_length() - 1)
-            comp ^= low
-        out.append(members)
+        out.append(mask_vertices(comp))
     return out
 
 
@@ -150,6 +145,16 @@ def vertex_mask(g: FiniteGraph, vertices: Iterable[int]) -> int:
         if not isinstance(v, int) or not (0 <= v < g.n):
             raise InputError(f"vertex {v!r} out of range for {g.n} vertices")
         out |= 1 << v
+    return out
+
+
+def mask_vertices(mask: int) -> list[int]:
+    """The vertices of a bitmask, ascending: the inverse of `vertex_mask`."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 

@@ -6,30 +6,32 @@ first and last blocks as stand-ins for the two ends of an idealized
 bi-infinite graph; cycle mode closes block m-1 onto block 0 and models the
 bi-infinite graph through its cyclic quotient.
 
-`divides_into_two` asks whether removing a connected vertex set splits the
-underlying two-ended graph into its two ends.  In segment mode the test
-runs on the instance graph, with the first and last blocks as the ends.  In
-cycle mode it runs on a 3-fold unrolling of the cycle with the cut placed
-in the middle copy, which distinguishes genuine two-sided cuts from sets
-whose removal leaves the cycle connected.
+`divides_into_two` asks whether removing a connected vertex set, given as
+an integer vertex bitmask, splits the underlying two-ended graph into its
+two ends.  In segment mode the test runs on the instance graph, with the
+first and last blocks as the ends.  In cycle mode it runs on a 3-fold
+unrolling of the cycle with the cut placed in the middle copy, which
+distinguishes genuine two-sided cuts from sets whose removal leaves the
+cycle connected.
 
-The test is a breadth-first search over integer neighbor bitmasks
-(`graphs.reach_mask`): it grows the reach of the lowest remaining left-end
-vertex and stops as soon as that reach meets the right end.  `_unrolls`
-caches, per rotation, the neighbor masks, the two end masks and the block
-masks of the graph the test runs on, never a graph object.  It also holds
-the end reaches per rotation and block span lo..hi of the cut: the reach
-of each end's lowest vertex in the blocks beyond the span on its side.
-The cut misses both, so the search resumes from the left one and may stop
-as soon as it meets the right one.  A cut that leaves a vertex of the
-bridge mask, the vertices adjacent to both reaches, joins the two ends:
-the test answers it without a search.
+One walk over the cut checks that it is connected and collects the blocks
+it touches.  The test itself is a breadth-first search over integer
+neighbor bitmasks (`graphs.reach_mask`): it grows the reach of the lowest
+remaining left-end vertex and stops as soon as that reach meets the right
+end.  `_unrolls` caches, per rotation, the neighbor masks, the two end
+masks and the block masks of the graph the test runs on, never a graph
+object.  It also holds the end reaches per rotation and block span lo..hi
+of the cut: the reach of each end's lowest vertex in the blocks beyond the
+span on its side.  The cut misses both, so the search resumes from the
+left one and may stop as soon as it meets the right one.  A cut that
+leaves a vertex of the bridge mask, the vertices adjacent to both
+reaches, joins the two ends: the test answers it without a search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import InputError
 from .graphs import FiniteGraph, components, graph_from_json, json_int, reach_mask, read_json, vertex_mask
@@ -183,25 +185,42 @@ class LineInstance:
         return self._unrolls[key]
 
 
-def divides_into_two(inst: LineInstance, cut: Iterable[int]) -> bool:
-    """True iff removing the connected set leaves exactly one component per
-    end: one touching the left end, a different one touching the right."""
+def divides_into_two(inst: LineInstance, cut: int) -> bool:
+    """True iff removing the cut leaves exactly one component per end: one
+    touching the left end, a different one touching the right.
+
+    The cut is a vertex bitmask (bit v for vertex v, as `graphs.vertex_mask`
+    builds it).  InputError unless it is a non-bool int, non-empty, within
+    the instance's vertices and connected."""
     n = inst.graph.n
+    if not isinstance(cut, int) or isinstance(cut, bool):
+        raise InputError(f"cut must be an integer vertex bitmask, got {cut!r}")
+    if cut <= 0:
+        raise InputError(f"cut must be a non-empty vertex bitmask, got {cut}")
+    if cut >> n:
+        raise InputError(f"cut {cut:#x} has a vertex out of range for {n} vertices")
+    # one walk from the cut's lowest vertex: it reaches the whole cut iff
+    # the cut is connected, and collects the blocks it touches
+    masks = inst.graph.neighbor_masks()
     block_of = inst._block_of
-    cut_mask = touched = 0
-    for v in cut:
-        if not isinstance(v, int) or not (0 <= v < n):
-            raise InputError(f"cut vertex {v!r} out of range for {n} vertices")
-        cut_mask |= 1 << v
-        touched |= 1 << block_of[v]
-    if not cut_mask:
-        raise InputError("cut must be non-empty")
-    if reach_mask(inst.graph.neighbor_masks(), cut_mask & -cut_mask, cut_mask) != cut_mask:
+    frontier = reached = cut & -cut
+    touched = 0
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            v = low.bit_length() - 1
+            grown |= masks[v]
+            touched |= 1 << block_of[v]
+            frontier ^= low
+        frontier = grown & cut & ~reached
+        reached |= frontier
+    if reached != cut:
         raise InputError("cut must induce a connected subgraph")
 
     # a connected cut touches an interval of blocks (cyclically in cycle mode)
     if inst.mode == SEGMENT:
-        rotation, removed = 0, cut_mask
+        rotation, removed = 0, cut
         lo, hi = (touched & -touched).bit_length() - 1, touched.bit_length() - 1
     else:
         m = inst.block_count
@@ -211,7 +230,7 @@ def divides_into_two(inst: LineInstance, cut: Iterable[int]) -> bool:
         # rotate the interval's first block to the front
         after_touched = (touched << 1 | touched >> (m - 1)) & ((1 << m) - 1)
         rotation = (touched & ~after_touched).bit_length() - 1
-        removed = cut_mask << n
+        removed = cut << n
         lo, hi = m, m + span - 1
     masks, left, right, pre, boundary, suf, bridges = inst._end_reaches(rotation, lo, hi)
     if bridges & ~removed:

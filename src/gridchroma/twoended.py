@@ -2,7 +2,10 @@
 
 The pipeline mirrors the constructive argument it verifies:
 
-1. collect small connected cuts that split the instance into its two ends,
+1. collect small connected cuts that split the instance into its two ends:
+   each candidate is an integer vertex bitmask from the walk that
+   enumerates it, in walk order, to the cut test; only the hits are
+   sorted and made into sets,
 2. greedily keep a family of them with pairwise path distance at least 4
    (maximal within the candidate list),
 3. color the closed neighborhood of each kept cut exactly with the
@@ -29,6 +32,7 @@ from .graphs import (
     closed_neighborhood,
     components,
     induced_subgraph,
+    mask_vertices,
     set_distance,
     vertex_mask,
 )
@@ -39,38 +43,37 @@ MIN_SEPARATION = 4
 
 def connected_subsets(
     g: FiniteGraph, vertices: Iterable[int], max_size: int
-) -> list[frozenset[int]]:
-    """Every connected subset of the given vertices with size <= max_size.
+) -> list[int]:
+    """Every connected subset of the given vertices with size <= max_size,
+    as vertex bitmasks.
 
     Each subset is produced exactly once (extension enumeration rooted at
-    the subset's smallest vertex); the result is sorted lexicographically.
+    the subset's smallest vertex), in the walk's order.
     """
     if max_size < 1:
         raise InputError(f"max_size must be >= 1, got {max_size}")
     allowed = vertex_mask(g, vertices)
     masks = g.neighbor_masks()
-    found: list[tuple[int, ...]] = []
+    found: list[int] = []
     # an explicit stack: a recursive closure is a reference cycle, which
     # keeps every candidate alive until the next full garbage collection
     while allowed:
         root = allowed & -allowed
         allowed ^= root
         ext0 = masks[root.bit_length() - 1] & allowed
-        stack = [((root.bit_length() - 1,), ext0, root | ext0)]
+        stack = [(root, 1, ext0, root | ext0)]
         while stack:
-            sub, ext, sub_reach = stack.pop()
+            sub, size, ext, sub_reach = stack.pop()
             found.append(sub)
-            if len(sub) == max_size:
+            if size == max_size:
                 continue
+            size += 1
             while ext:
                 w = ext & -ext
                 ext ^= w
-                v = w.bit_length() - 1
-                fresh = masks[v] & allowed & ~sub_reach
-                stack.append((sub + (v,), ext | fresh, sub_reach | fresh))
-    # copying a set sizes a frozenset's table to its members; filling it
-    # from a list grows it as a set grows: 728 bytes, not 472, at 5 to 7
-    return [frozenset(set(sub)) for sub in sorted(map(sorted, found))]
+                fresh = masks[w.bit_length() - 1] & allowed & ~sub_reach
+                stack.append((sub | w, size, ext | fresh, sub_reach | fresh))
+    return found
 
 
 def find_separators(
@@ -82,8 +85,11 @@ def find_separators(
     """All connected sets of size <= size_cap within any window of
     consecutive blocks that divide the instance into its two ends.
 
-    Order: leftmost window first, lexicographic inside a window.  Each cut
-    test spends one unit of the budget, when one is given.
+    Candidates stay vertex bitmasks through the cut test; only the hits
+    become sets.  Order: leftmost window first, lexicographic inside a
+    window.  Each cut test spends one unit of the budget, when one is
+    given; a candidate already tested in an earlier, overlapping window
+    is not tested again.
     """
     if window_blocks < 1:
         raise InputError(f"window_blocks must be >= 1, got {window_blocks}")
@@ -96,10 +102,11 @@ def find_separators(
     else:
         starts = range(max(1, m - window_blocks + 1))
         width = window_blocks
-    seen: set[frozenset[int]] = set()
+    seen: set[int] = set()
     out: list[frozenset[int]] = []
     for start in starts:
         window = inst.window_vertices(start, width)
+        hits = []
         for cand in connected_subsets(inst.graph, window, size_cap):
             if cand in seen:
                 continue
@@ -107,7 +114,9 @@ def find_separators(
             if budget is not None:
                 budget.spend("separator search")
             if divides_into_two(inst, cand):
-                out.append(cand)
+                hits.append(mask_vertices(cand))
+        hits.sort()
+        out.extend(map(frozenset, hits))
     return out
 
 

@@ -1,23 +1,26 @@
-"""Graph predicates, set-based references for the bitmask traversals,
-grid-shape classifiers, the coordinate colorings of the grid, a reference
-graph builder, the key-list DSATUR solver and an instance serializer the
-test suites use as oracles.
+"""Graph predicates, set-based references for the bitmask traversals and
+the separator search, grid-shape classifiers, the coordinate colorings of
+the grid, a reference graph builder, the key-list DSATUR solver, seeded
+random line instances and an instance serializer the test suites use as
+oracles.
 
 Nothing in the package needs them, so they live with the tests.
 """
 
+import itertools
 import math
+import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from gridchroma.chi import Budget, Coloring, is_proper
 from gridchroma.errors import InputError, InvariantViolation
-from gridchroma.graphs import FiniteGraph, components
+from gridchroma.graphs import FiniteGraph, components, mask_vertices
 from gridchroma import grid
 from gridchroma.grid import HORIZONTAL, VERTICAL, _orientation_flags, grid_graph
 from gridchroma.groups import GroupElement, generators
-from gridchroma.instances import LineInstance
+from gridchroma.instances import CYCLE, SEGMENT, LineInstance
 
 SINGLETON = "singleton"
 NOT_INDEPENDENT = "not-independent"
@@ -65,6 +68,105 @@ def set_based_connected_subsets(g: FiniteGraph, vertices, max_size: int):
                     (sub | {w}, ext + sorted(fresh), sub_reach | {w} | set(fresh))
                 )
     return sorted(out, key=lambda s: tuple(sorted(s)))
+
+
+def distinct_vertex_sets(masks) -> set[frozenset[int]]:
+    """The vertex sets of the given bitmasks, which must all differ."""
+    out = {frozenset(mask_vertices(mask)) for mask in masks}
+    assert len(out) == len(masks), "a vertex set is listed twice"
+    return out
+
+
+def set_based_divides_into_two(inst, cut):
+    """The cut test as a set-based component search on an explicitly built
+    unrolled graph: the reference the bitmask test must agree with."""
+    cut_set = set(cut)
+    g, n, m = inst.graph, inst.graph.n, inst.block_count
+    if inst.mode == SEGMENT:
+        graph, removed = g, cut_set
+        left, right = set(inst.blocks[0]), set(inst.blocks[-1])
+    else:
+        touched = {inst.block_of(v) for v in cut_set}
+        if len(touched) == m:
+            return False
+        rot = next(
+            (t + 1) % m for t in range(m)
+            if t not in touched and (t + 1) % m in touched
+        )
+        edges = []
+        for u, v in g.edges():
+            ru = (inst.block_of(u) - rot) % m
+            rv = (inst.block_of(v) - rot) % m
+            if abs(ru - rv) <= 1:
+                edges += [(c * n + u, c * n + v) for c in range(3)]
+            else:
+                x, y = (u, v) if ru == m - 1 else (v, u)
+                edges += [(c * n + x, (c + 1) * n + y) for c in range(2)]
+        graph = FiniteGraph(3 * n, edges)
+        removed = {n + v for v in cut_set}
+        left = {v for v in range(n) if (inst.block_of(v) - rot) % m == 0}
+        right = {2 * n + v for v in range(n) if (inst.block_of(v) - rot) % m == m - 1}
+    comps = components(graph, set(range(graph.n)) - removed)
+    touching_left = [i for i, c in enumerate(comps) if (left - removed) & set(c)]
+    touching_right = [i for i, c in enumerate(comps) if (right - removed) & set(c)]
+    return (
+        len(touching_left) == 1
+        and len(touching_right) == 1
+        and touching_left != touching_right
+    )
+
+
+def random_line_instance(seed, mode):
+    """A connected instance with blocks of 1..3 vertices and random edges
+    inside and between consecutive blocks."""
+    rng = random.Random(seed)
+    while True:
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(4, 6))]
+        starts = list(itertools.accumulate([0] + sizes))
+        blocks = tuple(tuple(range(starts[i], starts[i + 1])) for i in range(len(sizes)))
+        pairs = [(i, i) for i in range(len(blocks))]
+        pairs += [(i, i + 1) for i in range(len(blocks) - 1)]
+        if mode == CYCLE:
+            pairs.append((len(blocks) - 1, 0))
+        edges = {
+            (min(u, v), max(u, v))
+            for i, j in pairs
+            for u in blocks[i]
+            for v in blocks[j]
+            if u != v and rng.random() < 0.5
+        }
+        g = FiniteGraph(starts[-1], edges)
+        if len(components(g)) == 1:
+            return LineInstance(g, blocks, mode)
+
+
+def set_based_find_separators(
+    inst: LineInstance, window_blocks: int, size_cap: int, budget: Budget
+) -> list[frozenset[int]]:
+    """The separator search over Python sets: each window's connected
+    subsets in lexicographic order, a set of the frozensets already tested
+    across overlapping windows, and the set-based cut test, spending one
+    budget unit per new candidate.  The bitmask search must return the
+    same list and spend the same budget."""
+    m = inst.block_count
+    if inst.mode == CYCLE:
+        starts = range(m)
+        width = min(window_blocks, m - 1)
+    else:
+        starts = range(max(1, m - window_blocks + 1))
+        width = window_blocks
+    seen: set[frozenset[int]] = set()
+    out = []
+    for start in starts:
+        window = inst.window_vertices(start, width)
+        for cand in set_based_connected_subsets(inst.graph, window, size_cap):
+            if cand in seen:
+                continue
+            seen.add(cand)
+            budget.spend("separator search")
+            if set_based_divides_into_two(inst, cand):
+                out.append(cand)
+    return out
 
 
 def _check_vertex(g: FiniteGraph, v):

@@ -13,7 +13,7 @@ import time
 
 from gridchroma.chi import chromatic_number, enumerate_colorings
 from gridchroma.cli import CLAIMS, STATUS
-from gridchroma.graphs import FiniteGraph
+from gridchroma.graphs import FiniteGraph, vertex_mask
 from gridchroma.grid import grid_graph
 from gridchroma.groups import MarkedGroupSpec
 from gridchroma.instances import CYCLE, cayley_cycle_instance, divides_into_two, path_instance
@@ -122,7 +122,7 @@ def test_separator_examples_match_greedy_trace():
     family = build_separator_family(inst, find_separators(inst, 1, 9))
     starts = [min(inst.block_of(v) for v in s) for s in family.members]
     assert starts == [0, 4, 8]
-    assert all(divides_into_two(inst, s) for s in family.members)
+    assert all(divides_into_two(inst, vertex_mask(inst.graph, s)) for s in family.members)
     bound = check_complement_bounded(inst, family)
     assert bound["shape_ok"] and bound["degrees"] == [2, 2, 2]
     assert bound["satisfied"] and bound["max_component_blocks"] == 3

@@ -1,11 +1,10 @@
 import dataclasses
 import itertools
-import random
 
 import pytest
 
 from gridchroma.errors import InputError
-from gridchroma.graphs import FiniteGraph, components
+from gridchroma.graphs import FiniteGraph, mask_vertices, vertex_mask
 from gridchroma.groups import MarkedGroupSpec
 from gridchroma.instances import (
     CYCLE,
@@ -19,7 +18,15 @@ from gridchroma.instances import (
     path_instance,
 )
 from gridchroma.twoended import connected_subsets
-from oracles import instance_to_json, is_connected_set, is_regular, set_based_connected_subsets
+from oracles import (
+    distinct_vertex_sets,
+    instance_to_json,
+    is_connected_set,
+    is_regular,
+    random_line_instance,
+    set_based_connected_subsets,
+    set_based_divides_into_two,
+)
 
 DELTA3 = MarkedGroupSpec(3)
 
@@ -53,7 +60,7 @@ class TestValidation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             inst.mode = SEGMENT
         assert not inst._unrolls
-        assert divides_into_two(inst, {2})
+        assert divides_into_two(inst, vertex_mask(inst.graph, {2}))
         assert inst._unrolls
         # the cache takes no part in equality
         assert inst == LineInstance(inst.graph, inst.blocks, inst.mode, inst.chi)
@@ -97,17 +104,17 @@ class TestBuilders:
 class TestDividesIntoTwoSegment:
     def test_interior_vertex_cuts_a_path(self):
         inst = path_instance(9, SEGMENT)
-        assert divides_into_two(inst, {4})
+        assert divides_into_two(inst, vertex_mask(inst.graph, {4}))
 
     def test_end_boundary_vertex_does_not(self):
         inst = path_instance(9, SEGMENT)
-        assert not divides_into_two(inst, {0})
-        assert not divides_into_two(inst, {8})
+        assert not divides_into_two(inst, vertex_mask(inst.graph, {0}))
+        assert not divides_into_two(inst, vertex_mask(inst.graph, {8}))
 
     def test_full_orbit_cuts_cayley_segment(self):
         inst = cayley_segment_instance(DELTA3, 7)
         orbit = set(inst.blocks[3])
-        assert divides_into_two(inst, orbit)
+        assert divides_into_two(inst, vertex_mask(inst.graph, orbit))
 
     def test_no_proper_suborbit_subset_cuts(self):
         # exhaustive over connected subsets of one interior block
@@ -116,88 +123,49 @@ class TestDividesIntoTwoSegment:
         for size in range(1, len(block)):
             for subset in itertools.combinations(block, size):
                 if is_connected_set(inst.graph, subset):
-                    assert not divides_into_two(inst, subset)
+                    assert not divides_into_two(inst, vertex_mask(inst.graph, subset))
 
     def test_disconnected_cut_rejected(self):
         inst = path_instance(9, SEGMENT)
         with pytest.raises(InputError):
-            divides_into_two(inst, {2, 6})
+            divides_into_two(inst, vertex_mask(inst.graph, {2, 6}))
 
     def test_empty_cut_rejected(self):
         inst = path_instance(9, SEGMENT)
         with pytest.raises(InputError):
-            divides_into_two(inst, set())
+            divides_into_two(inst, vertex_mask(inst.graph, set()))
 
 
 class TestDividesIntoTwoCycle:
     def test_single_vertex_cuts_the_modeled_line(self):
         inst = path_instance(12, CYCLE)
         for v in range(12):
-            assert divides_into_two(inst, {v})
+            assert divides_into_two(inst, vertex_mask(inst.graph, {v}))
 
     def test_wrap_spanning_cut(self):
         inst = path_instance(12, CYCLE)
-        assert divides_into_two(inst, {11, 0})
+        assert divides_into_two(inst, vertex_mask(inst.graph, {11, 0}))
 
     def test_rail_vertex_does_not_cut_ladder(self):
         inst = ladder_instance(12, CYCLE)
-        assert not divides_into_two(inst, {6})
+        assert not divides_into_two(inst, vertex_mask(inst.graph, {6}))
 
     def test_rung_pair_cuts_ladder(self):
         inst = ladder_instance(12, CYCLE)
-        assert divides_into_two(inst, {6, 7})
+        assert divides_into_two(inst, vertex_mask(inst.graph, {6, 7}))
 
     def test_full_orbit_cuts_cayley_cycle(self):
         inst = cayley_cycle_instance(DELTA3, 12)
-        assert divides_into_two(inst, set(inst.blocks[0]))
+        assert divides_into_two(inst, vertex_mask(inst.graph, inst.blocks[0]))
 
     def test_suborbit_does_not_cut_cayley_cycle(self):
         inst = cayley_cycle_instance(DELTA3, 12)
         block = inst.blocks[4]
-        assert not divides_into_two(inst, set(block[:8]))
+        assert not divides_into_two(inst, vertex_mask(inst.graph, block[:8]))
 
     def test_everything_returns_false(self):
         inst = path_instance(6, CYCLE)
-        assert not divides_into_two(inst, set(range(6)))
-
-
-def set_based_divides_into_two(inst, cut):
-    """The cut test as a set-based component search on an explicitly built
-    unrolled graph: the reference the bitmask test must agree with."""
-    cut_set = set(cut)
-    g, n, m = inst.graph, inst.graph.n, inst.block_count
-    if inst.mode == SEGMENT:
-        graph, removed = g, cut_set
-        left, right = set(inst.blocks[0]), set(inst.blocks[-1])
-    else:
-        touched = {inst.block_of(v) for v in cut_set}
-        if len(touched) == m:
-            return False
-        rot = next(
-            (t + 1) % m for t in range(m)
-            if t not in touched and (t + 1) % m in touched
-        )
-        edges = []
-        for u, v in g.edges():
-            ru = (inst.block_of(u) - rot) % m
-            rv = (inst.block_of(v) - rot) % m
-            if abs(ru - rv) <= 1:
-                edges += [(c * n + u, c * n + v) for c in range(3)]
-            else:
-                x, y = (u, v) if ru == m - 1 else (v, u)
-                edges += [(c * n + x, (c + 1) * n + y) for c in range(2)]
-        graph = FiniteGraph(3 * n, edges)
-        removed = {n + v for v in cut_set}
-        left = {v for v in range(n) if (inst.block_of(v) - rot) % m == 0}
-        right = {2 * n + v for v in range(n) if (inst.block_of(v) - rot) % m == m - 1}
-    comps = components(graph, set(range(graph.n)) - removed)
-    touching_left = [i for i, c in enumerate(comps) if (left - removed) & set(c)]
-    touching_right = [i for i, c in enumerate(comps) if (right - removed) & set(c)]
-    return (
-        len(touching_left) == 1
-        and len(touching_right) == 1
-        and touching_left != touching_right
-    )
+        assert not divides_into_two(inst, vertex_mask(inst.graph, range(6)))
 
 
 def rung_ladder(m, rungs, mode=SEGMENT):
@@ -211,30 +179,6 @@ def rung_ladder(m, rungs, mode=SEGMENT):
     return LineInstance(
         FiniteGraph(2 * m, edges), tuple((2 * b, 2 * b + 1) for b in range(m)), mode
     )
-
-
-def random_line_instance(seed, mode):
-    """A connected instance with blocks of 1..3 vertices and random edges
-    inside and between consecutive blocks."""
-    rng = random.Random(seed)
-    while True:
-        sizes = [rng.randint(1, 3) for _ in range(rng.randint(4, 6))]
-        starts = list(itertools.accumulate([0] + sizes))
-        blocks = tuple(tuple(range(starts[i], starts[i + 1])) for i in range(len(sizes)))
-        pairs = [(i, i) for i in range(len(blocks))]
-        pairs += [(i, i + 1) for i in range(len(blocks) - 1)]
-        if mode == CYCLE:
-            pairs.append((len(blocks) - 1, 0))
-        edges = {
-            (min(u, v), max(u, v))
-            for i, j in pairs
-            for u in blocks[i]
-            for v in blocks[j]
-            if u != v and rng.random() < 0.5
-        }
-        g = FiniteGraph(starts[-1], edges)
-        if len(components(g)) == 1:
-            return LineInstance(g, blocks, mode)
 
 
 def differential_instances():
@@ -272,8 +216,8 @@ class TestDividesIntoTwoMatchesSetBasedSearch:
                         inst.graph, window, cap or inst.max_block_size()
                     ):
                         assert divides_into_two(inst, cut) == (
-                            set_based_divides_into_two(inst, cut)
-                        ), (inst.mode, inst.graph, sorted(cut))
+                            set_based_divides_into_two(inst, mask_vertices(cut))
+                        ), (inst.mode, inst.graph, mask_vertices(cut))
                         tested += 1
         assert tested > 8000
 
@@ -290,7 +234,7 @@ class TestDividesIntoTwoMatchesSetBasedSearch:
             ((0, 1), (2, 3, 4, 5), (6, 7), (8, 9)),
             SEGMENT,
         )
-        assert divides_into_two(pendant, {1, 2})
+        assert divides_into_two(pendant, vertex_mask(pendant.graph, {1, 2}))
         for inst in (
             cayley_segment_instance(DELTA3, 4),
             rung_ladder(5, (2,)),
@@ -302,13 +246,17 @@ class TestDividesIntoTwoMatchesSetBasedSearch:
                 window = inst.window_vertices(start, width)
                 for cut in connected_subsets(inst.graph, window, inst.max_block_size()):
                     assert divides_into_two(inst, cut) == (
-                        set_based_divides_into_two(inst, cut)
-                    ), (inst.graph, sorted(cut))
+                        set_based_divides_into_two(inst, mask_vertices(cut))
+                    ), (inst.graph, mask_vertices(cut))
 
     @pytest.mark.parametrize(
-        "cut", [{1.0}, {2, 6}, set(), {9}, {-1}], ids=str
+        "cut",
+        [{1.0}, {2, 6}, set(), {9}, {-1}, 1.0, True, 0, -1, 1 << 9, 1 << 2 | 1 << 6],
+        ids=str,
     )
     def test_bad_cut_rejected(self, cut):
+        # not an int mask (a set, a float, a bool), empty, negative, a
+        # vertex out of range, disconnected ({2, 6})
         for mode in (SEGMENT, CYCLE):
             with pytest.raises(InputError):
                 divides_into_two(path_instance(9, mode), cut)
@@ -324,7 +272,9 @@ class TestConnectedSubsetsMatchesSetBasedWalk:
                 for start in range(inst.block_count):
                     window = inst.window_vertices(start, width)
                     for size in range(1, (cap or inst.max_block_size()) + 1):
-                        assert connected_subsets(inst.graph, window, size) == (
+                        assert distinct_vertex_sets(
+                            connected_subsets(inst.graph, window, size)
+                        ) == set(
                             set_based_connected_subsets(inst.graph, window, size)
                         ), (inst.graph, window, size)
                     windows += 1
@@ -340,11 +290,11 @@ class TestMonotoneStability:
 
     def test_cut_with_crumb_still_divides(self):
         inst = self.make_crumb_instance()
-        assert divides_into_two(inst, {1})
+        assert divides_into_two(inst, vertex_mask(inst.graph, {1}))
 
     def test_absorbing_the_crumb_changes_nothing(self):
         inst = self.make_crumb_instance()
-        assert divides_into_two(inst, {1, 2})
+        assert divides_into_two(inst, vertex_mask(inst.graph, {1, 2}))
 
 
 class TestSerialization:

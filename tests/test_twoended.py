@@ -6,7 +6,7 @@ import pytest
 from gridchroma.chi import Budget, is_proper
 from gridchroma.errors import InputError, UndecidedError
 from gridchroma import instances
-from gridchroma.graphs import FiniteGraph, set_distance
+from gridchroma.graphs import FiniteGraph, set_distance, vertex_mask
 from gridchroma.groups import MarkedGroupSpec
 from gridchroma.instances import (
     CYCLE,
@@ -25,7 +25,14 @@ from gridchroma.twoended import (
     connected_subsets,
     find_separators,
 )
-from oracles import is_connected_set, is_independent, set_based_connected_subsets
+from oracles import (
+    distinct_vertex_sets,
+    is_connected_set,
+    is_independent,
+    random_line_instance,
+    set_based_connected_subsets,
+    set_based_find_separators,
+)
 
 DELTA3 = MarkedGroupSpec(3)
 GAMMA3 = MarkedGroupSpec(3, twisted=True)
@@ -42,7 +49,7 @@ class TestConnectedSubsets:
     def test_matches_brute_force(self, seed):
         g = random_graph(9, 0.3, seed)
         cap = 4
-        got = set(connected_subsets(g, range(9), cap))
+        got = distinct_vertex_sets(connected_subsets(g, range(9), cap))
         want = {
             frozenset(s)
             for size in range(1, cap + 1)
@@ -53,7 +60,7 @@ class TestConnectedSubsets:
 
     def test_respects_allowed_set(self):
         g = FiniteGraph(4, [(0, 1), (1, 2), (2, 3)])
-        got = set(connected_subsets(g, [1, 2], 2))
+        got = distinct_vertex_sets(connected_subsets(g, [1, 2], 2))
         assert got == {frozenset({1}), frozenset({2}), frozenset({1, 2})}
 
     def test_no_duplicates(self):
@@ -66,8 +73,8 @@ class TestConnectedSubsets:
         for seed, p in ((n, 0.3), (n + 100, 0.6)):
             g = random_graph(n, p, seed)
             for cap in range(1, n + 1):
-                assert connected_subsets(g, range(n), cap) == (
-                    set_based_connected_subsets(g, range(n), cap)
+                assert distinct_vertex_sets(connected_subsets(g, range(n), cap)) == (
+                    set(set_based_connected_subsets(g, range(n), cap))
                 ), (g, cap)
 
     @pytest.mark.parametrize("vertices", [[-1, 0], [4], [1.0]], ids=str)
@@ -102,9 +109,8 @@ class TestFindSeparators:
 
     def test_non_separating_cuts_run_no_search(self, monkeypatch):
         # every one-block candidate but the full block leaves a vertex
-        # adjacent to both end reaches, so only the connectivity check of
-        # each cut test searches, besides the two end reaches per span and
-        # the searches of the 12 separators
+        # adjacent to both end reaches, so the only searches are the two
+        # end reaches per span and those of the 12 separators
         calls = 0
 
         def counting_reach_mask(*args, **kwargs):
@@ -119,7 +125,28 @@ class TestFindSeparators:
         got = find_separators(inst, 1, 9, budget)
         assert got == [frozenset(b) for b in inst.blocks]
         assert budget.nodes == 4764
-        assert calls <= budget.nodes + 2 * 12 + 2 * len(got)
+        assert calls <= 2 * 12 + 2 * len(got)
+
+    def test_matches_set_based_search(self):
+        # widths 2 and 3 overlap windows, so candidates repeat across them,
+        # and a search with more separators than windows has a window
+        # holding several
+        crowded = 0
+        for seed in range(24):
+            for mode in (SEGMENT, CYCLE):
+                inst = random_line_instance(seed, mode)
+                for width in (1, 2, 3):
+                    for cap in (1, 2, inst.max_block_size()):
+                        budget, want_budget = Budget(), Budget()
+                        got = find_separators(inst, width, cap, budget)
+                        want = set_based_find_separators(inst, width, cap, want_budget)
+                        assert got == want, (seed, mode, width, cap)
+                        assert budget.nodes == want_budget.nodes
+                        windows = inst.block_count if mode == CYCLE else max(
+                            1, inst.block_count - width + 1
+                        )
+                        crowded += len(got) > windows
+        assert crowded > 0
 
     def test_each_cut_test_spends_one_budget_unit(self):
         budget = Budget()
@@ -147,7 +174,7 @@ class TestBuildFamily:
         report = check_complement_bounded(inst, fam)
         assert report["degrees"] == [2, 2, 2]
         assert report["shape_ok"]
-        assert all(divides_into_two(inst, s) for s in fam.members)
+        assert all(divides_into_two(inst, vertex_mask(inst.graph, s)) for s in fam.members)
 
     def test_two_member_cycle_family_has_parallel_passages(self):
         inst = cayley_cycle_instance(DELTA3, 9, chi=3)
