@@ -101,13 +101,16 @@ class Budget:
 
 
 def _degree_classes(g: FiniteGraph) -> list[int]:
-    """The vertices of each degree as bitmasks, highest degree first, for the
-    DSATUR tie-break (Brelaz 1979); empty when the graph is regular."""
-    by_degree: dict[int, int] = {}
-    for v, nbrs in enumerate(g.adj):
-        by_degree[len(nbrs)] = by_degree.get(len(nbrs), 0) | 1 << v
-    if len(by_degree) < 2:
+    """The vertices of each degree as bitmasks, highest degree first; empty
+    when the graph is regular.  DSATUR breaks its last ties among tight
+    vertices by this static degree, where Brelaz (1979) compares degrees
+    in the uncolored subgraph."""
+    degrees = list(map(len, g.adj))
+    if not degrees or min(degrees) == max(degrees):
         return []
+    by_degree: dict[int, int] = {}
+    for v, d in enumerate(degrees):
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
     return [by_degree[d] for d in sorted(by_degree, reverse=True)]
 
 
@@ -239,23 +242,30 @@ def find_coloring(
 
     Complete search: a None answer is a proof of non-existence (subject to
     the budget; running out raises UndecidedError).  Vertex selection is
-    DSATUR: highest saturation (colors banned on it), then highest degree,
-    then lowest index, so results are deterministic.  Colors are tried in
-    ascending order, and only the lowest color that neither a pin nor the
-    search has used yet is ever introduced: colors no pin uses are
+    DSATUR: highest saturation (colors banned on it), then tight vertices
+    (no two colored neighbors share a color), then highest degree, then
+    lowest index, so results are deterministic.  A tight vertex of
+    saturation s has exactly s colored neighbors, the fewest possible, so
+    on a regular graph preferring it is Brelaz's (1979) rule of the most
+    uncolored neighbors whenever the top level holds one.  Colors are
+    tried in ascending order, and only the lowest color that neither a pin
+    nor the search has used yet is ever introduced: colors no pin uses are
     interchangeable.
 
     The state is vertex bitmasks: per color, the uncolored vertices that
     have it banned; per saturation level, those with that many colors
     banned.  Coloring v with c moves the neighbors that lacked c up one
-    level, and c is rejected when one would reach level `palette`.  The
-    pick is the lowest vertex of the top level's highest degree class.
-    The walk keeps an explicit stack, so the recursion limit does not
-    bound its depth.  A frame holds the neighbors its color banned, shifted
-    down to its vertex's lowest neighbor; a backtrack unbans them and moves
-    them back down a level in place.  With more colors than the largest
-    degree no frame is kept.  Each search node spends one budget unit,
-    charged in node runs.
+    level, and c is rejected when one would reach level `palette`; the
+    neighbors that already had c banned stop being tight.  The pick is the
+    lowest vertex of the top level's tight vertices (all of the level when
+    none is tight) in their highest degree class.  The walk keeps an
+    explicit stack, so the recursion limit does not bound its depth.  A
+    frame holds the neighbors its color banned and those it made not
+    tight, shifted down to its vertex's lowest neighbor; a backtrack
+    unbans the first and moves them back down a level in place, and makes
+    the second tight again.  With more colors than the largest degree no
+    frame is kept.  Each search node spends one budget unit, charged in
+    node runs.
     """
     if palette < 1:
         raise InputError(f"palette must be >= 1, got {palette}")
@@ -282,12 +292,15 @@ def _dsatur(
     ban = [0] * (palette + 1)
     uncolored = (1 << n) - 1
     used = 0
+    # tight, read on uncolored vertices: no two colored neighbors share a color
+    tight = uncolored
     for v, c in sorted(constraints.items()):
         if ban[c] >> v & 1:
             return None
         assign[v] = c
         used |= 1 << c
         uncolored ^= 1 << v
+        tight &= ~(adj[v] & ban[c])
         ban[c] |= adj[v]
     level = [uncolored] + [0] * palette
     for banned in ban:
@@ -314,6 +327,8 @@ def _dsatur(
             while not level[s]:
                 s -= 1
             pick = level[s]
+            if pick & tight:
+                pick &= tight
             for same_degree in classes:
                 if pick & same_degree:
                     pick &= same_degree
@@ -342,16 +357,19 @@ def _dsatur(
                         return None
                     uncolored |= vbit
                     level[s] |= vbit
-                    v, s, todo, used, c, newly = stack.pop()
+                    v, s, todo, used, c, newly, lost = stack.pop()
                     vbit = 1 << v
                     nbrs = adj[v]
                     newly <<= low[v]
                     ban[c] ^= newly
+                    tight |= lost << low[v]
                     _shift_saturation(level, newly, 1, -1)
                     continue
                 break
+            lost = tight & nbrs & banned
+            tight ^= lost
             if keep:
-                stack.append((v, s, todo, used, c, newly >> low[v]))
+                stack.append((v, s, todo, used, c, newly >> low[v], lost >> low[v]))
             assign[v] = c
             used |= bit
             ban[c] = banned | newly
@@ -366,17 +384,31 @@ def _dsatur(
 
 
 def greedy_clique(g: FiniteGraph) -> list[int]:
-    """A maximal clique found greedily from high-degree seeds (lower bound)."""
+    """A maximal clique found greedily from high-degree seeds (lower bound).
+
+    Vertices are taken by highest degree, then lowest index.  From each of
+    the first 24, the clique grows by the first vertex in that order that
+    is adjacent to all its members; only those common neighbors are
+    walked, one degree class at a time."""
     masks = g.neighbor_masks()
-    order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+    classes = _degree_classes(g) or [(1 << g.n) - 1]
+    seeds: list[int] = []
+    for cls in classes:
+        while cls and len(seeds) < 24:
+            bit = cls & -cls
+            seeds.append(bit.bit_length() - 1)
+            cls ^= bit
     best: list[int] = []
-    for seed in order[:24]:
+    for seed in seeds:
         clique = [seed]
         inter = masks[seed]
-        for v in order:
-            if inter >> v & 1:
+        for cls in classes:
+            cand = inter & cls
+            while cand:
+                v = (cand & -cand).bit_length() - 1
                 clique.append(v)
                 inter &= masks[v]
+                cand &= inter
         if len(clique) > len(best):
             best = clique
     return sorted(best)

@@ -380,27 +380,39 @@ def cmd_report(args, report) -> int:
         # the exhaustive rows outgrow any patience beyond k=3; default to a
         # minute so larger k degrades to honest undecided rows
         budget = Budget(ms=60_000)
-    rng = random.Random(args.seed)
-    rows: list[dict] = []
-    row_ms: list[float] = []
+    rows = [{"row": name.replace("{towers}", str(args.towers))} for name, _ in CLAIMS]
+    row_ms = [0.0] * len(CLAIMS)
     t0 = time.monotonic()
-    for i, (name, claim) in enumerate(CLAIMS):
-        start = time.monotonic()
-        share = None
-        if budget is not None:
-            # each row gets an even share of what is left, so a slow row
-            # cannot starve the fast ones after it
-            left_ms = budget.ms - 1000 * (time.monotonic() - t0)
-            share = Budget(ms=max(0.0, left_ms) / (len(CLAIMS) - i))
-        try:
-            passed, value = claim(args.k, share, rng, args.towers)
-        except UndecidedError as exc:
-            passed, value = None, {"undecided": str(exc)}
-        rows.append({"row": name.replace("{towers}", str(args.towers)), "pass": passed, "value": value})
-        row_ms.append(round(1000 * (time.monotonic() - start), 1))
+
+    def settle(todo: list[int], retry: bool) -> None:
+        for i, j in enumerate(todo):
+            start = time.monotonic()
+            share = None
+            if budget is not None:
+                # each row gets an even share of what is left, so a slow row
+                # cannot starve the fast ones after it
+                left_ms = budget.ms - 1000 * (start - t0)
+                if retry and left_ms <= 0:
+                    return
+                share = Budget(ms=max(0.0, left_ms) / (len(todo) - i))
+            try:  # a fresh generator per run: a retried row sees the same draws
+                passed, value = CLAIMS[j][1](args.k, share, random.Random(args.seed), args.towers)
+            except UndecidedError as exc:
+                passed, value = None, {"undecided": str(exc)}
+            rows[j].update({"pass": passed, "value": value})
+            row_ms[j] += 1000 * (time.monotonic() - start)
+
+    settle(list(range(len(CLAIMS))), retry=False)
+    if budget is not None:
+        # a second pass hands the time the rows left unspent to the
+        # undecided ones, which run again from the start
+        settle([j for j, row in enumerate(rows) if row["pass"] is None], retry=True)
 
     report["results"] = {"rows": rows}
-    report["timings_ms"] = {"total": round(1000 * (time.monotonic() - t0), 1), "rows": row_ms}
+    report["timings_ms"] = {
+        "total": round(1000 * (time.monotonic() - t0), 1),
+        "rows": [round(ms, 1) for ms in row_ms],
+    }
     _emit(args, report, [f"[{STATUS[r['pass']]:9}] {r['row']}: {r['value']}" for r in rows])
     return EXIT_CODES[_verdict(row["pass"] for row in rows)]
 

@@ -1,8 +1,8 @@
 """Graph predicates, set-based references for the bitmask traversals and
 the separator search, grid-shape classifiers, the coordinate colorings of
-the grid, a reference graph builder, the key-list DSATUR solver, seeded
-random line instances and an instance serializer the test suites use as
-oracles.
+the grid, a reference graph builder, the key-list DSATUR solver, the
+full-scan greedy clique, seeded random line instances and an instance
+serializer the test suites use as oracles.
 
 Nothing in the package needs them, so they live with the tests.
 """
@@ -336,27 +336,42 @@ def instance_to_json(inst: LineInstance) -> dict:
 # -- the key-list DSATUR solver ------------------------------------------------
 #
 # The solver as it stood before its state moved to saturation-level bitmasks:
-# one integer key per vertex, picked by `key.index(max(key))`, and one banned
-# color mask per vertex updated neighbor by neighbor.  Unpinned, the bitmask
-# search must match it witness for witness and node for node.  Pinned, it
-# breaks no color symmetry, so it may only spend more nodes.
+# one integer key per vertex, and one banned color mask per vertex updated
+# neighbor by neighbor.  Each pick recounts the colored neighbors of every
+# uncolored vertex to rank the tight ones.  Unpinned, the bitmask search must
+# match it witness for witness and node for node.  Pinned, it breaks no color
+# symmetry, so it may only spend more nodes.
 
 
 def _dsatur_keys(g: FiniteGraph, assign: list[int], banned: list[int]) -> tuple[list[int], int]:
-    """One integer per vertex ordering the DSATUR choice (Brelaz 1979):
-    highest saturation (number of colors banned on it), then highest
-    degree, then lowest index.  The key is saturation*step + degree*n +
-    (n-1-v), so the pick is `key.index(max(key))`; a colored vertex holds
-    -1.  Returns the keys and step, the amount a key gains with each newly
-    banned color."""
+    """One integer per vertex ordering the DSATUR choice by highest
+    saturation (number of colors banned on it), then highest degree, then
+    lowest index: saturation*step + degree*n + (n-1-v); a colored vertex
+    holds -1.  Returns the keys and step, the amount a key gains with each
+    newly banned color; `_pick` adds half a step to tight vertices."""
     n = g.n
     degrees = [len(a) for a in g.adj]
-    step = (max(degrees, default=0) + 1) * n
+    step = 2 * (max(degrees, default=0) + 1) * n
     key = [
         -1 if assign[v] else banned[v].bit_count() * step + degrees[v] * n + n - 1 - v
         for v in range(n)
     ]
     return key, step
+
+
+def _pick(g: FiniteGraph, assign: list[int], banned: list[int], key: list[int], step: int) -> int:
+    """The uncolored vertex of highest key, where a tight vertex (as many
+    colored neighbors as banned colors: no two share a color) gains half a
+    step, so tightness ranks below saturation and above degree.  The
+    colored neighbors are recounted at every pick."""
+
+    def rank(v):
+        if key[v] < 0:
+            return -1
+        colored = sum(1 for w in g.adj[v] if assign[w])
+        return key[v] + (colored == banned[v].bit_count()) * (step // 2)
+
+    return max(range(g.n), key=rank)
 
 
 def key_list_find_coloring(
@@ -401,7 +416,7 @@ def key_list_find_coloring(
             budget.spend("find_coloring")
         if d == unassigned:
             return Coloring(tuple(assign), palette)
-        v = key.index(max(key))
+        v = _pick(g, assign, banned, key, step)
         allowed = full & ~banned[v]
         if symmetry_break:
             lowest_unused = (~used) & full
@@ -450,7 +465,7 @@ def key_list_dsatur_greedy(g: FiniteGraph) -> Coloring:
     key, step = _dsatur_keys(g, assign, banned)
     top = 1
     for _ in range(n):
-        best = key.index(max(key))
+        best = _pick(g, assign, banned, key, step)
         key[best] = -1
         c = 1
         while banned[best] >> c & 1:
@@ -464,3 +479,22 @@ def key_list_dsatur_greedy(g: FiniteGraph) -> Coloring:
                 if not assign[w]:
                     key[w] += step
     return Coloring(tuple(assign), top)
+
+
+def scan_greedy_clique(g: FiniteGraph) -> list[int]:
+    """The greedy clique by a full scan: every vertex, in order of highest
+    degree then lowest index, is tested against the common neighbors of
+    the clique so far, from each of the first 24 as a seed."""
+    masks = g.neighbor_masks()
+    order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+    best: list[int] = []
+    for seed in order[:24]:
+        clique = [seed]
+        inter = masks[seed]
+        for v in order:
+            if inter >> v & 1:
+                clique.append(v)
+                inter &= masks[v]
+        if len(clique) > len(best):
+            best = clique
+    return sorted(best)

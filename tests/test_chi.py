@@ -25,7 +25,7 @@ from gridchroma.graphs import FiniteGraph
 from gridchroma.grid import grid_graph, two_orbit_graph
 from gridchroma.groups import MarkedGroupSpec
 from gridchroma.quotients import build_quotient
-from oracles import key_list_dsatur_greedy, key_list_find_coloring
+from oracles import key_list_dsatur_greedy, key_list_find_coloring, scan_greedy_clique
 
 
 def cycle_graph(n):
@@ -216,7 +216,7 @@ class TestFindColoring:
         "k, modulus, palette, nodes, witness",
         [
             (3, 5, 3, 52, None),
-            (3, 5, 4, 7274, None),
+            (3, 5, 4, 2283, None),
             (3, 5, 5, 46, "111222333123123123111222333123423523145125143"),
             (3, 3, 4, 120, None),
             (3, 3, 5, 28, "111222333123423523145125143"),
@@ -237,10 +237,10 @@ class TestFindColoring:
             assert "".join(map(str, got.colors)) == witness
             assert is_proper(g, got)
 
-    @pytest.mark.parametrize("k, modulus, palette, nodes", [(3, 5, 4, 7273), (4, 3, 6, 1990)])
+    @pytest.mark.parametrize("k, modulus, palette, nodes", [(3, 5, 4, 2282), (4, 3, 6, 1990)])
     def test_pins_keep_the_unpinned_colors_interchangeable(self, k, modulus, palette, nodes):
         # pinning vertex 0 to color 1 leaves colors 2..palette symmetric; the
-        # key-list oracle breaks no symmetry under pins and needs 43,630 and
+        # key-list oracle breaks no symmetry under pins and needs 13,684 and
         # 236,366 nodes for the same proofs
         budget = Budget()
         assert find_coloring(twisted_quotient(k, modulus), palette, {0: 1}, budget=budget) is None
@@ -498,7 +498,7 @@ class TestBudget:
         "search, g, palette, total",
         [
             (budgeted_enumeration, two_orbit_graph(4, False), 4, 10649),
-            (budgeted_search, twisted_quotient(3, 5), 4, 7274),
+            (budgeted_search, twisted_quotient(3, 7), 4, 121175),
         ],
     )
     def test_node_limit_is_exact_across_clock_reads(self, search, g, palette, total):
@@ -540,7 +540,7 @@ class TestBudget:
         monkeypatch.setattr(chi.time, "monotonic", read)
         assert enumerate_colorings(two_orbit_graph(3, False), 4, budget=budget) == 12288
         assert find_coloring(twisted_quotient(3, 5), 4, budget=budget) is None
-        assert budget.nodes == 59293 + 7274
+        assert budget.nodes == 59293 + 2283
         assert reads == list(range(Budget.CHECK_EVERY, budget.nodes + 1, Budget.CHECK_EVERY))
 
     def test_time_limit_stops_at_a_clock_read(self, monkeypatch):
@@ -556,6 +556,18 @@ class TestBounds:
         g = cycle_graph(3)
         assert len(greedy_clique(g)) == 3
 
+    def test_greedy_clique_matches_full_scan(self):
+        # graphs regular and not, sparse to dense, with more than 24 vertices
+        # of top degree and fewer; the quotients are regular
+        rng = random.Random(31)
+        graphs = [twisted_quotient(3, 5), twisted_quotient(4, 3), FiniteGraph(0, [])]
+        for trial in range(300):
+            graphs.append(random_graph(rng.randint(1, 40), rng.choice((0.1, 0.3, 0.6, 0.9)), 2000 + trial))
+        for g in graphs:
+            clique = greedy_clique(g)
+            assert clique == scan_greedy_clique(g), g
+            assert all(w in g.adj[v] for v, w in itertools.combinations(clique, 2))
+
     def test_dsatur_greedy_proper(self):
         for seed in range(5):
             g = random_graph(12, 0.3, seed)
@@ -569,8 +581,8 @@ class TestBounds:
             (12, 0.3, 1, "212231123132"),
             (12, 0.3, 2, "131221211142"),
             (12, 0.3, 3, "131212221221"),
-            (12, 0.3, 4, "312322231121"),
-            (20, 0.5, 0, "44212435314342526415"),
+            (12, 0.3, 4, "312322111323"),
+            (20, 0.5, 0, "44212435364342521415"),
             (20, 0.5, 1, "31431525324345456631"),
             (20, 0.5, 2, "11464234541323215465"),
         ],

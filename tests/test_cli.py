@@ -204,8 +204,10 @@ class TestExitCodes:
         assert code == 2
 
     def test_budget_exhaustion_exits_three(self):
+        # the M=7 proof takes 121,257 nodes, so the clock, read every 4,096
+        # nodes, finds the budget spent
         code, report = run(
-            ["quotient-chi", "--group", "gamma", "--k", "3", "--M", "5",
+            ["quotient-chi", "--group", "gamma", "--k", "3", "--M", "7",
              "--budget-ms", "0.001"]
         )
         assert code == 3
@@ -408,6 +410,44 @@ class TestReport:
         assert rows[1] == {"row": "settle", "pass": True, "value": "settled"}
         assert code == 3
         assert report["timings_ms"]["total"] < 1000  # the budget still bounds the run
+
+    def test_undecided_rows_get_the_time_left(self, monkeypatch):
+        shares = {"late": [], "quick": []}
+
+        def late(k, budget, rng, towers):  # undecided on its first call only
+            shares["late"].append(budget.ms)
+            if len(shares["late"]) == 1:
+                raise UndecidedError("late: time budget exhausted")
+            return True, "settled"
+
+        def quick(k, budget, rng, towers):
+            shares["quick"].append(budget.ms)
+            return True, "quick"
+
+        monkeypatch.setattr(gridchroma.cli, "CLAIMS", (("late", late), ("quick", quick)))
+        code, report = run(["report", "--budget-ms", "1000"])
+        assert code == 0
+        assert report["results"]["rows"] == [
+            {"row": "late", "pass": True, "value": "settled"},
+            {"row": "quick", "pass": True, "value": "quick"},
+        ]
+        # half the budget at first, then what the quick row left unspent
+        assert shares["late"][0] == pytest.approx(500, abs=50)
+        assert shares["late"][1] == pytest.approx(1000, abs=100)
+        assert len(shares["quick"]) == 1
+        assert len(report["timings_ms"]["rows"]) == 2
+
+    def test_no_second_pass_without_a_budget(self, monkeypatch):
+        calls = []
+
+        def stuck(k, budget, rng, towers):
+            calls.append(budget)
+            return None, "undecided"
+
+        monkeypatch.setattr(gridchroma.cli, "CLAIMS", (("stuck", stuck),))
+        code, report = run(["report"])
+        assert code == 3
+        assert calls == [None]
 
     def test_report_times_each_row(self, monkeypatch):
         def quick(k, budget, rng, towers):

@@ -183,6 +183,12 @@ class TestQuotientChi:
     def test_twisted_m5_observed_value(self):
         assert quotient_chi(GAMMA3, 5).value == 5
 
+    def test_twisted_m7_is_proven_in_pinned_nodes(self):
+        # the DSATUR order fixes the search tree: its exact size, palettes
+        # 3 and 4 both refuted, 0.4 to 0.6 s on a 2-vCPU Xeon
+        res = quotient_chi(GAMMA3, 7)
+        assert (res.value, res.nodes) == (5, 121257)
+
     @pytest.mark.parametrize("modulus", [4, 12])
     def test_twisted_even_quotients_collapse(self, modulus):
         assert quotient_chi(GAMMA3, modulus).value == 3
