@@ -81,8 +81,12 @@ class Budget:
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise UndecidedError(f"{what}: node budget exhausted")
         if self._deadline is not None and self.nodes % self.CHECK_EVERY == 0:
-            if time.monotonic() > self._deadline:
-                raise UndecidedError(f"{what}: time budget exhausted")
+            self.check_clock(what)
+
+    def check_clock(self, what: str = "search"):
+        """Raise once the time limit has passed; charges no node."""
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            raise UndecidedError(f"{what}: time budget exhausted")
 
     def _run(self, what: str, lower: Optional[int] = None) -> int:
         """Spend a node (an UndecidedError carries `lower`), then charge and

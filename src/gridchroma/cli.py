@@ -49,7 +49,7 @@ from .towers import (
     random_tower,
     witness_k_insufficient,
 )
-from .twoended import color_two_ended
+from .twoended import MIN_SEPARATION, color_two_ended
 
 OK, VIOLATION, INPUT_ERROR, UNDECIDED = 0, 1, 2, 3
 BROKEN_PIPE = 141  # the shell's code for a writer whose reader left
@@ -262,7 +262,7 @@ def _chi_claim(got, holds) -> tuple:
     """A chromatic number proven by exhaustion below and a witness above."""
     if got.undecided:
         return None, f"[{got.lower},{got.upper}]"
-    return got.witness.used <= got.value and holds(got.value), got.value
+    return holds(got.value), got.value
 
 
 def _claim_grid_chi(k, budget, rng, towers):
@@ -329,7 +329,7 @@ def _claim_two_ended(k, budget, rng, towers):
         # 2*chi-1 colors, so the separators and the scaffold are left
         if not (
             all(
-                set_distance(inst.graph, a, b) >= 4
+                set_distance(inst.graph, a, b) >= MIN_SEPARATION
                 for a, b in combinations(got.family.members, 2)
             )
             # cycle mode: the passages form one cycle, every degree exactly 2
@@ -345,8 +345,9 @@ def _claim_towers(k, budget, rng, towers):
     for _ in range(towers):
         mode = SEGMENT if rng.random() < 0.5 else CYCLE
         zero = rng.random() < 0.25
+        # a Coloring refuses colors above its palette, k+1 for a tower
         used = color_tower(random_tower(k, rng, mode, zero_offsets=zero)).colors_used
-        good = good and used <= k + 1 and (not zero or used == k)
+        good = good and (not zero or used == k)
         zero_seen += zero
     if k == 3:  # no 3-coloring bridges these anchors across the gap
         good = good and all(

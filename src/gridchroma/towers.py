@@ -181,35 +181,24 @@ def color_tower(tower: AnchoredTower) -> TowerColoring:
     """
     graph = tower_graph(tower)  # built, or refused as oversized, before the maps
     k = tower.k
-    maps: list[Optional[OrbitMap]] = [None] * tower.extent
-    for pos, (a0, _) in tower.anchors:
-        maps[pos] = anchor_coloring(k, a0)
-
-    pairs = list(zip(tower.anchors, tower.anchors[1:]))
+    first_pos, (first_a0, _) = tower.anchors[0]
+    maps = [anchor_coloring(k, first_a0)] * (first_pos + 1)
+    gaps = [
+        (pos_b - pos_a, a0_b)
+        for (pos_a, _), (pos_b, (a0_b, _)) in zip(tower.anchors, tower.anchors[1:])
+    ]
     if tower.mode == CYCLE:  # the wrap gap, from the last anchor round to the first
-        first_pos, first_off = tower.anchors[0]
-        pairs.append((tower.anchors[-1], (first_pos + tower.extent, first_off)))
-    for (pos_a, (a0_a, _)), (pos_b, (a0_b, _)) in pairs:
-        source = anchor_coloring(k, a0_a)
-        target = anchor_coloring(k, a0_b)
-        gap = pos_b - pos_a
-        schedule = transfer_schedule(k, source, target)
-        if len(schedule) > gap - 1:
-            raise InvariantViolation(
-                f"schedule of {len(schedule)} steps cannot fit a gap of {gap}"
-            )
-        for i in range(1, gap):
-            idx = (pos_a + i) % tower.extent
-            maps[idx] = schedule[i - 1] if i - 1 < len(schedule) else target
-    if tower.mode == SEGMENT:
-        first_pos = tower.anchors[0][0]
-        last_pos = tower.anchors[-1][0]
-        for idx in range(first_pos):
-            maps[idx] = maps[first_pos]
-        for idx in range(last_pos + 1, tower.extent):
-            maps[idx] = maps[last_pos]
+        gaps.append((first_pos + tower.extent - tower.anchors[-1][0], first_a0))
+    for gap, a0 in gaps:
+        # AnchoredTower keeps every gap above 3k, the schedule's longest
+        target = anchor_coloring(k, a0)
+        schedule = transfer_schedule(k, maps[-1], target)
+        maps += schedule + [target] * (gap - len(schedule))
+    if tower.mode == CYCLE:  # the wrap gap's layers past the extent are the front
+        maps = maps[tower.extent :] + maps[first_pos + 1 : tower.extent]
+    else:
+        maps += [maps[-1]] * (tower.extent - len(maps))
 
-    assert all(m is not None for m in maps)
     colors = [0] * graph.n
     for v, (a, _b, n) in enumerate(graph.labels):
         colors[v] = maps[n][a]

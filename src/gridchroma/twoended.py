@@ -42,18 +42,24 @@ MIN_SEPARATION = 4
 
 
 def connected_subsets(
-    g: FiniteGraph, vertices: Iterable[int], max_size: int
+    g: FiniteGraph,
+    vertices: Iterable[int],
+    max_size: int,
+    budget: Optional[Budget] = None,
 ) -> list[int]:
     """Every connected subset of the given vertices with size <= max_size,
     as vertex bitmasks.
 
     Each subset is produced exactly once (extension enumeration rooted at
-    the subset's smallest vertex), in the walk's order.
+    the subset's smallest vertex), in the walk's order.  A budget with a
+    time limit has its clock read every `Budget.CHECK_EVERY` subsets; the
+    walk charges it no nodes.
     """
     if max_size < 1:
-        raise InputError(f"max_size must be >= 1, got {max_size}")
+        raise InputError(f"size cap must be >= 1, got {max_size}")
     allowed = vertex_mask(g, vertices)
     masks = g.neighbor_masks()
+    clocked = budget is not None and budget.ms is not None
     found: list[int] = []
     # an explicit stack: a recursive closure is a reference cycle, which
     # keeps every candidate alive until the next full garbage collection
@@ -65,6 +71,8 @@ def connected_subsets(
         while stack:
             sub, size, ext, sub_reach = stack.pop()
             found.append(sub)
+            if clocked and len(found) % Budget.CHECK_EVERY == 0:
+                budget.check_clock("separator search")
             if size == max_size:
                 continue
             size += 1
@@ -93,8 +101,6 @@ def find_separators(
     """
     if window_blocks < 1:
         raise InputError(f"window_blocks must be >= 1, got {window_blocks}")
-    if size_cap < 1:
-        raise InputError(f"size_cap must be >= 1, got {size_cap}")
     m = inst.block_count
     if inst.mode == CYCLE:
         starts = range(m)
@@ -107,7 +113,7 @@ def find_separators(
     for start in starts:
         window = inst.window_vertices(start, width)
         hits = []
-        for cand in connected_subsets(inst.graph, window, size_cap):
+        for cand in connected_subsets(inst.graph, window, size_cap, budget):
             if cand in seen:
                 continue
             seen.add(cand)
@@ -281,26 +287,16 @@ def color_two_ended(
         inst, find_separators(inst, window_blocks, cap, budget)
     )
 
+    # members are connected and pairwise at distance >= 4, so their hulls
+    # are connected, pairwise non-adjacent pieces
     hulls = [closed_neighborhood(g, member) for member in family.members]
-    buffer_region = set().union(*hulls)
+    buffer_region = frozenset().union(*hulls)
     colors = [0] * g.n
+    _color_pieces(g, hulls, chi, 0, colors, budget, "separator hull")
 
-    pieces = components(g, buffer_region)
-    for piece in pieces:
-        piece_set = set(piece)
-        if not any(piece_set <= hull for hull in hulls):
-            raise InvariantViolation(
-                "a buffer component spans more than one separator hull; "
-                "the distance-4 rule was violated upstream"
-            )
-    _color_pieces(g, pieces, chi, 0, colors, budget, "separator hull")
-
+    # the dropped top class joins the complement, which recolors it
     trimmed = frozenset(v for v in buffer_region if colors[v] != chi)
-    rest = [v for v in range(g.n) if v not in trimmed]
-    rest_pieces = components(g, rest)
-    # wipe stale colors on the dropped class, then recolor the complement
-    for v in buffer_region - trimmed:
-        colors[v] = 0
+    rest_pieces = components(g, [v for v in range(g.n) if v not in trimmed])
     _color_pieces(g, rest_pieces, chi, chi - 1, colors, budget, "complement piece")
 
     palette = 2 * chi - 1
@@ -311,7 +307,7 @@ def color_two_ended(
     return TwoEndedColoringResult(
         coloring=coloring,
         family=family,
-        buffer_region=frozenset(buffer_region),
+        buffer_region=buffer_region,
         trimmed_buffer=trimmed,
         colors_used=len(set(colors)),
         chi=chi,

@@ -392,6 +392,20 @@ class TestChromaticNumber:
         assert is_proper(g, info.witness)
         assert info.witness.used <= info.value
 
+    def test_search_improves_on_the_greedy_witness(self):
+        # seed 291 draws an 11-vertex graph that DSATUR colors with 4 colors
+        # and the exact search with 3
+        rng = random.Random(291)
+        n = rng.randint(6, 12)
+        p = rng.uniform(0.2, 0.6)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = FiniteGraph(n, edges)
+        assert (g.n, dsatur_greedy(g).palette) == (11, 4)
+        info = chromatic_info(g)
+        assert (info.lower, info.upper, info.value) == (3, 3, 3)
+        assert info.witness.palette == 3
+        assert is_proper(g, info.witness)
+
     def test_budget_exhaustion_is_explicit(self):
         g = random_graph(30, 0.5, seed=1)
         with pytest.raises(UndecidedError):

@@ -7,12 +7,13 @@ import time
 import pytest
 
 import gridchroma.cli
-from gridchroma.chi import Budget
+from gridchroma.chi import Budget, Coloring, is_proper
 from gridchroma.cli import run
 from gridchroma.errors import InvariantViolation, UndecidedError
 from gridchroma.grid import VerificationReport
 from gridchroma.groups import MarkedGroupSpec
 from gridchroma.instances import cayley_cycle_instance
+from gridchroma.towers import tower_from_json, tower_graph
 from oracles import instance_to_json
 
 
@@ -213,6 +214,15 @@ class TestExitCodes:
         assert code == 3
         assert report["results"]["undecided"]
 
+    def test_undecided_search_exits_three_with_report(self, delta_instance_file, capsys):
+        # 4,764 cut tests pass the clock read at 4,096 with the budget spent
+        code, report = run(
+            ["two-ended-color", "--instance", delta_instance_file, "--budget-ms", "0"]
+        )
+        assert code == 3
+        assert report["error"].startswith("separator search")
+        assert "undecided: separator search" in capsys.readouterr().err
+
     def test_invariant_violation_exits_one_with_report(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise InvariantViolation("layer escaped the dichotomy")
@@ -291,6 +301,23 @@ class TestSubcommands:
         assert code == 0
         assert report["results"]["proper"]
         assert report["results"]["colors_used"] == 4
+
+    def test_shift_color_out_file_is_a_proper_coloring(self, tower_file, tmp_path):
+        out = tmp_path / "colored.json"
+        code, _ = run(["shift-color", "--anchors", tower_file, "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        graph = tower_graph(tower_from_json(doc["tower"]))
+        coloring = Coloring(tuple(doc["coloring"]["colors"]), doc["coloring"]["palette"])
+        assert is_proper(graph, coloring)
+        assert doc["labels"] == [list(label) for label in graph.labels]
+        assert doc["colors_used"] == coloring.used == 4
+
+    def test_verify_alternation(self, capsys):
+        code, report = run(["verify-alternation", "--k", "3", "--M", "3"])
+        assert code == 0
+        assert report["results"]["violations"] == []
+        assert "violations=0" in capsys.readouterr().out
 
     def test_json_output_mode(self, capsys):
         code, _ = run(["verify-rigidity", "--k", "3", "--json"])
@@ -474,3 +501,30 @@ def test_console_script_wiring():
     )
     assert proc.returncode == 0
     assert "rigidity" in proc.stdout
+
+
+def test_k5_report_ends_undecided_within_its_budget_and_a_gigabyte():
+    # the two-ended row's separator walk once built every connected subset
+    # of a 25-vertex window before its first budget check, and ran out of
+    # memory long after the budget had passed
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address-space limit on this platform")
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridchroma.cli", "report", "--k", "5", "--budget-ms", "3000"],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+        timeout=120,
+    )
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 10

@@ -128,6 +128,15 @@ class TestColorTower:
         assert is_proper(result.graph, result.coloring)
         assert result.colors_used <= 4
 
+    def test_segment_layers_before_the_first_anchor_copy_it(self):
+        tower = AnchoredTower(3, 15, SEGMENT, ((2, (1, 0)), (12, (0, 0))))
+        result = color_tower(tower)
+        assert is_proper(result.graph, result.coloring)
+        maps = result.orbit_maps
+        assert len(maps) == 15
+        assert maps[:3] == [anchor_coloring(3, 1)] * 3
+        assert maps[12:] == [anchor_coloring(3, 0)] * 3
+
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_one_anchor_cycle_uses_k_colors(self, k):
         # the lone anchor is its own neighbor across the wrap gap of
@@ -148,6 +157,20 @@ class TestColorTower:
         for i in range(len(maps)):
             lo, hi = maps[i], maps[(i + 1) % len(maps)]
             assert sum(1 for u in range(3) if lo[u] != hi[u]) <= 1
+
+    def test_cycle_wrap_gap_reaches_the_layers_before_the_first_anchor(self):
+        # the wrap gap runs from layer 18 round to layer 8; its schedule
+        # leaves anchor 18's map one column at a time, past the extent
+        tower = AnchoredTower(3, 20, CYCLE, ((8, (1, 0)), (18, (0, 0))))
+        result = color_tower(tower)
+        assert is_proper(result.graph, result.coloring)
+        maps = result.orbit_maps
+        assert len(maps) == 20
+        assert maps[8] == anchor_coloring(3, 1)
+        assert maps[18] == anchor_coloring(3, 0)
+        schedule = transfer_schedule(3, anchor_coloring(3, 0), anchor_coloring(3, 1))
+        assert len(schedule) > 1  # the schedule crosses the extent
+        assert maps[19:] + maps[:8] == schedule + [anchor_coloring(3, 1)] * (9 - len(schedule))
 
     def test_every_layer_injective(self):
         result = color_tower(single_gap_tower(4, 14, (3, 1)))

@@ -83,6 +83,24 @@ class TestConnectedSubsets:
         with pytest.raises(InputError):
             connected_subsets(g, vertices, 2)
 
+    @pytest.mark.parametrize("ms, reads", [(None, 0), (60_000, 148_253 // Budget.CHECK_EVERY)])
+    def test_walk_reads_the_clock_every_check_every_subsets(self, monkeypatch, ms, reads):
+        calls = []
+        monkeypatch.setattr(Budget, "check_clock", lambda self, what: calls.append(what))
+        inst = cayley_cycle_instance(DELTA3, 12)
+        budget = Budget(ms=ms)
+        got = connected_subsets(inst.graph, inst.window_vertices(0, 2), 9, budget)
+        assert len(got) == 148_253
+        assert calls == ["separator search"] * reads
+        assert budget.nodes == 0
+
+    def test_walk_stops_at_the_deadline_without_charging(self):
+        inst = cayley_cycle_instance(DELTA3, 12)
+        budget = Budget(ms=0)
+        with pytest.raises(UndecidedError, match="separator search: time budget exhausted"):
+            connected_subsets(inst.graph, inst.window_vertices(0, 2), 9, budget)
+        assert budget.nodes == 0
+
 
 class TestFindSeparators:
     def test_path_segment_interior_singletons(self):
@@ -147,6 +165,20 @@ class TestFindSeparators:
                         )
                         crowded += len(got) > windows
         assert crowded > 0
+
+    def test_first_window_walk_reads_the_clock(self):
+        # the first two-block window holds 148,253 candidates; the walk
+        # stops at its first clock read, before any cut test
+        budget = Budget(ms=0)
+        with pytest.raises(UndecidedError, match="separator search: time budget exhausted"):
+            find_separators(cayley_cycle_instance(DELTA3, 12), 2, 9, budget)
+        assert budget.nodes == 0
+
+    def test_size_cap_below_one_is_refused_before_any_cut_test(self):
+        budget = Budget()
+        with pytest.raises(InputError, match="size cap must be >= 1"):
+            find_separators(path_instance(9, SEGMENT), 1, 0, budget)
+        assert budget.nodes == 0
 
     def test_each_cut_test_spends_one_budget_unit(self):
         budget = Budget()
