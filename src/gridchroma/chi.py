@@ -29,7 +29,7 @@ class Coloring:
     palette: int
 
     def __post_init__(self):
-        if any(not (1 <= c <= self.palette) for c in self.colors):
+        if self.colors and not (1 <= min(self.colors) and max(self.colors) <= self.palette):
             raise InputError("color out of palette range")
 
     @property

@@ -15,17 +15,21 @@ distinguishes genuine two-sided cuts from sets whose removal leaves the
 cycle connected.
 
 One walk over the cut checks that it is connected and collects the blocks
-it touches.  The test itself is a breadth-first search over integer
-neighbor bitmasks (`graphs.reach_mask`): it grows the reach of the lowest
-remaining left-end vertex and stops as soon as that reach meets the right
-end.  `_unrolls` caches, per rotation, the neighbor masks, the two end
-masks and the block masks of the graph the test runs on, never a graph
-object.  It also holds the end reaches per rotation and block span lo..hi
-of the cut: the reach of each end's lowest vertex in the blocks beyond the
+it touches, through per-vertex neighbor and block-bit lists the instance
+keeps.  The test itself is a breadth-first search over integer neighbor
+bitmasks (`graphs.reach_mask`): it grows the reach of the lowest remaining
+left-end vertex and stops as soon as that reach meets the right end.
+`_unrolls` caches, per rotation, the neighbor masks, the two end masks and
+the block masks of the graph the test runs on, never a graph object.
+`_contexts` caches, per mask of touched blocks, everything the test needs
+beyond the cut: the shift that places the cut in that graph, its full
+vertex mask, its neighbor and end masks, and the end reaches.  Those are
+the reach of each end's lowest vertex in the blocks beyond the touched
 span on its side.  The cut misses both, so the search resumes from the
 left one and may stop as soon as it meets the right one.  A cut that
 leaves a vertex of the bridge mask, the vertices adjacent to both
-reaches, joins the two ends: the test answers it without a search.
+reaches, joins the two ends: the test answers it without a search.  A
+cycle cut that touches every block caches False.
 """
 
 from __future__ import annotations
@@ -51,7 +55,10 @@ class LineInstance:
     mode: str
     chi: Optional[int] = None
     _block_of: list[int] = field(init=False, repr=False, compare=False)
+    _block_bits: list[int] = field(init=False, repr=False, compare=False)
+    _masks: list[int] = field(init=False, repr=False, compare=False)
     _unrolls: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _contexts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.mode not in (SEGMENT, CYCLE):
@@ -71,6 +78,8 @@ class LineInstance:
         if any(b == -1 for b in block_of):
             raise InputError("blocks must cover every vertex")
         object.__setattr__(self, "_block_of", block_of)
+        object.__setattr__(self, "_block_bits", [1 << b for b in block_of])
+        object.__setattr__(self, "_masks", self.graph.neighbor_masks())
         for u, v in self.graph.edges():
             gap = abs(block_of[u] - block_of[v])
             if self.mode == CYCLE and gap == m - 1:
@@ -152,21 +161,36 @@ class LineInstance:
         self._unrolls[rotation] = (masks, blocks[0], blocks[-1], blocks)
         return self._unrolls[rotation]
 
-    def _end_reaches(self, rotation: int, lo: int, hi: int):
-        """(neighbor masks, left-end mask, right-end mask, pre, pre's outer
-        boundary, suf, bridges) for cuts inside blocks lo..hi of the graph
-        the cut test runs on.  Cached in `_unrolls` per rotation and block
-        span.
+    def _cut_context(self, touched: int):
+        """(shift, full mask, neighbor masks, left-end mask, right-end mask,
+        pre, pre's outer boundary, suf, bridges) for the cuts that touch
+        exactly the blocks of the mask `touched`, or False for a cycle cut
+        that touches every block.  Cached in `_contexts` per touched mask.
 
-        `pre` is the reach of the left end's lowest vertex inside the
-        blocks before lo, `suf` that of the right end's lowest vertex
-        inside the blocks after hi.  Both miss every such cut, so each lies
-        in its end's component once the cut is removed.  `bridges` holds
-        the vertices adjacent to both: one the cut leaves joins the ends.
+        Shifting a cut left by `shift` (0 in segment mode, n in cycle mode)
+        places it in the graph the cut test runs on, where it lies inside
+        blocks lo..hi.  `pre` is the reach of the left end's lowest vertex
+        inside the blocks before lo, `suf` that of the right end's lowest
+        vertex inside the blocks after hi.  Both miss every such cut, so
+        each lies in its end's component once the cut is removed.
+        `bridges` holds the vertices adjacent to both: one the cut leaves
+        joins the ends.
         """
-        key = (rotation, lo, hi)
-        if key in self._unrolls:
-            return self._unrolls[key]
+        # a connected cut touches an interval of blocks (cyclically in
+        # cycle mode)
+        if self.mode == SEGMENT:
+            rotation = shift = 0
+            lo, hi = (touched & -touched).bit_length() - 1, touched.bit_length() - 1
+        else:
+            m = self.block_count
+            span = touched.bit_count()
+            if span == m:
+                self._contexts[touched] = False
+                return False
+            # rotate the interval's first block to the front
+            after_touched = (touched << 1 | touched >> (m - 1)) & ((1 << m) - 1)
+            rotation = (touched & ~after_touched).bit_length() - 1
+            shift, lo, hi = self.graph.n, m, m + span - 1
         masks, left, right, blocks = self._unrolled(rotation)
         # the block masks are disjoint, so their sum is their union
         pre = reach_mask(masks, left & -left, sum(blocks[:lo]))
@@ -181,8 +205,9 @@ class LineInstance:
                 rest ^= low
             near.append(out & ~inside)
         boundary, bridges = near[0], near[0] & near[1]
-        self._unrolls[key] = (masks, left, right, pre, boundary, suf, bridges)
-        return self._unrolls[key]
+        context = (shift, (1 << len(masks)) - 1, masks, left, right, pre, boundary, suf, bridges)
+        self._contexts[touched] = context
+        return context
 
 
 def divides_into_two(inst: LineInstance, cut: int) -> bool:
@@ -201,8 +226,8 @@ def divides_into_two(inst: LineInstance, cut: int) -> bool:
         raise InputError(f"cut {cut:#x} has a vertex out of range for {n} vertices")
     # one walk from the cut's lowest vertex: it reaches the whole cut iff
     # the cut is connected, and collects the blocks it touches
-    masks = inst.graph.neighbor_masks()
-    block_of = inst._block_of
+    masks = inst._masks
+    block_bits = inst._block_bits
     frontier = reached = cut & -cut
     touched = 0
     while frontier:
@@ -211,31 +236,23 @@ def divides_into_two(inst: LineInstance, cut: int) -> bool:
             low = frontier & -frontier
             v = low.bit_length() - 1
             grown |= masks[v]
-            touched |= 1 << block_of[v]
+            touched |= block_bits[v]
             frontier ^= low
         frontier = grown & cut & ~reached
         reached |= frontier
     if reached != cut:
         raise InputError("cut must induce a connected subgraph")
 
-    # a connected cut touches an interval of blocks (cyclically in cycle mode)
-    if inst.mode == SEGMENT:
-        rotation, removed = 0, cut
-        lo, hi = (touched & -touched).bit_length() - 1, touched.bit_length() - 1
-    else:
-        m = inst.block_count
-        span = touched.bit_count()
-        if span == m:
-            return False
-        # rotate the interval's first block to the front
-        after_touched = (touched << 1 | touched >> (m - 1)) & ((1 << m) - 1)
-        rotation = (touched & ~after_touched).bit_length() - 1
-        removed = cut << n
-        lo, hi = m, m + span - 1
-    masks, left, right, pre, boundary, suf, bridges = inst._end_reaches(rotation, lo, hi)
+    context = inst._contexts.get(touched)
+    if context is None:
+        context = inst._cut_context(touched)
+    if not context:
+        return False
+    shift, full, masks, left, right, pre, boundary, suf, bridges = context
+    removed = cut << shift
     if bridges & ~removed:
         return False
-    remaining = ((1 << len(masks)) - 1) & ~removed
+    remaining = full & ~removed
     left &= remaining
     right &= remaining
     if not left or not right:

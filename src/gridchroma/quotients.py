@@ -50,12 +50,12 @@ def build_quotient(spec: MarkedGroupSpec, modulus: int) -> QuotientGraph:
     """Build the quotient for M >= 3 (smaller M collapses the two cross
     directions onto each other)."""
     graph = layer_graph(spec, modulus, cyclic=True)
-    for v, label in enumerate(graph.labels):
-        if graph.degree(v) != spec.degree:
-            raise InvariantViolation(
-                f"quotient vertex {label} has {graph.degree(v)} distinct "
-                f"neighbors, expected {spec.degree}"
-            )
+    if set(map(len, graph.adj)) != {spec.degree}:
+        v = next(v for v, nbrs in enumerate(graph.adj) if len(nbrs) != spec.degree)
+        raise InvariantViolation(
+            f"quotient vertex {graph.labels[v]} has {graph.degree(v)} distinct "
+            f"neighbors, expected {spec.degree}"
+        )
     return QuotientGraph(spec, modulus, graph)
 
 

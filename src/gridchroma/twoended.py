@@ -95,9 +95,11 @@ def find_separators(
 
     Candidates stay vertex bitmasks through the cut test; only the hits
     become sets.  Order: leftmost window first, lexicographic inside a
-    window.  Each cut test spends one unit of the budget, when one is
-    given; a candidate already tested in an earlier, overlapping window
-    is not tested again.
+    window.  Each cut test costs one unit of the budget, when one is
+    given, charged ahead in runs (`Budget._run`) and the unused rest given
+    back on return, so the count, the node limit and the clock reads are
+    those of one `spend` per test; a candidate already tested in an
+    earlier, overlapping window is not tested again.
     """
     if window_blocks < 1:
         raise InputError(f"window_blocks must be >= 1, got {window_blocks}")
@@ -110,19 +112,26 @@ def find_separators(
         width = window_blocks
     seen: set[int] = set()
     out: list[frozenset[int]] = []
-    for start in starts:
-        window = inst.window_vertices(start, width)
-        hits = []
-        for cand in connected_subsets(inst.graph, window, size_cap, budget):
-            if cand in seen:
-                continue
-            seen.add(cand)
-            if budget is not None:
-                budget.spend("separator search")
-            if divides_into_two(inst, cand):
-                hits.append(mask_vertices(cand))
-        hits.sort()
-        out.extend(map(frozenset, hits))
+    run = -1 if budget is None else 0  # cut tests charged ahead; -1 never runs out
+    try:
+        for start in starts:
+            window = inst.window_vertices(start, width)
+            hits = []
+            for cand in connected_subsets(inst.graph, window, size_cap, budget):
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                if run:
+                    run -= 1
+                else:
+                    run = budget._run("separator search")
+                if divides_into_two(inst, cand):
+                    hits.append(mask_vertices(cand))
+            hits.sort()
+            out.extend(map(frozenset, hits))
+    finally:
+        if run > 0:
+            budget.nodes -= run
     return out
 
 

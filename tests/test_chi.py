@@ -90,6 +90,14 @@ class TestIsProper:
         with pytest.raises(InputError):
             Coloring((1, 3), 2)
 
+    @pytest.mark.parametrize("colors", [(0, 1), (2, -1, 1), (2, 1, 3)], ids=str)
+    def test_colors_below_or_above_the_palette_rejected(self, colors):
+        with pytest.raises(InputError, match="color out of palette range"):
+            Coloring(colors, 2)
+
+    def test_empty_coloring_accepted(self):
+        assert Coloring((), 2).used == 0
+
 
 class TestEnumerate:
     def test_single_vertex_two_colors(self):

@@ -17,7 +17,7 @@ from gridchroma.instances import (
     ladder_instance,
     path_instance,
 )
-from gridchroma.twoended import connected_subsets
+from gridchroma.twoended import connected_subsets, find_separators
 from oracles import (
     distinct_vertex_sets,
     instance_to_json,
@@ -29,6 +29,7 @@ from oracles import (
 )
 
 DELTA3 = MarkedGroupSpec(3)
+GAMMA3 = MarkedGroupSpec(3, twisted=True)
 
 
 class TestValidation:
@@ -59,9 +60,9 @@ class TestValidation:
         inst = path_instance(6, CYCLE)
         with pytest.raises(dataclasses.FrozenInstanceError):
             inst.mode = SEGMENT
-        assert not inst._unrolls
+        assert not inst._contexts
         assert divides_into_two(inst, vertex_mask(inst.graph, {2}))
-        assert inst._unrolls
+        assert inst._contexts
         # the cache takes no part in equality
         assert inst == LineInstance(inst.graph, inst.blocks, inst.mode, inst.chi)
 
@@ -260,6 +261,57 @@ class TestDividesIntoTwoMatchesSetBasedSearch:
         for mode in (SEGMENT, CYCLE):
             with pytest.raises(InputError):
                 divides_into_two(path_instance(9, mode), cut)
+
+
+CACHED_INSTANCES = {
+    "plain M=12": lambda: cayley_cycle_instance(DELTA3, 12),
+    "twisted M=12": lambda: cayley_cycle_instance(GAMMA3, 12),
+    "segment 6": lambda: cayley_segment_instance(DELTA3, 6),
+}
+
+
+class TestCutContextCache:
+    # one-block windows at the block size, and two-block windows at cap 3:
+    # cuts touching one block and cuts touching two from the same first block
+    RUNS = ((1, 9), (2, 3))
+
+    @pytest.mark.parametrize("make", CACHED_INSTANCES.values(), ids=CACHED_INSTANCES)
+    def test_warm_cache_answers_as_a_cold_one(self, make):
+        warm = make()
+        by_touched: dict[int, list[int]] = {}
+        for width, cap in self.RUNS:
+            find_separators(warm, width, cap)
+            for start in range(warm.block_count):
+                window = warm.window_vertices(start, width)
+                for cut in connected_subsets(warm.graph, window, cap):
+                    touched = sum({1 << warm.block_of(v) for v in mask_vertices(cut)})
+                    by_touched.setdefault(touched, []).append(cut)
+        # one context per touched-block set, built by the search
+        assert set(warm._contexts) == set(by_touched)
+        # a fresh instance per touched-block set builds its context for the
+        # first of those cuts, with nothing else in its cache
+        cold = {}
+        for cuts in by_touched.values():
+            fresh = LineInstance(warm.graph, warm.blocks, warm.mode)
+            for cut in cuts:
+                cold[cut] = divides_into_two(fresh, cut)
+        assert sum(cold.values()) >= 4
+        for cut, want in cold.items():
+            assert divides_into_two(warm, cut) == want, mask_vertices(cut)
+
+    @pytest.mark.parametrize("make", CACHED_INSTANCES.values(), ids=CACHED_INSTANCES)
+    def test_warm_cache_keeps_every_check(self, make):
+        inst = make()
+        find_separators(inst, 1, 9)
+        n = inst.graph.n
+        everything = (1 << n) - 1
+        # every vertex but the neighbors of a middle one, which stays alone
+        # in the cut; the part reached from vertex 0 touches every block,
+        # whose cycle context answers False
+        disconnected = everything & ~vertex_mask(inst.graph, inst.graph.adj[n // 2])
+        for cut in (disconnected, everything | 1 << n, 0, -1, True):
+            with pytest.raises(InputError):
+                divides_into_two(inst, cut)
 
 
 class TestConnectedSubsetsMatchesSetBasedWalk:

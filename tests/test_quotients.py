@@ -1,8 +1,9 @@
 import pytest
 
-from gridchroma import grid
+from gridchroma import grid, quotients
 from gridchroma.chi import Budget, find_coloring
 from gridchroma.errors import InputError, InvariantViolation
+from gridchroma.graphs import FiniteGraph
 from gridchroma.grid import two_orbit_graph
 from gridchroma.groups import (
     GroupElement,
@@ -167,6 +168,22 @@ def test_product_that_breaks_shift_commutation_is_caught(monkeypatch):
     monkeypatch.setattr(grid, "multiply", skewed)
     with pytest.raises(InvariantViolation):
         build_quotient(DELTA3, 3)
+
+
+def test_irregular_quotient_names_its_first_short_vertex(monkeypatch):
+    # drop the edges between vertices 7 and 9: both fall one neighbor
+    # short, and the message names the first of them
+    def thinned(spec, levels, cyclic=False):
+        g = layer_graph(spec, levels, cyclic)
+        return FiniteGraph(g.n, [e for e in g.edges() if e != (7, 9)], g.labels)
+
+    layer_graph = quotients.layer_graph
+    assert (7, 9) in set(layer_graph(DELTA3, 5, cyclic=True).edges())
+    monkeypatch.setattr(quotients, "layer_graph", thinned)
+    label = layer_graph(DELTA3, 5, cyclic=True).labels[7]
+    with pytest.raises(InvariantViolation) as exc:
+        build_quotient(DELTA3, 5)
+    assert str(exc.value) == f"quotient vertex {label} has 11 distinct neighbors, expected 12"
 
 
 class TestQuotientChi:

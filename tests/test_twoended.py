@@ -180,6 +180,26 @@ class TestFindSeparators:
             find_separators(path_instance(9, SEGMENT), 1, 0, budget)
         assert budget.nodes == 0
 
+    @pytest.mark.parametrize("limit", [4094, 4095, 4096, 4097])
+    def test_node_limit_stops_where_one_spend_per_test_did(self, limit):
+        # the limits straddle the end of the first run charged ahead (node
+        # 4,095) and the first clock read (node 4,096)
+        budget = Budget(max_nodes=limit)
+        with pytest.raises(UndecidedError, match="separator search: node budget exhausted"):
+            find_separators(cayley_cycle_instance(DELTA3, 12), 1, 9, budget)
+        assert budget.nodes == limit + 1
+
+    @pytest.mark.parametrize("limits", [{}, {"max_nodes": 4764}, {"ms": 60_000}], ids=str)
+    def test_complete_run_gives_back_the_unused_run(self, monkeypatch, limits):
+        reads = []
+        monkeypatch.setattr(Budget, "check_clock", lambda self, what: reads.append(what))
+        budget = Budget(**limits)
+        inst = cayley_cycle_instance(DELTA3, 12)
+        assert find_separators(inst, 1, 9, budget) == [frozenset(b) for b in inst.blocks]
+        assert budget.nodes == 4764
+        # one clock read, at node 4,096, when a time limit is set
+        assert reads == (["separator search"] if "ms" in limits else [])
+
     def test_each_cut_test_spends_one_budget_unit(self):
         budget = Budget()
         got = find_separators(path_instance(9, SEGMENT), 1, 1, budget)
