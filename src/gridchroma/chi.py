@@ -41,16 +41,23 @@ class Coloring:
 
 
 def is_proper(g: FiniteGraph, coloring: Coloring) -> bool:
-    """True iff no edge of g is monochromatic under the coloring."""
+    """True iff no edge of g is monochromatic under the coloring.
+
+    Each edge is checked once, from its lower end: a vertex's neighbor
+    tuple is sorted, so the walk down it stops at the first neighbor below
+    the vertex.
+    """
     cols = coloring.colors
     if len(cols) != g.n:
         raise InputError(
             f"coloring covers {len(cols)} vertices, graph has {g.n}"
         )
-    for u in range(g.n):
+    for u, nbrs in enumerate(g.adj):
         cu = cols[u]
-        for v in g.adj[u]:
-            if v > u and cols[v] == cu:
+        for v in reversed(nbrs):
+            if v < u:
+                break
+            if cols[v] == cu:
                 return False
     return True
 

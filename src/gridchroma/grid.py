@@ -164,6 +164,24 @@ def _templates(spec: MarkedGroupSpec, product) -> tuple:
     return cells
 
 
+@lru_cache(maxsize=64)
+def _cell_getters(spec: MarkedGroupSpec, product, order: tuple[int, ...]) -> tuple:
+    """Per cell a*k+b, the getter of its neighbors from a level's window.
+
+    The window lists the vertices of the level's neighboring levels, one
+    block of k^2 per level in order of its first vertex; `order` names the
+    template (0 same, 1 above, 2 below) of each block.  A cell has at least
+    (k-1)^2 >= 4 neighbors, so every getter returns a tuple.  Keyed, like
+    `_templates`, on the product as well as the spec.
+    """
+    sides = _templates(spec, product)
+    kk = spec.k ** 2
+    return tuple(
+        itemgetter(*[i * kk + v for i, side in enumerate(order) for v in sides[side][c]])
+        for c in range(kk)
+    )
+
+
 def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> FiniteGraph:
     """The Cayley graph on shift levels 0..levels-1, tiled from the layer
     templates.
@@ -176,31 +194,37 @@ def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> Fin
     build whose edge count, estimated as levels*k^2 times half the degree
     3(k-1)^2, exceeds MAX_LAYER_GRAPH_EDGES, before it allocates anything.
 
-    A vertex's neighbors are the sorted per-cell neighbor tuples of the
-    templates, one block per neighboring level, each shifted by its
-    level's first vertex; the blocks go in order of that vertex, so the
-    tuple comes out sorted with no edge list and no per-vertex sort.
+    Each level's window joins the slices of one shared vertex list that
+    its neighboring levels cover, in order of their first vertex, and each
+    cell's neighbor tuple is its cached getter applied to that window
+    (`_cell_getters`).  The templates are sorted, so the tuples come out
+    sorted, with no edge list and no per-vertex sort, and they all hold
+    the one list's int objects.  An inner level's window is the single
+    slice of levels n-1..n+1, the same in both modes.
     """
     if cyclic and levels < 3:
         raise InputError(f"a quotient needs at least 3 levels, got {levels}")
     if levels < 1:
         raise InputError(f"a window needs at least one level, got {levels}")
     _refuse_above_cap(f"{spec.name} on {levels} levels", levels * spec.k ** 2 * spec.degree // 2)
-    same, above, below = _templates(spec, multiply)
     k = spec.k
     kk = k * k
+    vertices = list(range(levels * kk))
+    inner = _cell_getters(spec, multiply, (2, 0, 1))  # below, same, above
     adj: list[tuple[int, ...]] = []
     for n in range(levels):
-        blocks = [(n * kk, same)]
-        if cyclic or n + 1 < levels:
-            blocks.append(((n + 1) % levels * kk, above))
-        if cyclic or n > 0:
-            blocks.append(((n - 1) % levels * kk, below))
-        blocks.sort(key=lambda block: block[0])
-        adj += [
-            tuple([base + v for base, cells in blocks for v in cells[c]])
-            for c in range(kk)
-        ]
+        if 0 < n < levels - 1:
+            window, getters = vertices[(n - 1) * kk : (n + 2) * kk], inner
+        else:
+            blocks = [(n * kk, 0)]
+            if cyclic or n + 1 < levels:
+                blocks.append(((n + 1) % levels * kk, 1))
+            if cyclic or n > 0:
+                blocks.append(((n - 1) % levels * kk, 2))
+            blocks.sort()
+            window = [v for base, _ in blocks for v in vertices[base : base + kk]]
+            getters = _cell_getters(spec, multiply, tuple(side for _, side in blocks))
+        adj += [get(window) for get in getters]
     labels = [(a, b, n) for n in range(levels) for a in range(k) for b in range(k)]
     return FiniteGraph._from_sorted_adjacency(adj, labels)
 

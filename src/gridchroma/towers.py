@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .chi import Budget, Coloring, find_coloring, is_proper
@@ -199,10 +200,9 @@ def color_tower(tower: AnchoredTower) -> TowerColoring:
     else:
         maps += [maps[-1]] * (tower.extent - len(maps))
 
-    colors = [0] * graph.n
-    for v, (a, _b, n) in enumerate(graph.labels):
-        colors[v] = maps[n][a]
-    coloring = Coloring(tuple(colors), k + 1)
+    # vertex n*k^2 + a*k + b takes maps[n][a]: one k-fold tuple per distinct map
+    layers = {m: tuple(c for c in m for _ in range(k)) for m in set(maps)}
+    coloring = Coloring(tuple(chain.from_iterable(map(layers.__getitem__, maps))), k + 1)
     if not is_proper(graph, coloring):
         raise InvariantViolation("tower coloring came out improper")
     return TowerColoring(tower, graph, coloring, maps)
@@ -221,9 +221,9 @@ def witness_k_insufficient(
     constraints = {}
     for pos, (a0, _) in tower.anchors:
         layer_map = anchor_coloring(k, a0)
-        for v, (a, _b, n) in enumerate(graph.labels):
-            if n == pos:
-                constraints[v] = layer_map[a]
+        for a in range(k):
+            for b in range(k):  # cell (a, b) of layer pos
+                constraints[pos * k * k + a * k + b] = layer_map[a]
     return find_coloring(graph, k, constraints, budget=budget) is None
 
 

@@ -1,8 +1,9 @@
-"""Graph predicates, set-based references for the bitmask traversals and
-the separator search, grid-shape classifiers, the coordinate colorings of
-the grid, a reference graph builder, the key-list DSATUR solver, the
-full-scan greedy clique, seeded random line instances and an instance
-serializer the test suites use as oracles.
+"""Graph predicates, the two-sided properness scan, set-based references
+for the bitmask traversals and the separator search, grid-shape
+classifiers, the coordinate colorings of the grid, a reference graph
+builder, the key-list DSATUR solver, the full-scan greedy clique, seeded
+random line instances and an instance serializer the test suites use as
+oracles.
 
 Nothing in the package needs them, so they live with the tests.
 """
@@ -24,6 +25,21 @@ from gridchroma.instances import CYCLE, SEGMENT, LineInstance
 
 SINGLETON = "singleton"
 NOT_INDEPENDENT = "not-independent"
+
+
+def edge_scan_is_proper(g: FiniteGraph, coloring: Coloring) -> bool:
+    """True iff no edge is monochromatic: the two-sided scan that visits
+    every edge from both of its ends and checks it from the lower one,
+    which `is_proper`'s one-sided walk must agree with."""
+    cols = coloring.colors
+    if len(cols) != g.n:
+        raise InputError(f"coloring covers {len(cols)} vertices, graph has {g.n}")
+    for u in range(g.n):
+        cu = cols[u]
+        for v in g.adj[u]:
+            if v > u and cols[v] == cu:
+                return False
+    return True
 
 
 def is_regular(g: FiniteGraph, d: int) -> bool:

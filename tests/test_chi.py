@@ -22,10 +22,15 @@ from gridchroma.chi import (
 )
 from gridchroma.errors import InputError, StopEnumeration, UndecidedError
 from gridchroma.graphs import FiniteGraph
-from gridchroma.grid import grid_graph, two_orbit_graph
+from gridchroma.grid import grid_graph, layer_graph, two_orbit_graph
 from gridchroma.groups import MarkedGroupSpec
 from gridchroma.quotients import build_quotient
-from oracles import key_list_dsatur_greedy, key_list_find_coloring, scan_greedy_clique
+from oracles import (
+    edge_scan_is_proper,
+    key_list_dsatur_greedy,
+    key_list_find_coloring,
+    scan_greedy_clique,
+)
 
 
 def cycle_graph(n):
@@ -97,6 +102,47 @@ class TestIsProper:
 
     def test_empty_coloring_accepted(self):
         assert Coloring((), 2).used == 0
+
+    # the one-sided walk checks each edge from its lower end only; the
+    # two-sided scan visits it from both
+    def test_agrees_with_edge_scan_on_random_graphs(self):
+        rng = random.Random(20)
+        seen = set()
+        for trial in range(300):
+            n = trial % 13
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+            if n > 2 and trial % 3 == 0:  # a top vertex with only lower neighbors
+                edges = [(u, v) for u, v in edges if v != n - 1] + [(0, n - 1), (n - 2, n - 1)]
+            g = FiniteGraph(n, edges)
+            palette = rng.randint(1, 4)
+            coloring = Coloring(tuple(rng.randint(1, palette) for _ in range(n)), palette)
+            got = is_proper(g, coloring)
+            assert got == edge_scan_is_proper(g, coloring)
+            seen.add((n == 0, got))
+        assert {(True, True), (False, True), (False, False)} <= seen
+
+    def test_agrees_with_edge_scan_when_only_an_edge_to_a_lower_vertex_clashes(self):
+        # vertices 1 and 3 are isolated; vertex 4's neighbors all lie below it
+        g = FiniteGraph(5, [(0, 4), (2, 4)])
+        for cols, want in (((1, 1, 2, 2, 3), True), ((1, 1, 2, 2, 2), False), ((3, 1, 2, 1, 3), False)):
+            coloring = Coloring(cols, 3)
+            assert is_proper(g, coloring) == edge_scan_is_proper(g, coloring) == want
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+    def test_agrees_with_edge_scan_on_windows_and_quotients(self, k, twisted):
+        spec = MarkedGroupSpec(k, twisted=twisted)
+        rng = random.Random(k * 2 + twisted)
+        for g in (layer_graph(spec, 4), build_quotient(spec, 3).graph, build_quotient(spec, 4).graph):
+            coloring = dsatur_greedy(g)
+            assert is_proper(g, coloring) and edge_scan_is_proper(g, coloring)
+            for v in (0, g.n - 1, rng.randrange(g.n)):
+                for c in range(1, coloring.palette + 1):
+                    cols = list(coloring.colors)
+                    cols[v] = c
+                    recolored = Coloring(tuple(cols), coloring.palette)
+                    want = all(c != cols[w] for w in g.adj[v])
+                    assert is_proper(g, recolored) == edge_scan_is_proper(g, recolored) == want
 
 
 class TestEnumerate:

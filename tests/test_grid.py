@@ -414,6 +414,21 @@ class TestLayerGraph:
         with pytest.raises(InvariantViolation):
             build_quotient(spec, 3)
 
+    @pytest.mark.parametrize("levels, cyclic", [(2, False), (5, False), (3, True), (5, True)])
+    def test_warm_getters_follow_a_replaced_product(self, monkeypatch, levels, cyclic):
+        # the twisted product passes every template check, so a build of
+        # the plain spec under it must come out as the twisted graph
+        plain, twisted = MarkedGroupSpec(3), MarkedGroupSpec(3, twisted=True)
+        before = layer_graph(plain, levels, cyclic=cyclic).adj
+        want = layer_graph(twisted, levels, cyclic=cyclic).adj
+        assert before != want
+
+        def twisting(spec, g, h):
+            return multiply(twisted, g, h)
+
+        monkeypatch.setattr(gridchroma.grid, "multiply", twisting)
+        assert layer_graph(plain, levels, cyclic=cyclic).adj == want
+
 
 def test_raw_scan_oracle_for_dichotomy_count():
     """Independent count of proper 4-colorings: scan all 4^9 assignments."""

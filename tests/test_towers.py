@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from gridchroma.chi import Coloring, is_proper
+import gridchroma.towers as towers
+from gridchroma.chi import Budget, Coloring, find_coloring, is_proper
 from gridchroma.errors import InputError
 from gridchroma.grid import two_orbit_graph
 from gridchroma.instances import CYCLE, SEGMENT
@@ -16,6 +17,7 @@ from gridchroma.towers import (
     random_tower,
     spare_color,
     tower_from_json,
+    tower_graph,
     tower_to_json,
     transfer_schedule,
     witness_k_insufficient,
@@ -186,6 +188,14 @@ class TestColorTower:
             assert is_proper(result.graph, result.coloring)
             assert result.colors_used <= 4
 
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_colors_are_the_layer_maps_read_at_each_label(self, k):
+        rng = random.Random(k)
+        for mode in (SEGMENT, CYCLE, SEGMENT, CYCLE):
+            result = color_tower(random_tower(k, rng, mode))
+            maps = result.orbit_maps
+            assert result.coloring.colors == tuple(maps[n][a] for a, _b, n in result.graph.labels)
+
     def test_small_gap_rejected(self):
         with pytest.raises(InputError, match="exceed 3k"):
             single_gap_tower(3, 9, (1, 0))
@@ -229,6 +239,33 @@ class TestWitness:
         tower = AnchoredTower(3, 20, CYCLE, ((0, (0, 0)), (10, (1, 0))))
         with pytest.raises(InputError):
             witness_k_insufficient(3, tower)
+
+    @pytest.mark.parametrize(
+        "k, gap, offset", [(3, 10, (1, 0)), (3, 10, (2, 2)), (3, 12, (0, 1)), (4, 13, (3, 1))]
+    )
+    def test_pins_the_anchor_cells_a_label_scan_finds(self, monkeypatch, k, gap, offset):
+        # the pins, their order, the answer and the node count are those
+        # of the search pinned by scanning every label for each anchor
+        tower = single_gap_tower(k, gap, offset)
+        graph = tower_graph(tower)
+        want = {}
+        for pos, (a0, _) in tower.anchors:
+            for v, (a, _b, n) in enumerate(graph.labels):
+                if n == pos:
+                    want[v] = anchor_coloring(k, a0)[a]
+        seen = []
+
+        def recording(graph, palette, constraints, budget):
+            seen.append(list(constraints.items()))
+            return find_coloring(graph, palette, constraints, budget=budget)
+
+        monkeypatch.setattr(towers, "find_coloring", recording)
+        budget = Budget(max_nodes=200_000)
+        got = witness_k_insufficient(k, tower, budget=budget)
+        assert seen == [list(want.items())]
+        oracle_budget = Budget(max_nodes=200_000)
+        assert got == (find_coloring(graph, k, want, budget=oracle_budget) is None)
+        assert budget.nodes == oracle_budget.nodes
 
 
 class TestSerialization:
