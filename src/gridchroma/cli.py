@@ -7,8 +7,8 @@ reruns the headline table at a chosen k.
 
 Exit codes: 0 success or property verified; 1 property violation, or
 "none exists" where existence was asserted; 2 input error; 3 undecided at
-the configured budget; 141 stdout closed by its reader.  A proven violation
-outranks undecided.
+the configured budget; 4 out of memory; 141 stdout closed by its reader.
+A proven violation outranks undecided.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional
 from .chi import Budget, chromatic_info, chromatic_number
 from .errors import InputError, InvariantViolation, UndecidedError
 from .graphs import graph_to_dimacs, graph_to_json, load_graph, set_distance
-from .grid import grid_graph, verify_dichotomy, verify_invariance, verify_rigidity
+from .grid import cell, grid_graph, verify_dichotomy, verify_invariance, verify_rigidity
 from .groups import MarkedGroupSpec
 from .instances import (
     CYCLE,
@@ -51,7 +51,7 @@ from .towers import (
 )
 from .twoended import MIN_SEPARATION, color_two_ended
 
-OK, VIOLATION, INPUT_ERROR, UNDECIDED = 0, 1, 2, 3
+OK, VIOLATION, INPUT_ERROR, UNDECIDED, OUT_OF_MEMORY = 0, 1, 2, 3, 4
 BROKEN_PIPE = 141  # the shell's code for a writer whose reader left
 
 
@@ -121,7 +121,8 @@ def cmd_cayley(args, report) -> int:
     if args.format == "dimacs":
         text = graph_to_dimacs(graph, comment=f"{spec.name} window/quotient")
     else:  # indented in a file, one line on stdout
-        text = json.dumps(graph_to_json(graph), indent=2 if args.out else None)
+        doc = {**graph_to_json(graph), "labels": [list(cell(spec.k, v)) for v in range(graph.n)]}
+        text = json.dumps(doc, indent=2 if args.out else None)
     if args.out:
         _write_file(report, "out", args.out, text)
         text = f"wrote {args.out}"
@@ -400,6 +401,8 @@ def cmd_report(args, report) -> int:
                 passed, value = CLAIMS[j][1](args.k, share, random.Random(args.seed), args.towers)
             except UndecidedError as exc:
                 passed, value = None, {"undecided": str(exc)}
+            except MemoryError as exc:
+                raise MemoryError(f"report row {rows[j]['row']!r}") from exc
             rows[j].update({"pass": passed, "value": value})
             row_ms[j] += 1000 * (time.monotonic() - start)
 
@@ -557,6 +560,10 @@ def run(argv: list[str]) -> tuple[int, dict]:
         print(f"invariant violated: {exc}", file=sys.stderr)
         report["error"] = str(exc)
         code = VIOLATION
+    except MemoryError as exc:
+        report["error"] = f"out of memory: {exc}" if str(exc) else "out of memory"
+        print(report["error"], file=sys.stderr)
+        code = OUT_OF_MEMORY
     report.setdefault("timings_ms", {})["wall"] = round(
         1000 * (time.monotonic() - start), 1
     )

@@ -3,8 +3,8 @@
 Graphs are immutable after construction.  Vertices are the integers
 0..n-1; adjacency is kept as sorted tuples (the instances here are
 12-to-27-regular but can run to thousands of vertices, so lists beat
-matrices).  Optional labels attach arbitrary payloads (grid coordinates,
-group elements) to vertices.
+matrices).  Vertices carry no labels: `grid.cell` turns the index of a
+built graph's vertex into its cell where a message or an export needs it.
 """
 
 from __future__ import annotations
@@ -17,18 +17,26 @@ from .errors import InputError
 
 INF = math.inf
 
+# The most edges a builder will build (about 2 GB of adjacency sets and
+# tuples), and the most vertices a graph file may declare.  k=5 towers, the
+# largest builds in the tests and the benchmark, stay under 40,000 edges;
+# `cayley --k 50 --M 1000` would ask for about 9*10^9, the k=150 grid 2.5*10^8.
+MAX_LAYER_GRAPH_EDGES = 10_000_000
+
+
+def refuse_above_cap(what: str, count: int, unit: str = "edges") -> None:
+    """InputError, before anything is allocated, when `what` counts more
+    edges to build, or vertices declared, than MAX_LAYER_GRAPH_EDGES."""
+    if count > MAX_LAYER_GRAPH_EDGES:
+        raise InputError(f"{what} {count:,} {unit}, more than the cap of {MAX_LAYER_GRAPH_EDGES:,}")
+
 
 class FiniteGraph:
     """Undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "labels", "_masks")
+    __slots__ = ("n", "adj", "_masks")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        labels: Optional[Sequence] = None,
-    ):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
         neighbor_sets: list[set[int]] = [set() for _ in range(n)]
@@ -43,22 +51,16 @@ class FiniteGraph:
         self.adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in neighbor_sets
         )
-        if labels is not None and len(labels) != n:
-            raise InputError("labels must cover every vertex")
-        self.labels = tuple(labels) if labels is not None else None
         self._masks: Optional[list[int]] = None
 
     @classmethod
-    def _from_sorted_adjacency(
-        cls, adj: Sequence[tuple[int, ...]], labels: Sequence
-    ) -> FiniteGraph:
+    def _from_sorted_adjacency(cls, adj: Sequence[tuple[int, ...]]) -> FiniteGraph:
         """A graph from finished neighbor tuples, trusted as given: each
         sorted, loop-free, in range and symmetric.  For builders that
         produce them that way, skipping the edge list and its sets."""
         g = cls.__new__(cls)
         g.n = len(adj)
         g.adj = tuple(adj)
-        g.labels = tuple(labels)
         g._masks = None
         return g
 
@@ -206,8 +208,7 @@ def induced_subgraph(
         for v in g.adj[u]
         if u < v and v in index
     ]
-    labels = [g.labels[v] for v in keep] if g.labels is not None else None
-    return FiniteGraph(len(keep), edges, labels), keep
+    return FiniteGraph(len(keep), edges), keep
 
 
 # -- serialization ----------------------------------------------------------
@@ -222,26 +223,25 @@ def json_int(value, what: str) -> int:
 
 
 def graph_to_json(g: FiniteGraph) -> dict:
-    """JSON form: {"vertices": N, "edges": [[u,v],...], "labels": [...]}."""
-    doc = {"vertices": g.n, "edges": [list(e) for e in g.edges()]}
-    if g.labels is not None:
-        doc["labels"] = [list(l) if isinstance(l, tuple) else l for l in g.labels]
-    return doc
+    """JSON form: {"vertices": N, "edges": [[u,v],...]}."""
+    return {"vertices": g.n, "edges": [list(e) for e in g.edges()]}
 
 
 def graph_from_json(doc: dict) -> FiniteGraph:
+    """The graph of a JSON document; a "labels" list is checked and dropped."""
     try:
         n = json_int(doc["vertices"], "vertices")
         edges = [
             (json_int(u, "edge endpoint"), json_int(v, "edge endpoint"))
             for u, v in doc["edges"]
         ]
-        labels = doc.get("labels")
-        if labels is not None:
-            labels = [tuple(l) if isinstance(l, list) else l for l in labels]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph document: {exc}") from exc
-    return FiniteGraph(n, edges, labels)
+    labels = doc.get("labels")
+    if labels is not None and not (isinstance(labels, list) and len(labels) == n):
+        raise InputError("malformed graph document: labels must list one entry per vertex")
+    refuse_above_cap("the graph declares", n, "vertices")
+    return FiniteGraph(n, edges)
 
 
 def graph_to_dimacs(g: FiniteGraph, comment: str = "") -> str:
@@ -271,6 +271,7 @@ def graph_from_dimacs(text: str) -> FiniteGraph:
                 n = int(parts[2])
             except ValueError as exc:
                 raise InputError(f"bad DIMACS header: {line!r}") from exc
+            refuse_above_cap("the graph declares", n, "vertices")
         elif parts[0] == "e":
             if n is None:
                 raise InputError("DIMACS edge line before header")

@@ -30,7 +30,7 @@ from typing import Optional
 
 from .chi import Budget, enumerate_colorings
 from .errors import InputError, InvariantViolation, StopEnumeration, UndecidedError
-from .graphs import FiniteGraph
+from .graphs import FiniteGraph, refuse_above_cap
 from .groups import GroupElement, MarkedGroupSpec, generators, multiply
 
 HORIZONTAL = "horizontal"
@@ -42,15 +42,22 @@ VERTICAL = "vertical"
 FLAG_MEMO_CAP = 1 << 16
 
 
+def cell(k: int, v: int) -> tuple[int, int, int]:
+    """The cell (a, b, n) of vertex v = n*k^2 + a*k + b: the numbering of
+    every graph built here, level n = 0 for the grid graph."""
+    n, ab = divmod(v, k * k)
+    a, b = divmod(ab, k)
+    return a, b, n
+
+
 def grid_graph(k: int) -> FiniteGraph:
     """Build the complete-difference graph on the k x k grid; cell (a, b)
-    is vertex a*k+b and carries that label.  Refuses, before building, a k
-    whose k^2(k-1)^2/2 edges exceed MAX_LAYER_GRAPH_EDGES."""
+    is vertex a*k+b (see `cell`).  Refuses, before building, a k whose
+    k^2(k-1)^2/2 edges exceed graphs.MAX_LAYER_GRAPH_EDGES."""
     if k < 3:
         raise InputError(f"grid modulus must be >= 3, got {k}")
-    _refuse_above_cap(f"the grid graph at k={k}", k * k * (k - 1) ** 2 // 2)
-    labels = [(a, b) for a in range(k) for b in range(k)]
-    return FiniteGraph(k * k, _grid_edges(k), labels)
+    refuse_above_cap(f"the grid graph at k={k} needs about", k * k * (k - 1) ** 2 // 2)
+    return FiniteGraph(k * k, _grid_edges(k))
 
 
 def _grid_edges(k: int) -> list[tuple[int, int]]:
@@ -104,22 +111,6 @@ def two_orbit_graph(k: int, twisted: bool) -> FiniteGraph:
 # -- the level-template builder -----------------------------------------------
 
 UNIT_SHIFT = GroupElement(0, 0, 1)
-
-# The most edges `layer_graph` or `grid_graph` will build: about 2 GB of
-# adjacency sets and tuples.  The largest builds in the tests and the
-# benchmark, k=5 towers, stay under 40,000 edges; `cayley --k 50 --M 1000`
-# would ask for about 9*10^9, the grid at k=150 for about 2.5*10^8.
-MAX_LAYER_GRAPH_EDGES = 10_000_000
-
-
-def _refuse_above_cap(what: str, edges: int) -> None:
-    """InputError when a build of about `edges` edges exceeds the cap."""
-    if edges > MAX_LAYER_GRAPH_EDGES:
-        raise InputError(
-            f"{what} needs about {edges:,} edges, "
-            f"more than the cap of {MAX_LAYER_GRAPH_EDGES:,}"
-        )
-
 
 @lru_cache(maxsize=32)
 def _templates(spec: MarkedGroupSpec, product) -> tuple:
@@ -188,11 +179,12 @@ def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> Fin
 
     Open (a window), edges leaving the level range are dropped; cyclic
     (the quotient by the shift-by-levels element), the last level also
-    joins level 0.  Vertex (a, b, n) is n*k^2 + a*k + b and carries that
-    label.  Needs levels >= 1, and levels >= 3 when cyclic (fewer levels
-    would fold the two cross directions onto one level).  Refuses any
-    build whose edge count, estimated as levels*k^2 times half the degree
-    3(k-1)^2, exceeds MAX_LAYER_GRAPH_EDGES, before it allocates anything.
+    joins level 0.  Vertex (a, b, n) is n*k^2 + a*k + b (see `cell`).
+    Needs levels >= 1, and levels >= 3 when cyclic (fewer levels would
+    fold the two cross directions onto one level).  Refuses any build
+    whose edge count, estimated as levels*k^2 times half the degree
+    3(k-1)^2, exceeds graphs.MAX_LAYER_GRAPH_EDGES, before it allocates
+    anything.
 
     Each level's window joins the slices of one shared vertex list that
     its neighboring levels cover, in order of their first vertex, and each
@@ -206,9 +198,9 @@ def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> Fin
         raise InputError(f"a quotient needs at least 3 levels, got {levels}")
     if levels < 1:
         raise InputError(f"a window needs at least one level, got {levels}")
-    _refuse_above_cap(f"{spec.name} on {levels} levels", levels * spec.k ** 2 * spec.degree // 2)
     k = spec.k
     kk = k * k
+    refuse_above_cap(f"{spec.name} on {levels} levels needs about", levels * kk * spec.degree // 2)
     vertices = list(range(levels * kk))
     inner = _cell_getters(spec, multiply, (2, 0, 1))  # below, same, above
     adj: list[tuple[int, ...]] = []
@@ -225,8 +217,7 @@ def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> Fin
             window = [v for base, _ in blocks for v in vertices[base : base + kk]]
             getters = _cell_getters(spec, multiply, tuple(side for _, side in blocks))
         adj += [get(window) for get in getters]
-    labels = [(a, b, n) for n in range(levels) for a in range(k) for b in range(k)]
-    return FiniteGraph._from_sorted_adjacency(adj, labels)
+    return FiniteGraph._from_sorted_adjacency(adj)
 
 
 # -- verification reports -----------------------------------------------------

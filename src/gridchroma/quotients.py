@@ -24,7 +24,7 @@ from typing import Optional
 from .chi import Budget, ChiResult, chromatic_info, find_coloring
 from .errors import InputError, InvariantViolation, UndecidedError
 from .graphs import FiniteGraph
-from .grid import VerificationReport, layer_graph
+from .grid import VerificationReport, cell, layer_graph
 from .groups import GroupElement, MarkedGroupSpec, untwist
 
 
@@ -41,10 +41,6 @@ class QuotientGraph:
     modulus: int
     graph: FiniteGraph
 
-    def index(self, a: int, b: int, n: int) -> int:
-        k = self.spec.k
-        return (n % self.modulus) * k * k + a * k + b
-
 
 def build_quotient(spec: MarkedGroupSpec, modulus: int) -> QuotientGraph:
     """Build the quotient for M >= 3 (smaller M collapses the two cross
@@ -53,7 +49,7 @@ def build_quotient(spec: MarkedGroupSpec, modulus: int) -> QuotientGraph:
     if set(map(len, graph.adj)) != {spec.degree}:
         v = next(v for v, nbrs in enumerate(graph.adj) if len(nbrs) != spec.degree)
         raise InvariantViolation(
-            f"quotient vertex {graph.labels[v]} has {graph.degree(v)} distinct "
+            f"quotient vertex {cell(spec.k, v)} has {graph.degree(v)} distinct "
             f"neighbors, expected {spec.degree}"
         )
     return QuotientGraph(spec, modulus, graph)
@@ -127,10 +123,10 @@ def verify_even_quotient_isomorphism(k: int, modulus: int) -> VerificationReport
         "even-quotient-isomorphism", {"k": k, "modulus": modulus}
     )
 
+    vertex = {cell(k, v): v for v in range(plain.graph.n)}
+
     def image(v: int) -> int:
-        a, b, n = twisted.graph.labels[v]
-        e = untwist(GroupElement(a, b, n))
-        return plain.index(e.a, e.b, e.n)
+        return vertex[untwist(GroupElement(*cell(k, v)))]
 
     mapped = {tuple(sorted((image(u), image(v)))) for u, v in twisted.graph.edges()}
     plain_edges = {tuple(sorted(e)) for e in plain.graph.edges()}

@@ -25,6 +25,7 @@ from typing import Optional
 from .chi import Budget, Coloring, find_coloring, is_proper
 from .errors import InputError, InvariantViolation
 from .graphs import FiniteGraph, json_int, read_json
+from .grid import cell
 from .groups import MarkedGroupSpec
 from .instances import CYCLE, SEGMENT
 from .quotients import build_quotient, cayley_window
@@ -159,7 +160,7 @@ class TowerColoring:
         return {
             "tower": tower_to_json(self.tower),
             "coloring": self.coloring.to_json(),
-            "labels": [list(l) for l in self.graph.labels],
+            "labels": [list(cell(self.tower.k, v)) for v in range(self.graph.n)],
             "colors_used": self.colors_used,
         }
 

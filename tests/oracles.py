@@ -273,8 +273,7 @@ def edge_list_layer_graph(spec, levels: int, cyclic: bool = False) -> FiniteGrap
         if cyclic or n + 1 < levels:
             up = (n + 1) % levels * kk
             edges.extend((base + u, up + v) for u, v in cross)
-    labels = [(a, b, n) for n in range(levels) for a in range(k) for b in range(k)]
-    return FiniteGraph(levels * kk, edges, labels)
+    return FiniteGraph(levels * kk, edges)
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,32 @@ class TestExitCodes:
         assert "malformed graph document" in report["error"]
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_labels_of_the_wrong_length_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "graph.json"
+        bad.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]], "labels": [[0, 0, 0]]}))
+        code, report = run(["chi", "--graph", str(bad)])
+        assert code == 2
+        assert report["error"] == "malformed graph document: labels must list one entry per vertex"
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [("huge.json", '{"vertices": 1000000000, "edges": []}'), ("huge.col", "p edge 1000000000 0\n")],
+    )
+    def test_oversized_graph_file_is_refused_before_allocating(self, tmp_path, name, text):
+        # under a 512 MB address-space cap, a billion empty neighbor sets
+        # could only end in a MemoryError
+        path = tmp_path / name
+        path.write_text(text)
+        start = time.monotonic()
+        proc = _run_capped(["chi", "--graph", str(path)], 1 << 29, timeout=60)
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: the graph declares 1,000,000,000 vertices, more than the cap of 10,000,000"
+        ]
+        assert elapsed < 5
+
     @pytest.mark.parametrize("command", [["verify-dichotomy", "--budget-ms", "1000"], ["report"]])
     def test_oversized_grid_is_input_error(self, command):
         code, report = run([*command, "--k", "150"])
@@ -233,6 +259,16 @@ class TestExitCodes:
         assert report["error"] == "layer escaped the dichotomy"
         assert "invariant violated: layer escaped the dichotomy" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_four_with_one_line(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(gridchroma.cli, "verify_dichotomy", exhausted)
+        code, report = run(["verify-dichotomy", "--k", "3"])
+        assert code == 4
+        assert report["error"] == "out of memory"
+        assert capsys.readouterr().err == "out of memory\n"
+
 
 class TestSubcommands:
     def test_cayley_json_roundtrips_through_chi(self, tmp_path):
@@ -242,6 +278,17 @@ class TestSubcommands:
              "--out", str(out)]
         )
         assert code == 0
+        code, report = run(["chi", "--graph", str(out)])
+        assert code == 0
+        assert report["results"]["chi"] == 3
+
+    def test_twisted_quotient_export_roundtrips_through_chi(self, tmp_path):
+        # the even twisted quotient collapses onto the plain one: chi 3
+        out = tmp_path / "g.json"
+        code, _ = run(["cayley", "--group", "gamma", "--k", "3", "--M", "4", "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["labels"] == [[a, b, n] for n in range(4) for a in range(3) for b in range(3)]
         code, report = run(["chi", "--graph", str(out)])
         assert code == 0
         assert report["results"]["chi"] == 3
@@ -310,7 +357,8 @@ class TestSubcommands:
         graph = tower_graph(tower_from_json(doc["tower"]))
         coloring = Coloring(tuple(doc["coloring"]["colors"]), doc["coloring"]["palette"])
         assert is_proper(graph, coloring)
-        assert doc["labels"] == [list(label) for label in graph.labels]
+        k, extent = doc["tower"]["k"], doc["tower"]["extent"]
+        assert doc["labels"] == [[a, b, n] for n in range(extent) for a in range(k) for b in range(k)]
         assert doc["colors_used"] == coloring.used == 4
 
     def test_verify_alternation(self, capsys):
@@ -420,6 +468,21 @@ class TestReport:
         assert all(row["pass"] for row in rows[:-1])
         assert code == 3
 
+    def test_out_of_memory_in_a_row_names_the_row(self, monkeypatch, capsys):
+        def exhausted(k, budget, rng, towers):
+            raise MemoryError
+
+        claims = list(gridchroma.cli.CLAIMS)
+        name = claims[3][0]
+        claims[3] = (name, exhausted)
+        monkeypatch.setattr(gridchroma.cli, "CLAIMS", tuple(claims))
+        code, report = run(["report", "--k", "3", "--towers", "1"])
+        assert code == 4
+        assert report["error"] == f"out of memory: report row {name!r}"
+        err = capsys.readouterr().err
+        assert err.splitlines() == [report["error"]]
+        assert "Traceback" not in err
+
     def test_each_row_gets_its_share_of_the_budget(self, monkeypatch):
         def burn(k, budget, rng, towers):
             while True:
@@ -503,27 +566,33 @@ def test_console_script_wiring():
     assert "rigidity" in proc.stdout
 
 
-def test_k5_report_ends_undecided_within_its_budget_and_a_gigabyte():
-    # the two-ended row's separator walk once built every connected subset
-    # of a 25-vertex window before its first budget check, and ran out of
-    # memory long after the budget had passed
+def _run_capped(argv: list[str], cap: int, timeout: float) -> subprocess.CompletedProcess:
+    """The CLI run in a child process whose address space is capped at
+    `cap` bytes (or the hard limit, if lower)."""
     resource = pytest.importorskip("resource")
     if not hasattr(resource, "RLIMIT_AS"):
         pytest.skip("no address-space limit on this platform")
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
-    cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+    cap = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
 
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
 
-    start = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "gridchroma.cli", "report", "--k", "5", "--budget-ms", "3000"],
+    return subprocess.run(
+        [sys.executable, "-m", "gridchroma.cli", *argv],
         capture_output=True,
         text=True,
         preexec_fn=limit_address_space,
-        timeout=120,
+        timeout=timeout,
     )
+
+
+def test_k5_report_ends_undecided_within_its_budget_and_a_gigabyte():
+    # the two-ended row's separator walk once built every connected subset
+    # of a 25-vertex window before its first budget check, and ran out of
+    # memory long after the budget had passed
+    start = time.monotonic()
+    proc = _run_capped(["report", "--k", "5", "--budget-ms", "3000"], 1 << 30, timeout=120)
     elapsed = time.monotonic() - start
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr

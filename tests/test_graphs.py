@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import gridchroma.graphs
 from gridchroma.errors import InputError
 from gridchroma.graphs import (
     FiniteGraph,
@@ -253,12 +254,30 @@ class TestHelpers:
 
 class TestSerialization:
     def test_json_roundtrip(self):
-        g = FiniteGraph(4, [(0, 1), (1, 2), (2, 3)], labels=[(0, 0), (0, 1), (1, 0), (1, 1)])
+        g = FiniteGraph(4, [(0, 1), (1, 2), (2, 3)])
         doc = graph_to_json(g)
+        assert doc == {"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
+        # a labels list, one entry per vertex, is accepted and dropped
+        doc["labels"] = [[0, 0], [0, 1], [1, 0], [1, 1]]
         h = graph_from_json(doc)
         assert h.n == g.n
         assert list(h.edges()) == list(g.edges())
-        assert h.labels == g.labels
+
+    @pytest.mark.parametrize("labels", [5, "abcd", [[0, 0]] * 3, [[0, 0]] * 5])
+    def test_malformed_labels_rejected(self, labels):
+        with pytest.raises(InputError, match="labels"):
+            graph_from_json({"vertices": 4, "edges": [[0, 1]], "labels": labels})
+
+    def test_vertex_cap_is_inclusive(self, monkeypatch):
+        # small counts under a lowered cap: a reader that ignored the cap
+        # would build the graph, not allocate without bound
+        monkeypatch.setattr(gridchroma.graphs, "MAX_LAYER_GRAPH_EDGES", 4)
+        assert graph_from_json({"vertices": 4, "edges": []}).n == 4
+        assert graph_from_dimacs("p edge 4 0\n").n == 4
+        with pytest.raises(InputError):
+            graph_from_json({"vertices": 5, "edges": []})
+        with pytest.raises(InputError):
+            graph_from_dimacs("p edge 5 0\n")
 
     def test_dimacs_roundtrip(self):
         g = cycle_graph(5)

@@ -6,11 +6,13 @@ import pytest
 from gridchroma.chi import Budget, Coloring, chromatic_number, enumerate_colorings, is_proper
 from gridchroma.errors import InputError, InvariantViolation, StopEnumeration, UndecidedError
 from gridchroma.groups import MarkedGroupSpec, multiply
+import gridchroma.graphs
 import gridchroma.grid
 from gridchroma.grid import (
     HORIZONTAL,
     VERTICAL,
     _orientation_flags,
+    cell,
     grid_graph,
     layer_graph,
     two_orbit_graph,
@@ -56,7 +58,7 @@ class TestGridGraph:
         # edges join cells differing in both coordinates
         for v in range(H3.n):
             a, b = divmod(v, 3)
-            assert H3.labels[v] == (a, b)
+            assert cell(3, v) == (a, b, 0)
             for w in H3.adj[v]:
                 a2, b2 = divmod(w, 3)
                 assert a != a2 and b != b2
@@ -229,15 +231,15 @@ class TestTwoOrbitGraph:
     def test_cross_adjacency_plain(self):
         tg = two_orbit_graph(3, twisted=False)
         u = 0 * 9 + 0 * 3 + 0  # n*k*k + a*k + b
-        assert tg.labels[u] == (0, 0, 0)
-        cross = {tg.labels[w] for w in tg.adj[u] if tg.labels[w][2] == 1}
+        assert cell(3, u) == (0, 0, 0)
+        cross = {cell(3, w) for w in tg.adj[u] if cell(3, w)[2] == 1}
         assert cross == {(a, b, 1) for a in (1, 2) for b in (1, 2)}
 
     def test_cross_adjacency_twisted_swaps(self):
         tg = two_orbit_graph(3, twisted=True)
         u = 0 * 9 + 0 * 3 + 1  # n*k*k + a*k + b
-        assert tg.labels[u] == (0, 1, 0)
-        cross = {tg.labels[w] for w in tg.adj[u] if tg.labels[w][2] == 1}
+        assert cell(3, u) == (0, 1, 0)
+        cross = {cell(3, w) for w in tg.adj[u] if cell(3, w)[2] == 1}
         # neighbors (c,d,1) satisfy c != b and d != a
         assert cross == {(c, d, 1) for c in (0, 2) for d in (1, 2)}
 
@@ -350,18 +352,18 @@ class TestSizeGuard:
 
     def test_grid_cap_is_inclusive(self, monkeypatch):
         # k=3: 9 cells of degree 4, 18 edges
-        monkeypatch.setattr(gridchroma.grid, "MAX_LAYER_GRAPH_EDGES", 18)
+        monkeypatch.setattr(gridchroma.graphs, "MAX_LAYER_GRAPH_EDGES", 18)
         assert grid_graph(3).edge_count == 18
-        monkeypatch.setattr(gridchroma.grid, "MAX_LAYER_GRAPH_EDGES", 17)
+        monkeypatch.setattr(gridchroma.graphs, "MAX_LAYER_GRAPH_EDGES", 17)
         with pytest.raises(InputError):
             grid_graph(3)
 
     def test_cap_is_inclusive(self, monkeypatch):
         # k=3 on 4 cyclic levels: 36 vertices of degree 12, 216 edges
         spec = MarkedGroupSpec(3)
-        monkeypatch.setattr(gridchroma.grid, "MAX_LAYER_GRAPH_EDGES", 216)
+        monkeypatch.setattr(gridchroma.graphs, "MAX_LAYER_GRAPH_EDGES", 216)
         assert layer_graph(spec, 4, cyclic=True).edge_count == 216
-        monkeypatch.setattr(gridchroma.grid, "MAX_LAYER_GRAPH_EDGES", 215)
+        monkeypatch.setattr(gridchroma.graphs, "MAX_LAYER_GRAPH_EDGES", 215)
         with pytest.raises(InputError):
             layer_graph(spec, 4, cyclic=True)
 
@@ -378,7 +380,7 @@ class TestLayerGraph:
         for levels, cyclic in shapes:
             got = layer_graph(spec, levels, cyclic=cyclic)
             want = edge_list_layer_graph(spec, levels, cyclic=cyclic)
-            assert (got.n, got.adj, got.labels) == (want.n, want.adj, want.labels)
+            assert (got.n, got.adj) == (want.n, want.adj)
 
     def test_templates_are_frozen(self):
         spec = MarkedGroupSpec(3, twisted=True)

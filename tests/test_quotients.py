@@ -4,7 +4,7 @@ from gridchroma import grid, quotients
 from gridchroma.chi import Budget, find_coloring
 from gridchroma.errors import InputError, InvariantViolation
 from gridchroma.graphs import FiniteGraph
-from gridchroma.grid import two_orbit_graph
+from gridchroma.grid import cell, two_orbit_graph
 from gridchroma.groups import (
     GroupElement,
     MarkedGroupSpec,
@@ -28,7 +28,7 @@ ALL_SPECS = [MarkedGroupSpec(k, twisted) for k in (3, 4, 5) for twisted in (Fals
 
 
 def reference_edges(spec, levels, cyclic):
-    """Edge set and labels by the definition: x ~ s*x for every vertex x
+    """Edge set and cells by the definition: x ~ s*x for every vertex x
     of levels 0..levels-1 and every generator s, dropping edges that leave
     the window, or reducing the shift mod levels in the quotient."""
     k = spec.k
@@ -48,8 +48,8 @@ def reference_edges(spec, levels, cyclic):
                         continue
                     u, v = n * kk + a * k + b, m * kk + y.a * k + y.b
                     edges.add((u, v) if u < v else (v, u))
-    labels = tuple((a, b, n) for n in range(levels) for a in range(k) for b in range(k))
-    return edges, labels
+    cells = tuple((a, b, n) for n in range(levels) for a in range(k) for b in range(k))
+    return edges, cells
 
 
 class TestConstruction:
@@ -79,7 +79,7 @@ class TestConstruction:
         window = cayley_window(DELTA3, 5)
         # interior levels see all 3(k-1)^2 neighbors
         for v in range(window.n):
-            _, _, n = window.labels[v]
+            _, _, n = cell(3, v)
             if 1 <= n <= 3:
                 assert window.degree(v) == 12
 
@@ -88,13 +88,14 @@ class TestConstruction:
         # permutes each level and preserves adjacency
         for spec in (DELTA3, GAMMA3):
             window = cayley_window(spec, 3)
-            index = {lab: v for v, lab in enumerate(window.labels)}
+            cells = [cell(3, v) for v in range(window.n)]
+            index = {lab: v for v, lab in enumerate(cells)}
             edges = set(window.edges())
             for c in range(3):
                 for d in range(3):
                     gamma = GroupElement(c, d, 0)
                     image = {}
-                    for v, (a, b, n) in enumerate(window.labels):
+                    for v, (a, b, n) in enumerate(cells):
                         y = multiply(spec, GroupElement(a, b, n), gamma)
                         image[v] = index[(y.a, y.b, y.n)]
                     mapped = {
@@ -107,7 +108,8 @@ class TestConstruction:
         # twisted group left multiplication by a generic grid element is
         # not an automorphism of the left-multiplication Cayley graph
         window = cayley_window(DELTA3, 3)
-        index = {lab: v for v, lab in enumerate(window.labels)}
+        cells = [cell(3, v) for v in range(window.n)]
+        index = {lab: v for v, lab in enumerate(cells)}
         edges = set(window.edges())
         gamma = GroupElement(1, 2, 0)
         image = {
@@ -116,16 +118,17 @@ class TestConstruction:
                     multiply(DELTA3, gamma, GroupElement(a, b, n))
                 )
             ]
-            for v, (a, b, n) in enumerate(window.labels)
+            for v, (a, b, n) in enumerate(cells)
         }
         assert {tuple(sorted((image[u], image[v]))) for u, v in edges} == edges
 
     def test_untwist_maps_twisted_window_onto_plain_window(self):
         tw = cayley_window(GAMMA3, 4)
         pl = cayley_window(DELTA3, 4)
-        index = {lab: v for v, lab in enumerate(pl.labels)}
+        cells = [cell(3, v) for v in range(pl.n)]
+        index = {lab: v for v, lab in enumerate(cells)}
         image = {}
-        for v, (a, b, n) in enumerate(tw.labels):
+        for v, (a, b, n) in enumerate(cells):
             e = untwist(GroupElement(a, b, n))
             image[v] = index[(e.a, e.b, e.n)]
         mapped = {tuple(sorted((image[u], image[v]))) for u, v in tw.edges()}
@@ -137,22 +140,22 @@ class TestTemplateBuilderMatchesDefinition:
     def test_windows(self, spec):
         for levels in range(1, 9):
             graph = cayley_window(spec, levels)
-            edges, labels = reference_edges(spec, levels, cyclic=False)
+            edges, cells = reference_edges(spec, levels, cyclic=False)
             assert set(graph.edges()) == edges
-            assert graph.labels == labels
+            assert tuple(cell(spec.k, v) for v in range(graph.n)) == cells
 
     def test_quotients(self, spec):
         for modulus in range(3, 9):
             graph = build_quotient(spec, modulus).graph
-            edges, labels = reference_edges(spec, modulus, cyclic=True)
+            edges, cells = reference_edges(spec, modulus, cyclic=True)
             assert set(graph.edges()) == edges
-            assert graph.labels == labels
+            assert tuple(cell(spec.k, v) for v in range(graph.n)) == cells
 
     def test_two_orbit_graph(self, spec):
         graph = two_orbit_graph(spec.k, spec.twisted)
-        edges, labels = reference_edges(spec, 2, cyclic=False)
+        edges, cells = reference_edges(spec, 2, cyclic=False)
         assert set(graph.edges()) == edges
-        assert graph.labels == labels
+        assert tuple(cell(spec.k, v) for v in range(graph.n)) == cells
 
     def test_modulus_two_still_rejected(self, spec):
         with pytest.raises(InputError):
@@ -175,15 +178,15 @@ def test_irregular_quotient_names_its_first_short_vertex(monkeypatch):
     # short, and the message names the first of them
     def thinned(spec, levels, cyclic=False):
         g = layer_graph(spec, levels, cyclic)
-        return FiniteGraph(g.n, [e for e in g.edges() if e != (7, 9)], g.labels)
+        return FiniteGraph(g.n, [e for e in g.edges() if e != (7, 9)])
 
     layer_graph = quotients.layer_graph
     assert (7, 9) in set(layer_graph(DELTA3, 5, cyclic=True).edges())
     monkeypatch.setattr(quotients, "layer_graph", thinned)
-    label = layer_graph(DELTA3, 5, cyclic=True).labels[7]
     with pytest.raises(InvariantViolation) as exc:
         build_quotient(DELTA3, 5)
-    assert str(exc.value) == f"quotient vertex {label} has 11 distinct neighbors, expected 12"
+    # vertex 7 = 2*3 + 1 is cell (2, 1) of level 0
+    assert str(exc.value) == "quotient vertex (2, 1, 0) has 11 distinct neighbors, expected 12"
 
 
 class TestQuotientChi:

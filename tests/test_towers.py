@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import gridchroma.towers as towers
 from gridchroma.chi import Budget, Coloring, find_coloring, is_proper
 from gridchroma.errors import InputError
-from gridchroma.grid import two_orbit_graph
+from gridchroma.grid import cell, two_orbit_graph
 from gridchroma.instances import CYCLE, SEGMENT
 from gridchroma.towers import (
     AnchoredTower,
@@ -98,7 +98,7 @@ class TestTransferSchedule:
         for lo, hi in zip(states, states[1:]):
             cols = tuple(
                 (lo if lvl == 0 else hi)[a]
-                for (a, b, lvl) in tg.labels
+                for (a, b, lvl) in (cell(k, v) for v in range(tg.n))
             )
             assert is_proper(tg, Coloring(cols, k + 1))
 
@@ -194,7 +194,8 @@ class TestColorTower:
         for mode in (SEGMENT, CYCLE, SEGMENT, CYCLE):
             result = color_tower(random_tower(k, rng, mode))
             maps = result.orbit_maps
-            assert result.coloring.colors == tuple(maps[n][a] for a, _b, n in result.graph.labels)
+            cells = [cell(k, v) for v in range(result.graph.n)]
+            assert result.coloring.colors == tuple(maps[n][a] for a, _b, n in cells)
 
     def test_small_gap_rejected(self):
         with pytest.raises(InputError, match="exceed 3k"):
@@ -250,7 +251,8 @@ class TestWitness:
         graph = tower_graph(tower)
         want = {}
         for pos, (a0, _) in tower.anchors:
-            for v, (a, _b, n) in enumerate(graph.labels):
+            for v in range(graph.n):
+                a, _b, n = cell(k, v)
                 if n == pos:
                     want[v] = anchor_coloring(k, a0)[a]
         seen = []
