@@ -95,6 +95,11 @@ class Budget:
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise UndecidedError(f"{what}: time budget exhausted")
 
+    def share(self, parts: int) -> "Budget":
+        """A fresh time budget of 1/parts of the time left before this
+        one's deadline, or of 0 ms once it has passed."""
+        return Budget(ms=max(0.0, 1000 * (self._deadline - time.monotonic()) / parts))
+
     def _run(self, what: str, lower: Optional[int] = None) -> int:
         """Spend a node (an UndecidedError carries `lower`), then charge and
         return the longest run of further nodes that reaches neither

@@ -276,11 +276,8 @@ def _claim_dichotomy(k, budget, rng, towers):
 
 
 def _claim_invariance(k, budget, rng, towers):
-    # plain gets half the row's time on its own clock, twisted all it leaves
-    start = time.monotonic()
-    plain = verify_invariance(k, twisted=False, budget=budget and Budget(ms=budget.ms / 2))
-    if budget is not None:
-        budget = Budget(ms=max(0.0, budget.ms - 1000 * (time.monotonic() - start)))
+    # plain gets half the row's time, twisted all it leaves before the row's deadline
+    plain = verify_invariance(k, twisted=False, budget=budget and budget.share(2))
     twisted = verify_invariance(k, twisted=True, budget=budget)
     outcome = _verdict((_outcome(plain), _outcome(twisted))) and plain.count == twisted.count
     return outcome, {"plain": plain.count, "twisted": twisted.count}
@@ -377,40 +374,31 @@ STATUS = {True: "PASS", False: "FAIL", None: "UNDECIDED"}
 
 
 def cmd_report(args, report) -> int:
+    if args.towers < 1:
+        raise InputError(f"--towers must be at least 1, got {args.towers}")
     budget = _budget_from(args)
     if budget is None and args.k > 3:
         # the exhaustive rows outgrow any patience beyond k=3; default to a
         # minute so larger k degrades to honest undecided rows
         budget = Budget(ms=60_000)
-    rows = [{"row": name.replace("{towers}", str(args.towers))} for name, _ in CLAIMS]
-    row_ms = [0.0] * len(CLAIMS)
+    rows, row_ms = [], []
     t0 = time.monotonic()
-
-    def settle(todo: list[int], retry: bool) -> None:
-        for i, j in enumerate(todo):
-            start = time.monotonic()
-            share = None
-            if budget is not None:
-                # each row gets an even share of what is left, so a slow row
-                # cannot starve the fast ones after it
-                left_ms = budget.ms - 1000 * (start - t0)
-                if retry and left_ms <= 0:
-                    return
-                share = Budget(ms=max(0.0, left_ms) / (len(todo) - i))
-            try:  # a fresh generator per run: a retried row sees the same draws
-                passed, value = CLAIMS[j][1](args.k, share, random.Random(args.seed), args.towers)
-            except UndecidedError as exc:
-                passed, value = None, {"undecided": str(exc)}
-            except MemoryError as exc:
-                raise MemoryError(f"report row {rows[j]['row']!r}") from exc
-            rows[j].update({"pass": passed, "value": value})
-            row_ms[j] += 1000 * (time.monotonic() - start)
-
-    settle(list(range(len(CLAIMS))), retry=False)
-    if budget is not None:
-        # a second pass hands the time the rows left unspent to the
-        # undecided ones, which run again from the start
-        settle([j for j, row in enumerate(rows) if row["pass"] is None], retry=True)
+    for i, (name, claim) in enumerate(CLAIMS):
+        row = {"row": name.replace("{towers}", str(args.towers))}
+        start = time.monotonic()
+        # each row gets an even share of what is left, so a slow row cannot
+        # starve the fast ones after it; a row that spends its share reads
+        # UNDECIDED
+        share = budget and budget.share(len(CLAIMS) - i)
+        try:
+            passed, value = claim(args.k, share, random.Random(args.seed), args.towers)
+        except UndecidedError as exc:
+            passed, value = None, {"undecided": str(exc)}
+        except MemoryError as exc:
+            raise MemoryError(f"report row {row['row']!r}") from exc
+        row.update({"pass": passed, "value": value})
+        rows.append(row)
+        row_ms.append(1000 * (time.monotonic() - start))
 
     report["results"] = {"rows": rows}
     report["timings_ms"] = {

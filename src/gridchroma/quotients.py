@@ -37,8 +37,6 @@ def cayley_window(spec: MarkedGroupSpec, levels: int) -> FiniteGraph:
 class QuotientGraph:
     """Cayley graph with the shift coordinate reduced modulo M."""
 
-    spec: MarkedGroupSpec
-    modulus: int
     graph: FiniteGraph
 
 
@@ -52,7 +50,7 @@ def build_quotient(spec: MarkedGroupSpec, modulus: int) -> QuotientGraph:
             f"quotient vertex {cell(spec.k, v)} has {graph.degree(v)} distinct "
             f"neighbors, expected {spec.degree}"
         )
-    return QuotientGraph(spec, modulus, graph)
+    return QuotientGraph(graph)
 
 
 def quotient_chi(

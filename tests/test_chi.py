@@ -618,6 +618,30 @@ class TestBudget:
         assert count is None and seen
         assert budget.nodes == Budget.CHECK_EVERY
 
+    def test_share_is_a_part_of_the_time_left(self, monkeypatch):
+        clock = [50.0]
+        monkeypatch.setattr(chi.time, "monotonic", lambda: clock[0])
+        budget = Budget(ms=900)
+        budget.nodes = 7
+        third = budget.share(3)
+        assert third.ms == pytest.approx(300)
+        assert (third.nodes, third.max_nodes) == (0, None)
+        clock[0] += 0.6  # 300 ms left before the deadline
+        assert budget.share(2).ms == pytest.approx(150)
+        assert third.share(1).ms == 0  # the share keeps its own deadline
+
+    @pytest.mark.parametrize("ms", [0, 10])
+    def test_share_after_the_deadline_is_zero(self, monkeypatch, ms):
+        clock = [50.0]
+        monkeypatch.setattr(chi.time, "monotonic", lambda: clock[0])
+        budget = Budget(ms=ms)
+        clock[0] += 1.0
+        share = budget.share(4)
+        assert share.ms == 0
+        clock[0] += 0.001  # its first clock read stops it
+        with pytest.raises(UndecidedError):
+            share.check_clock()
+
 
 class TestBounds:
     def test_greedy_clique_finds_triangle(self):

@@ -399,6 +399,14 @@ class TestReport:
         assert code == 0
         assert first["results"] == second["results"]
 
+    @pytest.mark.parametrize("towers", ["0", "-2"])
+    def test_towers_below_one_is_input_error(self, towers, monkeypatch, capsys):
+        monkeypatch.setattr(gridchroma.cli, "CLAIMS", ())  # refused before any row runs
+        code, report = run(["report", "--k", "4", "--towers", towers])
+        assert code == 2
+        assert "results" not in report
+        assert capsys.readouterr().err.splitlines() == [f"error: --towers must be at least 1, got {towers}"]
+
     def test_report_rows_present(self):
         code, report = run(["report", "--k", "3", "--seed", "1", "--towers", "2"])
         assert code == 0
@@ -437,15 +445,15 @@ class TestReport:
         seen = []
 
         def invariance(k, twisted, budget=None):  # plain takes 0.3 s of the row's 1 s
-            seen.append((twisted, budget.ms))
+            seen.append((twisted, budget.share(1).ms))  # the time left before its deadline
             clock[0] += 0.0 if twisted else 0.3
             return VerificationReport("invariance", {}, count=5)
 
-        monkeypatch.setattr(gridchroma.cli.time, "monotonic", lambda: clock[0])
+        monkeypatch.setattr(gridchroma.chi.time, "monotonic", lambda: clock[0])
         monkeypatch.setattr(gridchroma.cli, "verify_invariance", invariance)
         got = gridchroma.cli._claim_invariance(3, Budget(ms=1000), None, 0)
         assert got == (True, {"plain": 5, "twisted": 5})
-        assert seen == [(False, 500), (True, pytest.approx(700))]
+        assert seen == [(False, pytest.approx(500)), (True, pytest.approx(700))]
 
     def test_violation_outranks_undecided_in_a_verifier(self, monkeypatch):
         def dichotomy(k, budget=None, canonical=None):
@@ -501,30 +509,27 @@ class TestReport:
         assert code == 3
         assert report["timings_ms"]["total"] < 1000  # the budget still bounds the run
 
-    def test_undecided_rows_get_the_time_left(self, monkeypatch):
-        shares = {"late": [], "quick": []}
+    def test_an_undecided_row_runs_once(self, monkeypatch):
+        calls = {"late": 0, "quick": 0}
 
-        def late(k, budget, rng, towers):  # undecided on its first call only
-            shares["late"].append(budget.ms)
-            if len(shares["late"]) == 1:
+        def late(k, budget, rng, towers):  # would settle on a second call
+            calls["late"] += 1
+            if calls["late"] == 1:
                 raise UndecidedError("late: time budget exhausted")
             return True, "settled"
 
         def quick(k, budget, rng, towers):
-            shares["quick"].append(budget.ms)
+            calls["quick"] += 1
             return True, "quick"
 
         monkeypatch.setattr(gridchroma.cli, "CLAIMS", (("late", late), ("quick", quick)))
         code, report = run(["report", "--budget-ms", "1000"])
-        assert code == 0
+        assert code == 3
         assert report["results"]["rows"] == [
-            {"row": "late", "pass": True, "value": "settled"},
+            {"row": "late", "pass": None, "value": {"undecided": "late: time budget exhausted"}},
             {"row": "quick", "pass": True, "value": "quick"},
         ]
-        # half the budget at first, then what the quick row left unspent
-        assert shares["late"][0] == pytest.approx(500, abs=50)
-        assert shares["late"][1] == pytest.approx(1000, abs=100)
-        assert len(shares["quick"]) == 1
+        assert calls == {"late": 1, "quick": 1}
         assert len(report["timings_ms"]["rows"]) == 2
 
     def test_no_second_pass_without_a_budget(self, monkeypatch):
