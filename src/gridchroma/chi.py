@@ -97,7 +97,10 @@ class Budget:
 
     def share(self, parts: int) -> "Budget":
         """A fresh time budget of 1/parts of the time left before this
-        one's deadline, or of 0 ms once it has passed."""
+        one's deadline, or of 0 ms once it has passed; unlimited when this
+        one has no time limit."""
+        if self._deadline is None:
+            return Budget()
         return Budget(ms=max(0.0, 1000 * (self._deadline - time.monotonic()) / parts))
 
     def _run(self, what: str, lower: Optional[int] = None) -> int:

@@ -9,27 +9,28 @@ bi-infinite graph through its cyclic quotient.
 `divides_into_two` asks whether removing a connected vertex set, given as
 an integer vertex bitmask, splits the underlying two-ended graph into its
 two ends.  In segment mode the test runs on the instance graph, with the
-first and last blocks as the ends.  In cycle mode it runs on a 3-fold
-unrolling of the cycle with the cut placed in the middle copy, which
-distinguishes genuine two-sided cuts from sets whose removal leaves the
-cycle connected.
+first and last blocks as the ends.  In cycle mode it runs on three copies
+of the cycle opened just before the cut's first block, with the cut placed
+in the middle copy, which distinguishes genuine two-sided cuts from sets
+whose removal leaves the cycle connected.  Those copies are a slice of one
+unrolling of four copies, opened between blocks m-1 and 0.
 
 One walk over the cut checks that it is connected and collects the blocks
 it touches, through per-vertex neighbor and block-bit lists the instance
 keeps.  The test itself is a breadth-first search over integer neighbor
 bitmasks (`graphs.reach_mask`): it grows the reach of the lowest remaining
 left-end vertex and stops as soon as that reach meets the right end.
-`_unrolls` caches, per rotation, the neighbor masks, the two end masks and
-the block masks of the graph the test runs on, never a graph object.
-`_contexts` caches, per mask of touched blocks, everything the test needs
-beyond the cut: the shift that places the cut in that graph, its full
-vertex mask, its neighbor and end masks, and the end reaches.  Those are
-the reach of each end's lowest vertex in the blocks beyond the touched
-span on its side.  The cut misses both, so the search resumes from the
-left one and may stop as soon as it meets the right one.  A cut that
-leaves a vertex of the bridge mask, the vertices adjacent to both
-reaches, joins the two ends: the test answers it without a search.  A
-cycle cut that touches every block caches False.
+`_unrolling` holds, from the first cut test on, the neighbor masks and the
+block masks of that unrolling (of the instance graph in segment mode),
+never a graph object.  `_contexts` caches, per mask of touched blocks,
+everything the test needs beyond the cut: the shift and the wrap mask that
+place the cut in the slice, the slice's vertex mask, its end masks, and
+the end reaches.  Those are the reach of each end's lowest vertex in the
+blocks beyond the touched span on its side.  The cut misses both, so the
+search resumes from the left one and may stop as soon as it meets the
+right one.  A cut that leaves a vertex of the bridge mask, the vertices
+adjacent to both reaches, joins the two ends: the test answers it without
+a search.  A cycle cut that touches every block caches False.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class LineInstance:
     _block_of: list[int] = field(init=False, repr=False, compare=False)
     _block_bits: list[int] = field(init=False, repr=False, compare=False)
     _masks: list[int] = field(init=False, repr=False, compare=False)
-    _unrolls: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _unrolling: tuple = field(init=False, repr=False, compare=False, default=())
     _contexts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -118,83 +119,72 @@ class LineInstance:
 
     # -- the graph the cut test runs on -----------------------------------
 
-    def _unrolled(self, rotation: int):
-        """(neighbor masks, left-end mask, right-end mask, block masks) of
-        the graph the cut test runs on.  Cached per rotation.
+    def _unroll(self):
+        """(neighbor masks, block masks) of the graph the cut test runs on,
+        stored in `_unrolling` on the first cut test.
 
-        In segment mode that is the instance graph itself and `rotation` is
-        0.  In cycle mode it is three copies of the cycle opened between
-        rotated blocks m-1 and 0; vertex v of copy c sits at index c*n + v,
-        and rotated block r of copy c is block c*m + r.
+        In segment mode that is the instance graph itself.  In cycle mode it
+        is four copies of the cycle opened between blocks m-1 and 0; vertex
+        v of copy c sits at index c*n + v, and block b of copy c is block
+        c*m + b.
         """
-        if rotation in self._unrolls:
-            return self._unrolls[rotation]
         n = self.graph.n
-        if self.mode == SEGMENT:
-            masks = self.graph.neighbor_masks()
-            blocks = [vertex_mask(self.graph, b) for b in self.blocks]
-        else:
-            m = self.block_count
-            first = vertex_mask(self.graph, self.blocks[rotation])
-            last = vertex_mask(self.graph, self.blocks[rotation - 1])
-            copy_masks = self.graph.neighbor_masks()
-            masks = []
-            for c in range(3):
-                for v, nbrs in enumerate(copy_masks):
-                    # wrap edges: the rotated-last block joins the next
-                    # copy's rotated-first block
-                    if last >> v & 1:
-                        across, to = nbrs & first, c + 1
-                    elif first >> v & 1:
-                        across, to = nbrs & last, c - 1
-                    else:
-                        across, to = 0, c
-                    out = (nbrs ^ across) << c * n
-                    if 0 <= to < 3:
-                        out |= across << to * n
-                    masks.append(out)
-            blocks = [
-                vertex_mask(self.graph, self.blocks[(rotation + r) % m]) << c * n
-                for c in range(3)
-                for r in range(m)
-            ]
-        self._unrolls[rotation] = (masks, blocks[0], blocks[-1], blocks)
-        return self._unrolls[rotation]
+        masks = self.graph.neighbor_masks()
+        blocks = [vertex_mask(self.graph, b) for b in self.blocks]
+        if self.mode == CYCLE:
+            first, last = blocks[0], blocks[-1]
+            # each vertex's neighbors in its own copy and the two around it,
+            # at offsets n, 2n and 0: wrap edges join block m-1 to block 0
+            # of the next copy
+            around = []
+            for v, nbrs in enumerate(masks):
+                up = nbrs & first if last >> v & 1 else 0
+                down = nbrs & last if first >> v & 1 else 0
+                around.append((nbrs ^ up ^ down) << n | up << 2 * n | down)
+            everything = (1 << 4 * n) - 1
+            masks = [(a << c * n >> n) & everything for c in range(4) for a in around]
+            blocks = [b << c * n for c in range(4) for b in blocks]
+        object.__setattr__(self, "_unrolling", (masks, blocks))
+        return masks, blocks
 
     def _cut_context(self, touched: int):
-        """(shift, full mask, neighbor masks, left-end mask, right-end mask,
-        pre, pre's outer boundary, suf, bridges) for the cuts that touch
-        exactly the blocks of the mask `touched`, or False for a cycle cut
-        that touches every block.  Cached in `_contexts` per touched mask.
+        """(shift, wrap, full mask, neighbor masks, left-end mask, right-end
+        mask, pre, pre's outer boundary, suf, bridges) for the cuts that
+        touch exactly the blocks of the mask `touched`, or False for a cycle
+        cut that touches every block.  Cached in `_contexts` per touched
+        mask.
 
-        Shifting a cut left by `shift` (0 in segment mode, n in cycle mode)
-        places it in the graph the cut test runs on, where it lies inside
-        blocks lo..hi.  `pre` is the reach of the left end's lowest vertex
-        inside the blocks before lo, `suf` that of the right end's lowest
-        vertex inside the blocks after hi.  Both miss every such cut, so
-        each lies in its end's component once the cut is removed.
-        `bridges` holds the vertices adjacent to both: one the cut leaves
-        joins the ends.
+        The test runs on blocks start..stop-1 of the unrolling, whose
+        vertices make up the full mask and whose first and last blocks are
+        the ends: the instance graph in segment mode, and in cycle mode,
+        for cuts whose interval of blocks starts at block r, blocks
+        r..r+3m-1, three copies of the cycle opened before block r.
+        Shifting a cut up by `shift` (0 or n), and its vertices in `wrap`,
+        the blocks before r, by one copy more, places it in `span` blocks
+        from block lo on.  `pre` is the reach of the left end's lowest
+        vertex inside the blocks before lo, `suf` that of the right end's
+        lowest vertex inside the blocks after the cut's.  Both miss every
+        such cut, so each lies in its end's component once the cut is
+        removed.  `bridges` holds the vertices adjacent to both: one the
+        cut leaves joins the ends.
         """
         # a connected cut touches an interval of blocks (cyclically in
         # cycle mode)
+        m, span = self.block_count, touched.bit_count()
         if self.mode == SEGMENT:
-            rotation = shift = 0
-            lo, hi = (touched & -touched).bit_length() - 1, touched.bit_length() - 1
+            start, stop, shift, lo = 0, m, 0, (touched & -touched).bit_length() - 1
+        elif span == m:
+            self._contexts[touched] = False
+            return False
         else:
-            m = self.block_count
-            span = touched.bit_count()
-            if span == m:
-                self._contexts[touched] = False
-                return False
-            # rotate the interval's first block to the front
             after_touched = (touched << 1 | touched >> (m - 1)) & ((1 << m) - 1)
-            rotation = (touched & ~after_touched).bit_length() - 1
-            shift, lo, hi = self.graph.n, m, m + span - 1
-        masks, left, right, blocks = self._unrolled(rotation)
+            start = (touched & ~after_touched).bit_length() - 1
+            stop, shift, lo = start + 3 * m, self.graph.n, start + m
+        masks, blocks = self._unrolling or self._unroll()
+        left, right = blocks[start], blocks[stop - 1]
         # the block masks are disjoint, so their sum is their union
-        pre = reach_mask(masks, left & -left, sum(blocks[:lo]))
-        suf = reach_mask(masks, right & -right, sum(blocks[hi + 1:]))
+        pre = reach_mask(masks, left & -left, sum(blocks[start:lo]))
+        suf = reach_mask(masks, right & -right, sum(blocks[lo + span:stop]))
         # the outer boundaries of pre and suf
         near = []
         for inside in (pre, suf):
@@ -205,7 +195,8 @@ class LineInstance:
                 rest ^= low
             near.append(out & ~inside)
         boundary, bridges = near[0], near[0] & near[1]
-        context = (shift, (1 << len(masks)) - 1, masks, left, right, pre, boundary, suf, bridges)
+        wrap, full = sum(blocks[:start]), sum(blocks[start:stop])
+        context = (shift, wrap, full, masks, left, right, pre, boundary, suf, bridges)
         self._contexts[touched] = context
         return context
 
@@ -248,8 +239,11 @@ def divides_into_two(inst: LineInstance, cut: int) -> bool:
         context = inst._cut_context(touched)
     if not context:
         return False
-    shift, full, masks, left, right, pre, boundary, suf, bridges = context
+    shift, wrap, full, masks, left, right, pre, boundary, suf, bridges = context
     removed = cut << shift
+    moved = cut & wrap
+    if moved:  # a cycle cut across blocks m-1 and 0: move those up a copy
+        removed ^= (moved | moved << shift) << shift
     if bridges & ~removed:
         return False
     remaining = full & ~removed

@@ -234,9 +234,12 @@ class TwoEndedColoringResult:
     family: SeparatorFamily
     buffer_region: frozenset[int]
     trimmed_buffer: frozenset[int]
-    colors_used: int
     chi: int
     complement_stats: dict = field(default_factory=dict)
+
+    @property
+    def colors_used(self) -> int:
+        return self.coloring.used
 
     def to_json(self) -> dict:
         return {
@@ -318,7 +321,6 @@ def color_two_ended(
         family=family,
         buffer_region=buffer_region,
         trimmed_buffer=trimmed,
-        colors_used=len(set(colors)),
         chi=chi,
         complement_stats=stats,
     )

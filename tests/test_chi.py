@@ -630,6 +630,13 @@ class TestBudget:
         assert budget.share(2).ms == pytest.approx(150)
         assert third.share(1).ms == 0  # the share keeps its own deadline
 
+    @pytest.mark.parametrize("budget", [Budget(), Budget(max_nodes=5)], ids=["none", "nodes"])
+    def test_share_without_a_time_limit_is_unlimited(self, budget):
+        share = budget.share(2)
+        assert (share.ms, share.max_nodes) == (None, None)
+        for _ in range(2 * Budget.CHECK_EVERY):
+            share.spend()
+
     @pytest.mark.parametrize("ms", [0, 10])
     def test_share_after_the_deadline_is_zero(self, monkeypatch, ms):
         clock = [50.0]

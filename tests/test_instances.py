@@ -207,20 +207,30 @@ def differential_instances():
 class TestDividesIntoTwoMatchesSetBasedSearch:
     def test_every_window_subset_agrees(self):
         tested = 0
+        # cycle cuts across blocks m-1 and 0, which the test places across
+        # two copies of its unrolling, and how many of them separate
+        wrapping = wrapping_separators = 0
         for inst, widths, cap in differential_instances():
+            m = inst.block_count
             for width in widths:
                 if inst.mode == CYCLE:
-                    width = min(width, inst.block_count - 1)
-                for start in range(inst.block_count):
+                    width = min(width, m - 1)
+                for start in range(m):
                     window = inst.window_vertices(start, width)
                     for cut in connected_subsets(
                         inst.graph, window, cap or inst.max_block_size()
                     ):
-                        assert divides_into_two(inst, cut) == (
+                        got = divides_into_two(inst, cut)
+                        assert got == (
                             set_based_divides_into_two(inst, mask_vertices(cut))
                         ), (inst.mode, inst.graph, mask_vertices(cut))
                         tested += 1
+                        touched = {inst.block_of(v) for v in mask_vertices(cut)}
+                        if inst.mode == CYCLE and {0, m - 1} <= touched and len(touched) < m:
+                            wrapping += 1
+                            wrapping_separators += got
         assert tested > 8000
+        assert wrapping >= 600 and wrapping_separators >= 100, (wrapping, wrapping_separators)
 
     def test_cuts_touching_an_end_block(self):
         # segment cuts in the first or last block run the full search
@@ -298,6 +308,25 @@ class TestCutContextCache:
         assert sum(cold.values()) >= 4
         for cut, want in cold.items():
             assert divides_into_two(warm, cut) == want, mask_vertices(cut)
+
+    def test_one_unrolling_for_every_rotation(self, monkeypatch):
+        builds = 0
+        unroll = LineInstance._unroll
+
+        def counting_unroll(inst):
+            nonlocal builds
+            builds += 1
+            return unroll(inst)
+
+        monkeypatch.setattr(LineInstance, "_unroll", counting_unroll)
+        inst = cayley_cycle_instance(DELTA3, 12)
+        assert find_separators(inst, 1, 9) == [frozenset(b) for b in inst.blocks]
+        # one-block windows: one context per block, each with the slice of
+        # the unrolling that starts there
+        assert set(inst._contexts) == {1 << b for b in range(12)}
+        assert builds == 1
+        masks, blocks = inst._unrolling
+        assert (len(masks), len(blocks)) == (4 * inst.graph.n, 4 * 12)
 
     @pytest.mark.parametrize("make", CACHED_INSTANCES.values(), ids=CACHED_INSTANCES)
     def test_warm_cache_keeps_every_check(self, make):
