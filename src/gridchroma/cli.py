@@ -94,19 +94,6 @@ def _verdict(outcomes) -> Optional[bool]:
 
 EXIT_CODES = {True: OK, False: VIOLATION, None: UNDECIDED}
 
-_TRUTH = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _truth(text: str) -> bool:
-    """A true/false option value, in any case; anything else is a usage
-    error rather than a silent false."""
-    try:
-        return _TRUTH[text.lower()]
-    except KeyError:
-        raise argparse.ArgumentTypeError(
-            f"expected true/false, yes/no or 1/0, got {text!r}"
-        ) from None
-
 
 # -- subcommand handlers -------------------------------------------------------
 
@@ -175,8 +162,8 @@ def cmd_verify_dichotomy(args, report) -> int:
 
 
 def cmd_verify_invariance(args, report) -> int:
-    got = verify_invariance(args.k, args.twisted, budget=_budget_from(args))
-    head = f"invariance k={args.k} twisted={args.twisted}: colorings={got.count} "
+    got = verify_invariance(args.k, args.group == "gamma", budget=_budget_from(args))
+    head = f"invariance k={args.k} group={args.group}: colorings={got.count} "
     return _verified(args, report, got, head)
 
 
@@ -341,6 +328,8 @@ def _claim_two_ended(k, budget, rng, towers):
 def _claim_towers(k, budget, rng, towers):
     good, zero_seen = True, 0
     for _ in range(towers):
+        if budget is not None:
+            budget.check_clock("tower row")
         mode = SEGMENT if rng.random() < 0.5 else CYCLE
         zero = rng.random() < 0.25
         # a Coloring refuses colors above its palette, k+1 for a tower
@@ -457,10 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-invariance", help="orientation propagation across layers")
     p.add_argument("--k", type=int, default=3)
     p.add_argument(
-        "--twisted",
-        type=_truth,
-        default=False,
-        help="true: adjacent layers must swap orientation",
+        "--group",
+        choices=("delta", "gamma"),
+        default="delta",
+        help="gamma: adjacent layers must swap orientation",
     )
     common(p)
     p.set_defaults(func=cmd_verify_invariance)

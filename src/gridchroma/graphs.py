@@ -66,9 +66,6 @@ class FiniteGraph:
 
     # -- basic queries ----------------------------------------------------
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in self.adj[u]:
@@ -202,13 +199,11 @@ def induced_subgraph(
     """Induced subgraph plus the list mapping new indices to old vertices."""
     keep = sorted(set(vertices))
     index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (index[u], index[v])
-        for u in keep
-        for v in g.adj[u]
-        if u < v and v in index
-    ]
-    return FiniteGraph(len(keep), edges), keep
+    # index is increasing on the sorted keep, so each tuple comes out
+    # sorted; each is built from a list, since a generator per vertex
+    # raised the two-ended colorer's peak RSS
+    adj = [tuple([index[w] for w in g.adj[v] if w in index]) for v in keep]
+    return FiniteGraph._from_sorted_adjacency(adj), keep
 
 
 # -- serialization ----------------------------------------------------------

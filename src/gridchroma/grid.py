@@ -57,20 +57,17 @@ def grid_graph(k: int) -> FiniteGraph:
     if k < 3:
         raise InputError(f"grid modulus must be >= 3, got {k}")
     refuse_above_cap(f"the grid graph at k={k} needs about", k * k * (k - 1) ** 2 // 2)
-    return FiniteGraph(k * k, _grid_edges(k))
+    return FiniteGraph._from_sorted_adjacency(_grid_adjacency(k))
 
 
-def _grid_edges(k: int) -> list[tuple[int, int]]:
-    """The grid graph's edges (u, v), u < v, on cells u = a*k+b."""
-    edges = []
-    for a in range(k):
-        for b in range(k):
-            u = a * k + b
-            for a2 in range(a + 1, k):
-                for b2 in range(k):
-                    if b2 != b:
-                        edges.append((u, a2 * k + b2))
-    return edges
+def _grid_adjacency(k: int) -> tuple[tuple[int, ...], ...]:
+    """Per cell a*k+b, the sorted cells that differ from it in both
+    coordinates: the grid graph's adjacency, read off its definition."""
+    return tuple(
+        tuple(a2 * k + b2 for a2 in range(k) if a2 != a for b2 in range(k) if b2 != b)
+        for a in range(k)
+        for b in range(k)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -119,12 +116,15 @@ def _templates(spec: MarkedGroupSpec, product) -> tuple:
     on the same level, the level above and the level below.
 
     All are read off the group product at level 0, each edge entered at
-    both of its cells.  Two invariants are checked, not assumed.  For
+    both of its cells.  Three invariants are checked, not assumed.  For
     every generator, the edges computed at level 1 must be those of level
     0 moved up a level (left multiplication commutes with the right unit
     shift); the product sees a level only through its parity, so the
     templates then hold on every level and descend to every cyclic
-    quotient.  And `same` must be the grid graph's adjacency.
+    quotient.  `same` must be the grid graph's adjacency.  And every cell
+    must have (k-1)^2 neighbors on the level above and on the level below,
+    so that a cell whose three levels are distinct (inside a window, or
+    anywhere in a quotient) has the 3(k-1)^2 neighbors of its generators.
 
     The bounded memo (hence the tuples) is keyed on the product as well as
     the spec, so a replaced `grid.multiply` is derived and checked afresh.
@@ -150,8 +150,15 @@ def _templates(spec: MarkedGroupSpec, product) -> tuple:
                 near[u].add(v)
                 far[v].add(u)
     cells = tuple(tuple(tuple(sorted(c)) for c in side) for side in (same, above, below))
-    if cells[0] != FiniteGraph(k * k, _grid_edges(k)).adj:
+    if cells[0] != _grid_adjacency(k):
         raise InvariantViolation("tower layer is not a copy of the grid graph")
+    for where, side in (("above", cells[1]), ("below", cells[2])):
+        for c, nbrs in enumerate(side):
+            if len(nbrs) != (k - 1) ** 2:
+                raise InvariantViolation(
+                    f"cell {divmod(c, k)} has {len(nbrs)} neighbors on the level "
+                    f"{where}, expected {(k - 1) ** 2}"
+                )
     return cells
 
 
@@ -161,9 +168,9 @@ def _cell_getters(spec: MarkedGroupSpec, product, order: tuple[int, ...]) -> tup
 
     The window lists the vertices of the level's neighboring levels, one
     block of k^2 per level in order of its first vertex; `order` names the
-    template (0 same, 1 above, 2 below) of each block.  A cell has at least
-    (k-1)^2 >= 4 neighbors, so every getter returns a tuple.  Keyed, like
-    `_templates`, on the product as well as the spec.
+    template (0 same, 1 above, 2 below) of each block.  `_templates` gives
+    a cell (k-1)^2 >= 4 neighbors per side, so every getter returns a
+    tuple.  Keyed, like `_templates`, on the product as well as the spec.
     """
     sides = _templates(spec, product)
     kk = spec.k ** 2

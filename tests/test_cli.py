@@ -1,8 +1,10 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -373,22 +375,23 @@ class TestSubcommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["results"]["count"] == 12
 
-    def test_invariance_twisted_flag(self):
-        code, report = run(["verify-invariance", "--k", "3", "--twisted", "true"])
+    def test_invariance_group_gamma(self):
+        code, report = run(["verify-invariance", "--k", "3", "--group", "gamma"])
         assert code == 0
         assert report["results"]["params"]["twisted"] is True
+        assert report["results"]["count"] == 12288
 
-    @pytest.mark.parametrize("value", ["FALSE", "No", "0"])
-    def test_invariance_false_spellings(self, value):
-        code, report = run(["verify-invariance", "--k", "3", "--twisted", value])
+    def test_invariance_defaults_to_delta(self):
+        code, report = run(["verify-invariance", "--k", "3"])
         assert code == 0
         assert report["results"]["params"]["twisted"] is False
 
-    def test_invariance_bad_twisted_value_is_usage_error(self, capsys):
-        code, report = run(["verify-invariance", "--k", "3", "--twisted", "ture"])
+    @pytest.mark.parametrize("option", [["--group", "epsilon"], ["--twisted", "true"]], ids=["epsilon", "twisted"])
+    def test_invariance_bad_group_is_usage_error(self, option, capsys):
+        code, report = run(["verify-invariance", "--k", "3", *option])
         assert code == 2
         assert "results" not in report
-        assert "'ture'" in capsys.readouterr().err
+        assert option[1] in capsys.readouterr().err
 
 
 class TestReport:
@@ -429,6 +432,18 @@ class TestReport:
         assert two_ended["pass"] is None
         assert "separator search" in two_ended["value"]["undecided"]
         assert any("tower" in name for name in rows)
+
+    def test_tower_row_stops_when_its_share_is_spent(self, monkeypatch):
+        colored = []
+
+        def color_tower(tower):  # counts the towers the row colors
+            colored.append(tower)
+            return SimpleNamespace(colors_used=tower.k)
+
+        monkeypatch.setattr(gridchroma.cli, "color_tower", color_tower)
+        with pytest.raises(UndecidedError, match="tower row: time budget exhausted"):
+            gridchroma.cli._claim_towers(3, Budget(ms=0), random.Random(1), 5)
+        assert colored == []
 
     def test_violation_outranks_undecided_in_a_row(self, monkeypatch):
         def invariance(k, twisted, budget=None):  # plain violated, twisted undecided

@@ -245,6 +245,17 @@ class TestHelpers:
         assert mapping == [0, 1, 3]
         assert list(sub.edges()) == [(0, 1)]
 
+    def test_induced_subgraph_matches_edge_list_build(self):
+        rng = random.Random(0)
+        for seed in range(40):
+            n = rng.randint(1, 30)
+            g = random_graph(n, rng.random(), seed)
+            vertices = [rng.randrange(n) for _ in range(rng.randint(0, n + 5))]  # repeats too
+            sub, keep = induced_subgraph(g, vertices)
+            assert keep == sorted(set(vertices))
+            edges = [(i, j) for i, u in enumerate(keep) for j, v in enumerate(keep) if v in g.adj[u]]
+            assert sub.adj == FiniteGraph(len(keep), edges).adj
+
     def test_is_connected_set(self):
         g = path_graph(5)
         assert is_connected_set(g, {1, 2, 3})

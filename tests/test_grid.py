@@ -392,8 +392,9 @@ class TestLayerGraph:
 
     def test_layer_that_is_not_the_grid_is_caught(self, monkeypatch):
         # the product is intact; the grid it is checked against loses an edge
-        edges = gridchroma.grid._grid_edges(3)[1:]
-        monkeypatch.setattr(gridchroma.grid, "_grid_edges", lambda k: edges)
+        adj = list(gridchroma.grid._grid_adjacency(3))
+        adj[0] = adj[0][1:]
+        monkeypatch.setattr(gridchroma.grid, "_grid_adjacency", lambda k: tuple(adj))
         with pytest.raises(InvariantViolation, match="not a copy of the grid graph"):
             gridchroma.grid._templates.__wrapped__(MarkedGroupSpec(3), multiply)
 

@@ -1,9 +1,8 @@
 import pytest
 
-from gridchroma import grid, quotients
+from gridchroma import grid
 from gridchroma.chi import Budget, find_coloring
 from gridchroma.errors import InputError, InvariantViolation
-from gridchroma.graphs import FiniteGraph
 from gridchroma.grid import cell, two_orbit_graph
 from gridchroma.groups import (
     GroupElement,
@@ -81,7 +80,7 @@ class TestConstruction:
         for v in range(window.n):
             _, _, n = cell(3, v)
             if 1 <= n <= 3:
-                assert window.degree(v) == 12
+                assert len(window.adj[v]) == 12
 
     def test_right_multiplication_is_window_automorphism(self):
         # edges are y = s*x, so right multiplication by level-0 elements
@@ -173,20 +172,26 @@ def test_product_that_breaks_shift_commutation_is_caught(monkeypatch):
         build_quotient(DELTA3, 3)
 
 
-def test_irregular_quotient_names_its_first_short_vertex(monkeypatch):
-    # drop the edges between vertices 7 and 9: both fall one neighbor
-    # short, and the message names the first of them
-    def thinned(spec, levels, cyclic=False):
-        g = layer_graph(spec, levels, cyclic)
-        return FiniteGraph(g.n, [e for e in g.edges() if e != (7, 9)])
+def test_cell_short_of_neighbors_is_caught_by_every_builder(monkeypatch):
+    # drop the generator (1, 1, +1) and its inverse: cell (0, 0) loses its
+    # neighbor (1, 1) on the level above, and no build may go on without it
+    def thinned(spec):
+        k = spec.k
+        dropped = {GroupElement(1, 1, 1), GroupElement(k - 1, k - 1, -1)}
+        return [s for s in generators(spec) if s not in dropped]
 
-    layer_graph = quotients.layer_graph
-    assert (7, 9) in set(layer_graph(DELTA3, 5, cyclic=True).edges())
-    monkeypatch.setattr(quotients, "layer_graph", thinned)
-    with pytest.raises(InvariantViolation) as exc:
-        build_quotient(DELTA3, 5)
-    # vertex 7 = 2*3 + 1 is cell (2, 1) of level 0
-    assert str(exc.value) == "quotient vertex (2, 1, 0) has 11 distinct neighbors, expected 12"
+    monkeypatch.setattr(grid, "generators", thinned)
+    builds = [
+        lambda: cayley_window(DELTA3, 4),
+        lambda: two_orbit_graph(3, True),
+        lambda: build_quotient(DELTA3, 5),
+    ]
+    for build in builds:
+        grid._templates.cache_clear()
+        grid._cell_getters.cache_clear()
+        with pytest.raises(InvariantViolation) as exc:
+            build()
+        assert str(exc.value) == "cell (0, 0) has 3 neighbors on the level above, expected 4"
 
 
 class TestQuotientChi:
