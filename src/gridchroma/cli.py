@@ -220,7 +220,7 @@ def cmd_shift_color(args, report) -> int:
         args,
         report,
         [
-            f"colored {result.graph.n} vertices with {result.colors_used} colors "
+            f"colored {len(result.coloring.colors)} vertices with {result.colors_used} colors "
             f"(palette {result.coloring.palette}); proper=True"
         ],
     )

@@ -16,7 +16,8 @@ The module also holds the one builder of the tower graphs: left
 multiplication by a generator draws the same edges on every level, so
 windows, cyclic quotients and the two-orbit graph (two adjacent grid
 layers, plain or twisted) are all tiled from one set of per-cell neighbor
-templates.  It provides exhaustive verifiers for the dichotomy, the
+templates, as is the column graph the tower colorer is checked on.  It
+provides exhaustive verifiers for the dichotomy, the
 orientation-propagation law across layers, and the rigidity of
 k-colorings.
 """
@@ -180,6 +181,37 @@ def _cell_getters(spec: MarkedGroupSpec, product, order: tuple[int, ...]) -> tup
     )
 
 
+@lru_cache(maxsize=32)
+def _column_graph(spec: MarkedGroupSpec, product) -> FiniteGraph:
+    """Two adjacent levels with each column contracted to one vertex:
+    column a of the lower level is vertex a, of the upper level k+a.
+
+    Its edges are the `same` edges inside each level and the `above` edges
+    between the levels, read off `_templates`.  A coloring constant on
+    each column of two adjacent levels is proper on them iff the lower
+    colors followed by the upper ones are proper here.  Keyed, like
+    `_templates`, on the product as well as the spec.
+    """
+    k = spec.k
+    same, above, _ = _templates(spec, product)
+    edges = [(c // k + lift, d // k + lift) for c in range(k * k) for d in same[c] for lift in (0, k)]
+    edges += [(c // k, k + d // k) for c in range(k * k) for d in above[c]]
+    return FiniteGraph(2 * k, edges)
+
+
+def column_graph(spec: MarkedGroupSpec) -> FiniteGraph:
+    """The 2k-vertex column graph of two adjacent levels under the current
+    `grid.multiply` (see `_column_graph`)."""
+    return _column_graph(spec, multiply)
+
+
+def refuse_oversized(spec: MarkedGroupSpec, levels: int) -> None:
+    """InputError when a build on `levels` levels, estimated at levels*k^2
+    times half the degree 3(k-1)^2 edges, exceeds
+    graphs.MAX_LAYER_GRAPH_EDGES."""
+    refuse_above_cap(f"{spec.name} on {levels} levels needs about", levels * spec.k**2 * spec.degree // 2)
+
+
 def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> FiniteGraph:
     """The Cayley graph on shift levels 0..levels-1, tiled from the layer
     templates.
@@ -188,10 +220,8 @@ def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> Fin
     (the quotient by the shift-by-levels element), the last level also
     joins level 0.  Vertex (a, b, n) is n*k^2 + a*k + b (see `cell`).
     Needs levels >= 1, and levels >= 3 when cyclic (fewer levels would
-    fold the two cross directions onto one level).  Refuses any build
-    whose edge count, estimated as levels*k^2 times half the degree
-    3(k-1)^2, exceeds graphs.MAX_LAYER_GRAPH_EDGES, before it allocates
-    anything.
+    fold the two cross directions onto one level).  Refuses an oversized
+    build (`refuse_oversized`) before it allocates anything.
 
     Each level's window joins the slices of one shared vertex list that
     its neighboring levels cover, in order of their first vertex, and each
@@ -207,7 +237,7 @@ def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> Fin
         raise InputError(f"a window needs at least one level, got {levels}")
     k = spec.k
     kk = k * k
-    refuse_above_cap(f"{spec.name} on {levels} levels needs about", levels * kk * spec.degree // 2)
+    refuse_oversized(spec, levels)
     vertices = list(range(levels * kk))
     inner = _cell_getters(spec, multiply, (2, 0, 1))  # below, same, above
     adj: list[tuple[int, ...]] = []

@@ -13,19 +13,25 @@ columns and two different columns of consecutive layers can only clash if
 a color moved columns without passing through the spare.  Anchor gaps
 must exceed 3k, which leaves room for any schedule this module emits (the
 rotation needs at most 3k/2 steps).
+
+The coloring is checked, not trusted, once per distinct pair of
+consecutive layer maps on the 2k-vertex column graph of two adjacent
+levels; the tower graph is built only for the witness search and on
+request.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Optional
 
 from .chi import Budget, Coloring, find_coloring, is_proper
 from .errors import InputError, InvariantViolation
 from .graphs import FiniteGraph, json_int, read_json
-from .grid import cell
+from .grid import cell, column_graph, refuse_oversized
 from .groups import MarkedGroupSpec
 from .instances import CYCLE, SEGMENT
 from .quotients import build_quotient, cayley_window
@@ -145,10 +151,11 @@ def transfer_schedule(
 
 @dataclass
 class TowerColoring:
-    """Materialized tower graph plus the per-layer column maps."""
+    """The per-layer column maps of a tower and the coloring they give:
+    cell (a, b) of level n, vertex n*k^2 + a*k + b, takes color
+    orbit_maps[n][a]."""
 
     tower: AnchoredTower
-    graph: FiniteGraph
     coloring: Coloring
     orbit_maps: list[OrbitMap]
 
@@ -156,11 +163,17 @@ class TowerColoring:
     def colors_used(self) -> int:
         return self.coloring.used
 
+    @cached_property
+    def graph(self) -> FiniteGraph:
+        """The tower graph, built on first read; `color_tower` checks the
+        coloring without it."""
+        return tower_graph(self.tower)
+
     def to_json(self) -> dict:
         return {
             "tower": tower_to_json(self.tower),
             "coloring": self.coloring.to_json(),
-            "labels": [list(cell(self.tower.k, v)) for v in range(self.graph.n)],
+            "labels": [list(cell(self.tower.k, v)) for v in range(len(self.coloring.colors))],
             "colors_used": self.colors_used,
         }
 
@@ -179,10 +192,19 @@ def color_tower(tower: AnchoredTower) -> TowerColoring:
     Anchor layers take their shifted coordinate coloring; each gap runs
     the transfer schedule and then repeats the target map until the next
     anchor.  Layers outside the anchor range (segment mode) copy the
-    nearest anchor.  The result is checked proper before returning.
+    nearest anchor.  An oversized tower is refused, as `layer_graph`
+    refuses its graph, before the maps are built.
+
+    The result is checked proper without the tower graph: a cell's color
+    depends only on its layer's map and its column, so each distinct pair
+    of consecutive maps, the wrap pair included in cycle mode, is checked
+    once on `grid.column_graph`.  A one-level segment pairs its map with
+    itself, a stricter check that an injective map passes, since cross
+    edges join distinct columns.
     """
-    graph = tower_graph(tower)  # built, or refused as oversized, before the maps
     k = tower.k
+    spec = MarkedGroupSpec(k)
+    refuse_oversized(spec, tower.extent)
     first_pos, (first_a0, _) = tower.anchors[0]
     maps = [anchor_coloring(k, first_a0)] * (first_pos + 1)
     gaps = [
@@ -204,9 +226,14 @@ def color_tower(tower: AnchoredTower) -> TowerColoring:
     # vertex n*k^2 + a*k + b takes maps[n][a]: one k-fold tuple per distinct map
     layers = {m: tuple(c for c in m for _ in range(k)) for m in set(maps)}
     coloring = Coloring(tuple(chain.from_iterable(map(layers.__getitem__, maps))), k + 1)
-    if not is_proper(graph, coloring):
-        raise InvariantViolation("tower coloring came out improper")
-    return TowerColoring(tower, graph, coloring, maps)
+    pairs = set(zip(maps, maps[1:] or maps))
+    if tower.mode == CYCLE:
+        pairs.add((maps[-1], maps[0]))
+    columns = column_graph(spec)
+    for lo, hi in pairs:
+        if not is_proper(columns, Coloring(lo + hi, k + 1)):
+            raise InvariantViolation("tower coloring came out improper")
+    return TowerColoring(tower, coloring, maps)
 
 
 def witness_k_insufficient(

@@ -363,6 +363,20 @@ class TestSubcommands:
         assert doc["labels"] == [[a, b, n] for n in range(extent) for a in range(k) for b in range(k)]
         assert doc["colors_used"] == coloring.used == 4
 
+    def test_shift_color_never_builds_the_tower_graph(self, tower_file, tmp_path, monkeypatch, capsys):
+        built, unbuilt = tmp_path / "built.json", tmp_path / "unbuilt.json"
+        assert run(["shift-color", "--anchors", tower_file, "--out", str(built)])[0] == 0
+        want = capsys.readouterr().out
+
+        def refuse(tower):
+            raise AssertionError("shift-color built the tower graph")
+
+        monkeypatch.setattr(gridchroma.towers, "tower_graph", refuse)
+        assert run(["shift-color", "--anchors", tower_file, "--out", str(unbuilt)])[0] == 0
+        assert capsys.readouterr().out == want
+        assert "colored 99 vertices with 4 colors" in want
+        assert unbuilt.read_text() == built.read_text()
+
     def test_verify_alternation(self, capsys):
         code, report = run(["verify-alternation", "--k", "3", "--M", "3"])
         assert code == 0

@@ -13,6 +13,7 @@ from gridchroma.grid import (
     VERTICAL,
     _orientation_flags,
     cell,
+    column_graph,
     grid_graph,
     layer_graph,
     two_orbit_graph,
@@ -431,6 +432,23 @@ class TestLayerGraph:
 
         monkeypatch.setattr(gridchroma.grid, "multiply", twisting)
         assert layer_graph(plain, levels, cyclic=cyclic).adj == want
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    def test_column_graph_contracts_each_column_of_two_levels(self, monkeypatch, k):
+        # cell (a, b) of level n goes to vertex n*k + a of the edge-list
+        # two-level window; a replaced product is followed
+        def contracted(spec):
+            edges = set()
+            for u, v in edge_list_layer_graph(spec, 2).edges():
+                (a, _, n), (a2, _, n2) = cell(k, u), cell(k, v)
+                edges.add((n * k + a, n2 * k + a2))
+            return gridchroma.graphs.FiniteGraph(2 * k, edges).adj
+
+        plain, twisted = MarkedGroupSpec(k), MarkedGroupSpec(k, twisted=True)
+        assert column_graph(plain).adj == contracted(plain)
+        assert column_graph(twisted).adj == contracted(twisted) != contracted(plain)
+        monkeypatch.setattr(gridchroma.grid, "multiply", lambda spec, g, h: multiply(twisted, g, h))
+        assert column_graph(plain).adj == contracted(twisted)
 
 
 def test_raw_scan_oracle_for_dichotomy_count():

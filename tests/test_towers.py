@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from itertools import product
@@ -5,9 +6,11 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+import gridchroma.cli as cli
+import gridchroma.graphs as graphs
 import gridchroma.towers as towers
 from gridchroma.chi import Budget, Coloring, find_coloring, is_proper
-from gridchroma.errors import InputError
+from gridchroma.errors import InputError, InvariantViolation
 from gridchroma.grid import cell, two_orbit_graph
 from gridchroma.instances import CYCLE, SEGMENT
 from gridchroma.towers import (
@@ -225,6 +228,180 @@ class TestColorTower:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("mode", [SEGMENT, CYCLE])
+    def test_refused_at_the_cap_its_graph_is_refused_at(self, monkeypatch, mode):
+        # 20 levels at k=3 are estimated at 20*9*12/2 = 1,080 edges
+        tower = AnchoredTower(3, 20, mode, ((0, (1, 0)), (10, (2, 0))))
+        monkeypatch.setattr(graphs, "MAX_LAYER_GRAPH_EDGES", 1080)
+        assert color_tower(tower).colors_used == 4
+        monkeypatch.setattr(graphs, "MAX_LAYER_GRAPH_EDGES", 1079)
+        with pytest.raises(InputError) as colored:
+            color_tower(tower)
+        with pytest.raises(InputError) as built:
+            tower_graph(tower)
+        assert str(colored.value) == str(built.value)
+        assert "1,080 edges" in str(colored.value)
+
+
+def report_towers(monkeypatch, k):
+    """The towers the report's tower row colors at k, with its default
+    seed 0 and 20 towers."""
+    seen = []
+
+    def recording(tower):
+        seen.append(tower)
+        return color_tower(tower)
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "color_tower", recording)
+        cli._claim_towers(k, None, random.Random(0), 20)
+    return seen
+
+
+def seeded_towers(monkeypatch):
+    for k in range(3, 8):
+        rng = random.Random(k)
+        for mode in (SEGMENT, CYCLE) * 3:
+            yield random_tower(k, rng, mode)
+    for k in range(3, 8):
+        yield from report_towers(monkeypatch, k)
+
+
+def swapped(state):
+    """The state with its first two columns swapped: a step that moves two
+    colors between columns without passing through the spare."""
+    return (state[1], state[0]) + state[2:]
+
+
+def unchecked_coloring(monkeypatch, tower):
+    """The coloring color_tower builds for the tower, with its check off."""
+    with monkeypatch.context() as m:
+        m.setattr(towers, "is_proper", lambda graph, coloring: True)
+        return color_tower(tower).coloring
+
+
+class TestColumnCheck:
+    """color_tower checks each distinct pair of consecutive layer maps on
+    the column graph; its verdict must be that of is_proper on the whole
+    tower graph."""
+
+    def test_colorings_are_unchanged_and_proper_on_the_tower_graph(self, monkeypatch):
+        # the digest of every tower, orbit map list, coloring and color
+        # count, frozen from the colorer that checked the built graph
+        digest = hashlib.sha256()
+        count = 0
+        for tower in seeded_towers(monkeypatch):
+            result = color_tower(tower)
+            assert is_proper(tower_graph(tower), result.coloring)
+            assert result.colors_used <= tower.k + 1
+            state = (tower_to_json(tower), result.orbit_maps, result.coloring.colors, result.colors_used)
+            digest.update(repr(state).encode())
+            count += 1
+        assert count == 130
+        assert digest.hexdigest() == "17d925481c1b24d451dabf1f04ee6afde98787a2f72c506a73974d85018179e0"
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    def test_verdict_equals_the_tower_graph_check(self, monkeypatch, k):
+        # in about half the schedules one random step has its colors
+        # permuted; each plant is drawn afresh, the same, for both checks
+        def planted(seed):
+            rng = random.Random(seed)
+
+            def schedule(k, source, target):
+                states = transfer_schedule(k, source, target)
+                if states and rng.random() < 0.5:
+                    step = rng.randrange(len(states))
+                    states[step] = tuple(rng.sample(states[step], k))
+                return states
+
+            return schedule
+
+        verdicts = []
+        for i, mode in enumerate((SEGMENT, CYCLE) * 3):
+            tower = random_tower(k, random.Random(1000 * k + i), mode)
+            monkeypatch.setattr(towers, "transfer_schedule", planted(i))
+            want = is_proper(tower_graph(tower), unchecked_coloring(monkeypatch, tower))
+            monkeypatch.setattr(towers, "transfer_schedule", planted(i))
+            try:
+                color_tower(tower)
+                got = True
+            except InvariantViolation as exc:
+                assert str(exc) == "tower coloring came out improper"
+                got = False
+            assert got == want
+            verdicts.append(got)
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("mode", [SEGMENT, CYCLE])
+    def test_planted_column_swap_is_caught(self, monkeypatch, k, mode):
+        # the first gap's schedule opens with a swap of the anchor map
+        gap = 3 * k + 1
+        extent = gap + 1 if mode == SEGMENT else 2 * gap
+        tower = AnchoredTower(k, extent, mode, ((0, (0, 0)), (gap, (1, 0))))
+        real = transfer_schedule
+
+        def planted(k, source, target):
+            if source != anchor_coloring(k, 0):
+                return real(k, source, target)
+            return [swapped(source)] + real(k, swapped(source), target)
+
+        monkeypatch.setattr(towers, "transfer_schedule", planted)
+        assert not is_proper(tower_graph(tower), unchecked_coloring(monkeypatch, tower))
+        with pytest.raises(InvariantViolation, match="came out improper"):
+            color_tower(tower)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    def test_plant_that_breaks_only_the_wrap_pair_is_caught(self, monkeypatch, k):
+        # the wrap gap starts two layers before the extent, so its first
+        # state is the last layer and its second is layer 0: holding the
+        # anchor map one layer and then swapping leaves every pair but
+        # (last layer, layer 0) proper
+        first, last = 3 * k, 6 * k + 1
+        tower = AnchoredTower(k, last + 2, CYCLE, ((first, (1, 0)), (last, (0, 0))))
+        real = transfer_schedule
+
+        def planted(k, source, target):
+            if source != anchor_coloring(k, 0):
+                return real(k, source, target)
+            return [source, swapped(source)] + real(k, swapped(source), target)
+
+        monkeypatch.setattr(towers, "transfer_schedule", planted)
+        coloring = unchecked_coloring(monkeypatch, tower)
+        as_segment = AnchoredTower(k, tower.extent, SEGMENT, tower.anchors)
+        assert is_proper(tower_graph(as_segment), coloring)
+        assert not is_proper(tower_graph(tower), coloring)
+        with pytest.raises(InvariantViolation, match="came out improper"):
+            color_tower(tower)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_one_level_segment_uses_k_colors(self, monkeypatch, k):
+        tower = AnchoredTower(k, 1, SEGMENT, ((0, (k - 1, 1)),))
+        result = color_tower(tower)
+        assert result.orbit_maps == [anchor_coloring(k, k - 1)]
+        assert result.colors_used == k
+        assert is_proper(tower_graph(tower), result.coloring)
+        # its lone map is checked: a map that repeats a color is refused
+        monkeypatch.setattr(towers, "anchor_coloring", lambda k, a0: (1,) + anchor_coloring(k)[:-1])
+        with pytest.raises(InvariantViolation, match="came out improper"):
+            color_tower(tower)
+
+    def test_large_cycle_is_colored_without_its_graph(self, monkeypatch):
+        # 450,000 vertices and 2.7M edges: building the graph took 82 MB
+        for builder in ("tower_graph", "build_quotient", "cayley_window"):
+            monkeypatch.setattr(towers, builder, None)
+        anchors = tuple((p, (p // 10 % 3, 0)) for p in range(0, 50_000, 10))
+        tower = AnchoredTower(3, 50_000, CYCLE, anchors)
+        tracemalloc.start()
+        try:
+            result = color_tower(tower)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert result.colors_used == 4
+        assert len(result.coloring.colors) == 450_000
 
 
 class TestWitness:
