@@ -2,18 +2,18 @@
 
 The pipeline mirrors the constructive argument it verifies:
 
-1. collect small connected cuts that split the instance into its two ends:
-   each candidate is an integer vertex bitmask from the walk that
-   enumerates it, in walk order, to the cut test; only the hits are
-   sorted and made into sets,
-2. greedily keep a family of them with pairwise path distance at least 4
-   (maximal within the candidate list),
-3. color the closed neighborhood of each kept cut exactly with the
+1. walk small connected sets window by window and pick, as the walk meets
+   them, cuts that split the instance into its two ends and lie at path
+   distance at least 4 from every cut picked before; one mask holds the
+   radius-3 ball around the picked cuts, and the walk never enters it,
+   so the family is the greedy one over every window's cuts in walk order
+   (maximal within them),
+2. color the closed neighborhood of each kept cut exactly with the
    instance's chromatic number chi; distance >= 4 keeps those
    neighborhoods component-disjoint,
-4. drop the top color class, leaving colors 1..chi-1 on the rest of the
+3. drop the top color class, leaving colors 1..chi-1 on the rest of the
    neighborhoods,
-5. the remaining graph falls apart into pieces trapped between cuts (plus
+4. the remaining graph falls apart into pieces trapped between cuts (plus
    end pieces in segment mode); color each exactly with colors
    chi..2chi-1.
 
@@ -33,6 +33,7 @@ from .graphs import (
     components,
     induced_subgraph,
     mask_vertices,
+    reach_mask,
     set_distance,
     vertex_mask,
 )
@@ -90,19 +91,37 @@ def find_separators(
     size_cap: int,
     budget: Optional[Budget] = None,
 ) -> list[frozenset[int]]:
-    """All connected sets of size <= size_cap within any window of
-    consecutive blocks that divide the instance into its two ends.
+    """A family of connected sets of size <= size_cap, each within a window
+    of consecutive blocks and each dividing the instance into its two
+    ends, pairwise at path distance >= MIN_SEPARATION; in selection order.
 
-    Candidates stay vertex bitmasks through the cut test; only the hits
-    become sets.  Order: leftmost window first, lexicographic inside a
-    window.  Each cut test costs one unit of the budget, when one is
-    given, charged ahead in runs (`Budget._run`) and the unused rest given
-    back on return, so the count, the node limit and the clock reads are
-    those of one `spend` per test; a candidate already tested in an
-    earlier, overlapping window is not tested again.
+    Order: leftmost window first.  Inside a window the walk visits sorted
+    vertex tuples in pre-order, which is lexicographic order: a prefix is
+    extended only with window vertices above its last one.  One mask holds
+    the radius-3 ball around the members selected so far.  A prefix that
+    meets it is pruned, and so is one whose members cannot all be joined
+    through itself plus the window vertices above its last one outside
+    the ball.  Each connected prefix is cut-tested, unless it lies inside
+    the previous or the first window, which tested it already; a hit is
+    selected, its own breadth-first ball is ORed into the mask, and its
+    extensions are not walked.  The family is the one
+    `build_separator_family` keeps from every window's cuts in this order:
+    a set of an earlier window either was selected, and now meets the
+    ball, or failed its test.  So no set is tested twice.
+
+    Each cut test costs one unit of the budget, when one is given, charged
+    ahead in runs (`Budget._run`) and the unused rest given back on
+    return, so the count, the node limit and the clock reads are those of
+    one `spend` per test.  A budget with a time limit also has its clock
+    read every `Budget.CHECK_EVERY` walk steps, tested or not.  An empty
+    list means no window holds a cut.
     """
+    if size_cap < 1:
+        raise InputError(f"size cap must be >= 1, got {size_cap}")
     if window_blocks < 1:
         raise InputError(f"window_blocks must be >= 1, got {window_blocks}")
+    g = inst.graph
+    masks = g.neighbor_masks()
     m = inst.block_count
     if inst.mode == CYCLE:
         starts = range(m)
@@ -110,25 +129,53 @@ def find_separators(
     else:
         starts = range(max(1, m - window_blocks + 1))
         width = window_blocks
-    seen: set[int] = set()
+    clocked = budget is not None and budget.ms is not None
+    steps = ball = first = prev = 0
     out: list[frozenset[int]] = []
     run = -1 if budget is None else 0  # cut tests charged ahead; -1 never runs out
     try:
         for start in starts:
-            window = inst.window_vertices(start, width)
-            hits = []
-            for cand in connected_subsets(inst.graph, window, size_cap, budget):
-                if cand in seen:
+            window = vertex_mask(g, inst.window_vertices(start, width))
+            # (prefix, its size, window vertices above its last one)
+            stack = [(0, 0, window)]
+            while stack:
+                sub, size, above = stack.pop()
+                above &= ~ball
+                if sub:
+                    steps += 1
+                    if clocked and steps % Budget.CHECK_EVERY == 0:
+                        budget.check_clock("separator search")
+                    if sub & ball:
+                        continue
+                    low = sub & -sub
+                    if reach_mask(masks, low, sub) == sub:
+                        # a set inside the previous or the first window
+                        # was tested there, and failed or is in the ball
+                        if sub & ~prev and sub & ~first:
+                            if run:
+                                run -= 1
+                            else:
+                                run = budget._run("separator search")
+                            if divides_into_two(inst, sub):
+                                member = hull = frozenset(mask_vertices(sub))
+                                out.append(member)
+                                for _ in range(MIN_SEPARATION - 1):
+                                    hull = closed_neighborhood(g, hull)
+                                ball |= vertex_mask(g, hull)
+                                continue
+                    elif sub & ~reach_mask(masks, low, sub | above):
+                        continue
+                if size == size_cap:
                     continue
-                seen.add(cand)
-                if run:
-                    run -= 1
-                else:
-                    run = budget._run("separator search")
-                if divides_into_two(inst, cand):
-                    hits.append(mask_vertices(cand))
-            hits.sort()
-            out.extend(map(frozenset, hits))
+                # push the extensions highest first, so the lowest is walked first
+                higher = 0
+                while above:
+                    top = 1 << above.bit_length() - 1
+                    above ^= top
+                    stack.append((sub | top, size + 1, higher))
+                    higher |= top
+            first = first or window
+            prev = window
     finally:
         if run > 0:
             budget.nodes -= run
@@ -149,7 +196,8 @@ def build_separator_family(
     inst: LineInstance, candidates: list[frozenset[int]]
 ) -> SeparatorFamily:
     """Greedy left-to-right selection under the distance >= 4 rule; maximal
-    within the candidate list."""
+    within the candidate list.  It keeps every member of a list that is
+    already pairwise far, such as the family `find_separators` returns."""
     if not candidates:
         raise InputError("no separators found; increase window or cap")
     g = inst.graph

@@ -156,14 +156,8 @@ def random_line_instance(seed, mode):
             return LineInstance(g, blocks, mode)
 
 
-def set_based_find_separators(
-    inst: LineInstance, window_blocks: int, size_cap: int, budget: Budget
-) -> list[frozenset[int]]:
-    """The separator search over Python sets: each window's connected
-    subsets in lexicographic order, a set of the frozensets already tested
-    across overlapping windows, and the set-based cut test, spending one
-    budget unit per new candidate.  The bitmask search must return the
-    same list and spend the same budget."""
+def separator_windows(inst: LineInstance, window_blocks: int):
+    """The vertex lists of the separator search's windows, leftmost first."""
     m = inst.block_count
     if inst.mode == CYCLE:
         starts = range(m)
@@ -171,18 +165,63 @@ def set_based_find_separators(
     else:
         starts = range(max(1, m - window_blocks + 1))
         width = window_blocks
+    return [inst.window_vertices(start, width) for start in starts]
+
+
+def set_based_find_separators(
+    inst: LineInstance, window_blocks: int, size_cap: int
+) -> list[frozenset[int]]:
+    """The eager separator search over Python sets: each window's connected
+    subsets in lexicographic order, a set of the frozensets already tested
+    across overlapping windows, and the set-based cut test.  Every cut it
+    finds, in that order; `build_separator_family` over them is the family
+    the lazy bitmask search must select."""
     seen: set[frozenset[int]] = set()
     out = []
-    for start in starts:
-        window = inst.window_vertices(start, width)
+    for window in separator_windows(inst, window_blocks):
         for cand in set_based_connected_subsets(inst.graph, window, size_cap):
             if cand in seen:
                 continue
             seen.add(cand)
-            budget.spend("separator search")
             if set_based_divides_into_two(inst, cand):
                 out.append(cand)
     return out
+
+
+def hit_free_walk(inst: LineInstance, window_blocks: int, size_cap: int) -> list[bool]:
+    """The steps of the separator search's walk on a search that finds no
+    cut, in order: per window, each sorted tuple of its vertices of size
+    1..size_cap whose prefix without its last vertex, when there is one,
+    can be joined through itself plus the window vertices above that
+    prefix's last one.  Each step is True when its tuple is connected and
+    lies in no earlier window, so cut-tested."""
+    g = inst.graph
+
+    def joinable(prefix, window):
+        allowed = set(prefix) | {v for v in window if v > prefix[-1]}
+        reach, todo = {prefix[0]}, [prefix[0]]
+        while todo:
+            for w in g.adj[todo.pop()]:
+                if w in allowed and w not in reach:
+                    reach.add(w)
+                    todo.append(w)
+        return reach >= set(prefix)
+
+    steps = []
+    earlier: list[set[int]] = []
+    for window in separator_windows(inst, window_blocks):
+        tuples = sorted(
+            t
+            for size in range(1, size_cap + 1)
+            for t in itertools.combinations(sorted(window), size)
+        )
+        steps.extend(
+            is_connected_set(g, t) and not any(before >= set(t) for before in earlier)
+            for t in tuples
+            if len(t) == 1 or joinable(t[:-1], window)
+        )
+        earlier.append(set(window))
+    return steps
 
 
 def _check_vertex(g: FiniteGraph, v):

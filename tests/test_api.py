@@ -6,7 +6,8 @@ property of such a class, whose name does not start with an underscore.
 It must be used (read as a name or an attribute) in some module of
 `src/gridchroma` other than `__init__.py`, or in `benchmark/*.py`.  A
 definition, an import or a docstring does not count: a name whose only
-users are the tests belongs with the tests.
+users are the tests belongs with the tests.  The one exception is listed
+in `TRACER_ONLY`, and the check fails as soon as it is no longer needed.
 """
 
 import ast
@@ -15,6 +16,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gridchroma"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+# Public names with no caller that stay in the package because the
+# benchmark's tracer wraps them by name (`benchmark/spans.py` `TARGETS`)
+# and its restore test reads every target.  `twoended.connected_subsets`
+# lost its last caller when `find_separators` became one lazy walk; it
+# moves to `tests/oracles.py` when the benchmark drops its `sep.enum` span.
+TRACER_ONLY = {"connected_subsets"}
 
 
 def exported_names() -> set[str]:
@@ -62,13 +70,29 @@ def used_names(path: Path) -> set[str]:
     return used
 
 
+def traced_names() -> set[str]:
+    """The attributes in the benchmark tracer's `TARGETS` table."""
+    tree = ast.parse((ROOT / "benchmark" / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TARGETS":
+            return {target.elts[1].value for target in node.value.elts}
+    return set()
+
+
 def package_uses() -> set[str]:
     sources = MODULES + sorted((ROOT / "benchmark").glob("*.py"))
     return set().union(*map(used_names, sources))
 
 
 def test_public_names_have_a_caller():
-    unused = (exported_names() | defined_names()) - package_uses()
+    uses = package_uses()
+    stale = {
+        name
+        for name in TRACER_ONLY
+        if name in uses or name not in defined_names() or name not in traced_names()
+    }
+    assert not stale, f"drop from TRACER_ONLY: {sorted(stale)}"
+    unused = (exported_names() | defined_names()) - uses - TRACER_ONLY
     assert not unused, f"public but used only by tests: {sorted(unused)}"
 
 

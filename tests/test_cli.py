@@ -243,9 +243,12 @@ class TestExitCodes:
         assert report["results"]["undecided"]
 
     def test_undecided_search_exits_three_with_report(self, delta_instance_file, capsys):
-        # 4,764 cut tests pass the clock read at 4,096 with the budget spent
+        # no cut of at most 4 vertices divides the cycle, so the walk of
+        # 25,992 cut tests reaches its clock read at step 4,096 with the
+        # budget spent
         code, report = run(
-            ["two-ended-color", "--instance", delta_instance_file, "--budget-ms", "0"]
+            ["two-ended-color", "--instance", delta_instance_file, "--window", "2",
+             "--cap", "4", "--budget-ms", "0"]
         )
         assert code == 3
         assert report["error"].startswith("separator search")
@@ -434,9 +437,16 @@ class TestReport:
         assert any("tower" in n for n in names)
 
 
-    def test_budgeted_two_ended_row_is_undecided_not_fatal(self):
-        # the row's share of 5 ms is far below the ~40 ms its separator
-        # searches take at k=3
+    def test_budgeted_two_ended_row_is_undecided_not_fatal(self, monkeypatch):
+        # at cap 4 in two-block windows no cut divides the k=3 Cayley
+        # cycles, so their walks reach a clock read at step 4,096, long
+        # after the row's share of 5 ms
+        color = gridchroma.cli.color_two_ended
+        monkeypatch.setattr(
+            gridchroma.cli,
+            "color_two_ended",
+            lambda inst, **kwargs: color(inst, window_blocks=2, size_cap=4, **kwargs),
+        )
         code, report = run(
             ["report", "--k", "3", "--seed", "1", "--towers", "1", "--budget-ms", "5"]
         )
@@ -446,6 +456,12 @@ class TestReport:
         assert two_ended["pass"] is None
         assert "separator search" in two_ended["value"]["undecided"]
         assert any("tower" in name for name in rows)
+
+    def test_two_ended_row_passes_at_k4(self):
+        # each Cayley cycle's walk selects blocks 0, 4 and 8 in 36 cut tests
+        passed, values = gridchroma.cli._claim_two_ended(4, Budget(ms=2000), random.Random(1), 1)
+        assert passed is True
+        assert values["plain cayley cycle"] == values["twisted cayley cycle"] == {"colors": 7, "bound": 7}
 
     def test_tower_row_stops_when_its_share_is_spent(self, monkeypatch):
         colored = []
@@ -626,8 +642,14 @@ def test_k5_report_ends_undecided_within_its_budget_and_a_gigabyte():
     # of a 25-vertex window before its first budget check, and ran out of
     # memory long after the budget had passed
     start = time.monotonic()
-    proc = _run_capped(["report", "--k", "5", "--budget-ms", "3000"], 1 << 30, timeout=120)
+    proc = _run_capped(
+        ["report", "--k", "5", "--budget-ms", "3000", "--json"], 1 << 30, timeout=120
+    )
     elapsed = time.monotonic() - start
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert elapsed < 10
+    # the separator walk selects each k=5 Cayley cycle's family in 60 cut
+    # tests, so the two-ended row is decided inside its share
+    rows = {row["row"]: row for row in json.loads(proc.stdout)["results"]["rows"]}
+    assert rows["two-ended colorer within 2*chi-1"]["pass"] is True

@@ -290,13 +290,13 @@ class TestCutContextCache:
         warm = make()
         by_touched: dict[int, list[int]] = {}
         for width, cap in self.RUNS:
-            find_separators(warm, width, cap)
             for start in range(warm.block_count):
                 window = warm.window_vertices(start, width)
                 for cut in connected_subsets(warm.graph, window, cap):
+                    divides_into_two(warm, cut)
                     touched = sum({1 << warm.block_of(v) for v in mask_vertices(cut)})
                     by_touched.setdefault(touched, []).append(cut)
-        # one context per touched-block set, built by the search
+        # one context per touched-block set, built by the cut tests
         assert set(warm._contexts) == set(by_touched)
         # a fresh instance per touched-block set builds its context for the
         # first of those cuts, with nothing else in its cache
@@ -320,7 +320,9 @@ class TestCutContextCache:
 
         monkeypatch.setattr(LineInstance, "_unroll", counting_unroll)
         inst = cayley_cycle_instance(DELTA3, 12)
-        assert find_separators(inst, 1, 9) == [frozenset(b) for b in inst.blocks]
+        for start in range(12):
+            for cut in connected_subsets(inst.graph, inst.window_vertices(start, 1), 9):
+                divides_into_two(inst, cut)
         # one-block windows: one context per block, each with the slice of
         # the unrolling that starts there
         assert set(inst._contexts) == {1 << b for b in range(12)}

@@ -1,11 +1,12 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from gridchroma.chi import Budget, is_proper
 from gridchroma.errors import InputError, UndecidedError
-from gridchroma import instances
+from gridchroma import instances, twoended
 from gridchroma.graphs import FiniteGraph, set_distance, vertex_mask
 from gridchroma.groups import MarkedGroupSpec
 from gridchroma.instances import (
@@ -27,9 +28,11 @@ from gridchroma.twoended import (
 )
 from oracles import (
     distinct_vertex_sets,
+    hit_free_walk,
     is_connected_set,
     is_independent,
     random_line_instance,
+    separator_windows,
     set_based_connected_subsets,
     set_based_find_separators,
 )
@@ -102,33 +105,56 @@ class TestConnectedSubsets:
         assert budget.nodes == 0
 
 
+def block_family(inst, starts):
+    return [frozenset(inst.blocks[b]) for b in starts]
+
+
+# one two-block window over a two-level Cayley segment, at cap 5: no cut of
+# at most 5 vertices divides it, so the walk selects nothing and makes
+# 8,904 cut tests in 12,183 steps
+def two_block_window():
+    return cayley_segment_instance(DELTA3, 2), 2, 5
+
+
 class TestFindSeparators:
     def test_path_segment_interior_singletons(self):
         inst = path_instance(9, SEGMENT)
-        got = find_separators(inst, 1, 1)
-        assert got == [frozenset({v}) for v in range(1, 8)]
+        budget = Budget()
+        got = find_separators(inst, 1, 1, budget)
+        assert got == [frozenset({1}), frozenset({5})]
+        # {0}, then {1}; {5} is the first vertex outside {1}'s radius-3 ball
+        assert budget.nodes == 3
 
     def test_cayley_cycle_full_orbits_only(self):
-        inst = cayley_cycle_instance(DELTA3, 12)
-        got = find_separators(inst, 1, 9)
-        assert got == [frozenset(b) for b in inst.blocks]
+        for spec in (DELTA3, GAMMA3):
+            inst = cayley_cycle_instance(spec, 12)
+            budget = Budget()
+            got = find_separators(inst, 1, 9, budget)
+            assert got == block_family(inst, [0, 4, 8])
+            # windows 0, 4 and 8 walk to their full block; the others lie
+            # inside the ball
+            assert budget.nodes == 18
 
     def test_ladder_rung_pairs(self):
         inst = ladder_instance(12, CYCLE)
-        got = find_separators(inst, 1, 2)
-        assert got == [frozenset(b) for b in inst.blocks]
+        budget = Budget()
+        got = find_separators(inst, 1, 2, budget)
+        assert got == block_family(inst, [0, 4, 8])
+        # {2b}, {2b, 2b+1} in each of the three walked windows
+        assert budget.nodes == 6
 
     def test_two_block_window_on_path(self):
         inst = path_instance(8, SEGMENT)
         got = find_separators(inst, 2, 2)
-        assert frozenset({3, 4}) in got
+        # {0} fails, {0, 1} fails, {1} divides; {5} is the next vertex at
+        # distance 4 from it
+        assert got == [frozenset({1}), frozenset({5})]
         assert all(is_connected_set(inst.graph, s) for s in got)
-
 
     def test_non_separating_cuts_run_no_search(self, monkeypatch):
         # every one-block candidate but the full block leaves a vertex
         # adjacent to both end reaches, so the only searches are the two
-        # end reaches per span and those of the 12 separators
+        # end reaches per walked span and those of the 3 separators
         calls = 0
 
         def counting_reach_mask(*args, **kwargs):
@@ -141,70 +167,143 @@ class TestFindSeparators:
         inst = cayley_cycle_instance(DELTA3, 12)
         budget = Budget()
         got = find_separators(inst, 1, 9, budget)
-        assert got == [frozenset(b) for b in inst.blocks]
-        assert budget.nodes == 4764
-        assert calls <= 2 * 12 + 2 * len(got)
+        assert got == block_family(inst, [0, 4, 8])
+        assert budget.nodes == 18
+        assert calls <= 2 * 3 + 2 * len(got)
 
-    def test_matches_set_based_search(self):
+    def test_matches_set_based_search(self, monkeypatch):
         # widths 2 and 3 overlap windows, so candidates repeat across them,
-        # and a search with more separators than windows has a window
-        # holding several
+        # and some windows hold several members of a family
+        cut_tests = 0
+
+        def counting_divides(*args):
+            nonlocal cut_tests
+            cut_tests += 1
+            return divides_into_two(*args)
+
+        monkeypatch.setattr(twoended, "divides_into_two", counting_divides)
         crowded = 0
         for seed in range(24):
             for mode in (SEGMENT, CYCLE):
                 inst = random_line_instance(seed, mode)
                 for width in (1, 2, 3):
                     for cap in (1, 2, inst.max_block_size()):
-                        budget, want_budget = Budget(), Budget()
+                        budget = Budget()
+                        cut_tests = 0
                         got = find_separators(inst, width, cap, budget)
-                        want = set_based_find_separators(inst, width, cap, want_budget)
-                        assert got == want, (seed, mode, width, cap)
-                        assert budget.nodes == want_budget.nodes
-                        windows = inst.block_count if mode == CYCLE else max(
-                            1, inst.block_count - width + 1
+                        hits = set_based_find_separators(inst, width, cap)
+                        if hits:
+                            want = build_separator_family(inst, hits).members
+                            assert tuple(got) == want, (seed, mode, width, cap)
+                        else:
+                            assert got == [], (seed, mode, width, cap)
+                        # one budget unit per cut test, and no set tested twice
+                        assert budget.nodes == cut_tests <= len(
+                            {
+                                cand
+                                for window in separator_windows(inst, width)
+                                for cand in set_based_connected_subsets(inst.graph, window, cap)
+                            }
                         )
-                        crowded += len(got) > windows
+                        crowded += any(
+                            sum(member <= set(window) for member in got) > 1
+                            for window in separator_windows(inst, width)
+                        )
         assert crowded > 0
 
+    @pytest.mark.parametrize("width, cap, tests", [(2, 4, 25_992), (3, 3, 6876)])
+    def test_overlapping_windows_test_each_set_once(self, width, cap, tests):
+        # no cut of at most 4 vertices divides the cycle; a set inside the
+        # previous window, or the first one, was tested there and failed
+        for spec in (DELTA3, GAMMA3):
+            inst = cayley_cycle_instance(spec, 12, chi=3)
+            distinct = {
+                cand
+                for window in separator_windows(inst, width)
+                for cand in set_based_connected_subsets(inst.graph, window, cap)
+            }
+            budget = Budget()
+            assert find_separators(inst, width, cap, budget) == []
+            assert budget.nodes == sum(hit_free_walk(inst, width, cap)) == len(distinct) == tests
+
     def test_first_window_walk_reads_the_clock(self):
-        # the first two-block window holds 148,253 candidates; the walk
-        # stops at its first clock read, before any cut test
+        # past the deadline, the walk stops at its first clock read, walk
+        # step 4,096 inside the one window, after the cut tests of the steps
+        # before it
+        inst, width, cap = two_block_window()
+        steps = hit_free_walk(inst, width, cap)
         budget = Budget(ms=0)
         with pytest.raises(UndecidedError, match="separator search: time budget exhausted"):
-            find_separators(cayley_cycle_instance(DELTA3, 12), 2, 9, budget)
-        assert budget.nodes == 0
+            find_separators(inst, width, cap, budget)
+        assert 0 < budget.nodes == sum(steps[: Budget.CHECK_EVERY - 1])
 
     def test_size_cap_below_one_is_refused_before_any_cut_test(self):
         budget = Budget()
         with pytest.raises(InputError, match="size cap must be >= 1"):
             find_separators(path_instance(9, SEGMENT), 1, 0, budget)
+        with pytest.raises(InputError, match="window_blocks must be >= 1"):
+            find_separators(path_instance(9, SEGMENT), 0, 1, budget)
         assert budget.nodes == 0
 
     @pytest.mark.parametrize("limit", [4094, 4095, 4096, 4097])
     def test_node_limit_stops_where_one_spend_per_test_did(self, limit):
         # the limits straddle the end of the first run charged ahead (node
         # 4,095) and the first clock read (node 4,096)
+        inst, width, cap = two_block_window()
         budget = Budget(max_nodes=limit)
         with pytest.raises(UndecidedError, match="separator search: node budget exhausted"):
-            find_separators(cayley_cycle_instance(DELTA3, 12), 1, 9, budget)
+            find_separators(inst, width, cap, budget)
         assert budget.nodes == limit + 1
 
-    @pytest.mark.parametrize("limits", [{}, {"max_nodes": 4764}, {"ms": 60_000}], ids=str)
+    @pytest.mark.parametrize("limits", [{}, {"max_nodes": 8904}, {"ms": 60_000}], ids=str)
     def test_complete_run_gives_back_the_unused_run(self, monkeypatch, limits):
         reads = []
         monkeypatch.setattr(Budget, "check_clock", lambda self, what: reads.append(what))
+        inst, width, cap = two_block_window()
+        steps = hit_free_walk(inst, width, cap)
+        assert (len(steps), sum(steps)) == (12_183, 8904)
         budget = Budget(**limits)
-        inst = cayley_cycle_instance(DELTA3, 12)
-        assert find_separators(inst, 1, 9, budget) == [frozenset(b) for b in inst.blocks]
-        assert budget.nodes == 4764
-        # one clock read, at node 4,096, when a time limit is set
-        assert reads == (["separator search"] if "ms" in limits else [])
+        assert find_separators(inst, width, cap, budget) == []
+        assert budget.nodes == 8904
+        # with a time limit, one clock read every 4,096 walk steps and one
+        # every 4,096 cut tests
+        want = len(steps) // Budget.CHECK_EVERY + sum(steps) // Budget.CHECK_EVERY
+        assert reads == (["separator search"] * want if "ms" in limits else [])
 
     def test_each_cut_test_spends_one_budget_unit(self):
         budget = Budget()
-        got = find_separators(path_instance(9, SEGMENT), 1, 1, budget)
-        assert len(got) == 7
-        assert budget.nodes == 9
+        got = find_separators(path_instance(13, SEGMENT), 1, 1, budget)
+        assert len(got) == 3
+        # {0}, {1}, {5} and {9}; the ball covers the other windows
+        assert budget.nodes == 4
+
+
+class TestLargerK:
+    # each selected full block lies on the leftmost path of its window's
+    # walk, so the cut tests grow with k² and not with the window's subsets
+    @pytest.mark.parametrize("k, cut_tests", [(4, 36), (5, 60)])
+    @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+    def test_cayley_cycle_family_and_colors(self, k, cut_tests, twisted):
+        inst = cayley_cycle_instance(MarkedGroupSpec(k, twisted=twisted), 12)
+        budget = Budget(ms=5000)
+        assert find_separators(inst, 1, k * k, budget) == block_family(inst, [0, 4, 8])
+        assert budget.nodes == cut_tests
+        result = color_two_ended(inst, budget=Budget(ms=5000))
+        assert [min(inst.block_of(v) for v in s) for s in result.family.members] == [0, 4, 8]
+        assert result.chi == k
+        assert result.colors_used == 2 * k - 1
+        assert result.complement_stats["shape_ok"]
+        assert result.complement_stats["satisfied"]
+
+    def test_k5_walk_memory(self):
+        inst = cayley_cycle_instance(MarkedGroupSpec(5), 12)
+        tracemalloc.start()
+        try:
+            find_separators(inst, 1, 25, Budget(ms=5000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
 
 class TestBuildFamily:
@@ -346,7 +445,8 @@ class TestColorTwoEnded:
     def test_separator_search_runs_out_of_budget(self):
         inst = cayley_cycle_instance(DELTA3, 12, chi=3)
         with pytest.raises(UndecidedError, match="separator search"):
-            color_two_ended(inst, budget=Budget(max_nodes=50))
+            # one node short of the walk's 18 cut tests
+            color_two_ended(inst, budget=Budget(max_nodes=17))
 
     def test_understated_chi_rejected(self):
         inst = cayley_cycle_instance(DELTA3, 12)
