@@ -28,9 +28,13 @@ place the cut in the slice, the slice's vertex mask, its end masks, and
 the end reaches.  Those are the reach of each end's lowest vertex in the
 blocks beyond the touched span on its side.  The cut misses both, so the
 search resumes from the left one and may stop as soon as it meets the
-right one.  A cut that leaves a vertex of the bridge mask, the vertices
-adjacent to both reaches, joins the two ends: the test answers it without
-a search.  A cycle cut that touches every block caches False.
+right one.  A cut that leaves a vertex of the bridge mask joins the two
+ends, so the test answers it without a search.  The bridges are the
+vertices adjacent to both reaches, plus the end vertices adjacent to the
+other end's reach, which a cut touching an end block can leave.  The
+bridges of a one-block window (`LineInstance.block_bridges`) are vertices
+every cut inside it must hold to divide.  A cycle cut that touches every
+block caches False.
 """
 
 from __future__ import annotations
@@ -117,6 +121,14 @@ class LineInstance:
             out.extend(self.blocks[i])
         return out
 
+    def block_bridges(self, b: int) -> int:
+        """The bridges of the cuts inside block b, as a vertex bitmask:
+        a cut there that leaves one does not divide the instance."""
+        context = self._contexts.get(1 << b)
+        if context is None:
+            context = self._cut_context(1 << b)
+        return context[-1] >> context[0] & self._unrolling[1][b]
+
     # -- the graph the cut test runs on -----------------------------------
 
     def _unroll(self):
@@ -165,8 +177,9 @@ class LineInstance:
         vertex inside the blocks before lo, `suf` that of the right end's
         lowest vertex inside the blocks after the cut's.  Both miss every
         such cut, so each lies in its end's component once the cut is
-        removed.  `bridges` holds the vertices adjacent to both: one the
-        cut leaves joins the ends.
+        removed.  `bridges` holds the vertices adjacent to both, the
+        left-end vertices adjacent to `suf` and the right-end vertices
+        adjacent to `pre`: one the cut leaves joins the ends.
         """
         # a connected cut touches an interval of blocks (cyclically in
         # cycle mode)
@@ -194,7 +207,8 @@ class LineInstance:
                 out |= masks[low.bit_length() - 1]
                 rest ^= low
             near.append(out & ~inside)
-        boundary, bridges = near[0], near[0] & near[1]
+        # the three kinds of bridge, since the ends are disjoint
+        boundary, bridges = near[0], (near[0] | left) & (near[1] | right)
         wrap, full = sum(blocks[:start]), sum(blocks[start:stop])
         context = (shift, wrap, full, masks, left, right, pre, boundary, suf, bridges)
         self._contexts[touched] = context

@@ -101,13 +101,18 @@ def find_separators(
     the radius-3 ball around the members selected so far.  A prefix that
     meets it is pruned, and so is one whose members cannot all be joined
     through itself plus the window vertices above its last one outside
-    the ball.  Each connected prefix is cut-tested, unless it lies inside
-    the previous or the first window, which tested it already; a hit is
-    selected, its own breadth-first ball is ORed into the mask, and its
-    extensions are not walked.  The family is the one
-    `build_separator_family` keeps from every window's cuts in this order:
-    a set of an earlier window either was selected, and now meets the
-    ball, or failed its test.  So no set is tested twice.
+    the ball.  In a one-block window with a vertex outside the ball, a
+    prefix is also pruned when a bridge of that block
+    (`LineInstance.block_bridges`) is neither in it nor among those
+    vertices: each extension of it leaves that bridge, so its cut test
+    fails, or meets the ball.  Wider windows, whose cuts touch varying
+    blocks, are not pruned this way.  Each connected prefix is
+    cut-tested, unless it lies inside the previous or the first window,
+    which tested it already; a hit is selected, its own breadth-first ball
+    is ORed into the mask, and its extensions are not walked.  The family
+    is the one `build_separator_family` keeps from every window's cuts in
+    this order: a set of an earlier window either was selected, and now
+    meets the ball, or failed its test.  So no set is tested twice.
 
     Each cut test costs one unit of the budget, when one is given, charged
     ahead in runs (`Budget._run`) and the unused rest given back on
@@ -136,6 +141,9 @@ def find_separators(
     try:
         for start in starts:
             window = vertex_mask(g, inst.window_vertices(start, width))
+            # a one-block window's cuts share one context; one that misses
+            # a bridge of it does not divide
+            required = inst.block_bridges(start) if width == 1 and window & ~ball else 0
             # (prefix, its size, window vertices above its last one)
             stack = [(0, 0, window)]
             while stack:
@@ -145,7 +153,7 @@ def find_separators(
                     steps += 1
                     if clocked and steps % Budget.CHECK_EVERY == 0:
                         budget.check_clock("separator search")
-                    if sub & ball:
+                    if sub & ball or required & ~(sub | above):
                         continue
                     low = sub & -sub
                     if reach_mask(masks, low, sub) == sub:

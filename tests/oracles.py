@@ -188,6 +188,30 @@ def set_based_find_separators(
     return out
 
 
+def set_based_separator_family(
+    inst: LineInstance, window_blocks: int, size_cap: int
+) -> list[frozenset[int]]:
+    """The members `build_separator_family` keeps from
+    `set_based_find_separators`, found without cut-testing a candidate
+    that greedy would drop: each window's connected subsets in
+    lexicographic order, the ones at path distance >= 4 from every member
+    kept before them set-based cut-tested, and each hit kept.  A long
+    cycle makes the full search too slow for a test run, since each of its
+    cut tests builds a three-copy unrolling."""
+    g = inst.graph
+    out, near = [], set()
+    for window in separator_windows(inst, window_blocks):
+        for cand in set_based_connected_subsets(g, window, size_cap):
+            if not cand & near and set_based_divides_into_two(inst, cand):
+                out.append(cand)
+                # the vertices at distance <= 3 from the new member
+                ball = set(cand)
+                for _ in range(3):
+                    ball |= {w for v in ball for w in g.adj[v]}
+                near |= ball
+    return out
+
+
 def hit_free_walk(inst: LineInstance, window_blocks: int, size_cap: int) -> list[bool]:
     """The steps of the separator search's walk on a search that finds no
     cut, in order: per window, each sorted tuple of its vertices of size

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from gridchroma import instances
 from gridchroma.errors import InputError
 from gridchroma.graphs import FiniteGraph, mask_vertices, vertex_mask
 from gridchroma.groups import MarkedGroupSpec
@@ -233,12 +234,12 @@ class TestDividesIntoTwoMatchesSetBasedSearch:
         assert wrapping >= 600 and wrapping_separators >= 100, (wrapping, wrapping_separators)
 
     def test_cuts_touching_an_end_block(self):
-        # segment cuts in the first or last block run the full search
-        # instead of resuming from the cached end reaches.  In `pendant`
-        # vertex 0 hangs off vertex 1, and the right end's rails 3-6-8 and
-        # 4-7-9 meet only at vertex 5 in block 1.  The cut {1, 2} spans
-        # blocks 0 and 1, so the cached right reach (blocks 2 and 3) holds
-        # one rail and the full search must join them
+        # segment cuts in the first or last block that leave no bridge run
+        # the full search instead of resuming from the cached end reaches.
+        # In `pendant` vertex 0 hangs off vertex 1, and the right end's
+        # rails 3-6-8 and 4-7-9 meet only at vertex 5 in block 1.  The cut
+        # {1, 2} spans blocks 0 and 1, so the cached right reach (blocks 2
+        # and 3) holds one rail and the full search must join them
         pendant = LineInstance(
             FiniteGraph(10, [(0, 1), (1, 2), (1, 3), (3, 5), (4, 5),
                              (3, 6), (4, 7), (6, 8), (7, 9)]),
@@ -343,6 +344,51 @@ class TestCutContextCache:
         for cut in (disconnected, everything | 1 << n, 0, -1, True):
             with pytest.raises(InputError):
                 divides_into_two(inst, cut)
+
+
+class TestBlockBridges:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: cayley_segment_instance(DELTA3, 4), lambda: ladder_instance(5, SEGMENT)],
+        ids=["cayley segment", "ladder"],
+    )
+    def test_end_block_cut_runs_no_search(self, monkeypatch, make):
+        # a cut of one vertex in either end block leaves the rest of that
+        # end, which is adjacent to the other end's reach: once the cut's
+        # context is cached, the bridge mask answers it
+        calls = 0
+
+        def counting_reach_mask(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return reach_mask(*args, **kwargs)
+
+        reach_mask = instances.reach_mask
+        monkeypatch.setattr(instances, "reach_mask", counting_reach_mask)
+        inst = make()
+        for block in (inst.blocks[0], inst.blocks[-1]):
+            cut = {block[0]}
+            want = set_based_divides_into_two(inst, cut)
+            assert divides_into_two(inst, vertex_mask(inst.graph, cut)) == want
+            calls = 0
+            assert divides_into_two(inst, vertex_mask(inst.graph, cut)) == want
+            assert calls == 0
+
+    def test_dividing_cuts_hold_every_block_bridge(self):
+        bridged = dividing = 0
+        for seed in range(24):
+            for mode in (SEGMENT, CYCLE):
+                inst = random_line_instance(seed, mode)
+                for b, block in enumerate(inst.blocks):
+                    required = inst.block_bridges(b)
+                    assert not required & ~vertex_mask(inst.graph, block)
+                    for cut in connected_subsets(inst.graph, block, len(block)):
+                        if set_based_divides_into_two(inst, mask_vertices(cut)):
+                            assert not required & ~cut, (seed, mode, b, mask_vertices(cut))
+                            bridged += required != 0
+                            dividing += 1
+        # 271 of the 352 dividing cuts lie in a block with bridges
+        assert dividing == 352 and bridged > 250
 
 
 class TestConnectedSubsetsMatchesSetBasedWalk:

@@ -35,6 +35,7 @@ from oracles import (
     separator_windows,
     set_based_connected_subsets,
     set_based_find_separators,
+    set_based_separator_family,
 )
 
 DELTA3 = MarkedGroupSpec(3)
@@ -210,6 +211,35 @@ class TestFindSeparators:
                             for window in separator_windows(inst, width)
                         )
         assert crowded > 0
+
+    @pytest.mark.parametrize(
+        "k, levels, cut_tests", [(3, 4, 12), (3, 6, 18), (4, 6, 36), (5, 6, 60)]
+    )
+    @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+    def test_cayley_segment_end_windows_follow_one_path(self, k, levels, cut_tests, twisted):
+        # every end vertex is a bridge of its end window, so that walk, like
+        # block 1's, follows only the prefixes of the full block: k(k-1)
+        # cut tests in windows 0 and 1, and in window m-1 once it lies
+        # past block 1's ball
+        inst = cayley_segment_instance(MarkedGroupSpec(k, twisted=twisted), levels)
+        budget = Budget(ms=5000)
+        assert find_separators(inst, 1, k * k, budget) == block_family(inst, [1])
+        assert budget.nodes == cut_tests
+
+    @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+    def test_cayley_families_match_set_based_search(self, twisted):
+        spec = MarkedGroupSpec(3, twisted=twisted)
+        for levels in range(2, 12):
+            inst = cayley_segment_instance(spec, levels)
+            hits = set_based_find_separators(inst, 1, 9)
+            want = list(build_separator_family(inst, hits).members) if hits else []
+            assert set_based_separator_family(inst, 1, 9) == want, levels
+            assert find_separators(inst, 1, 9) == want, levels
+        # the full set-based search takes about 9 s on one M=12 cycle, so
+        # cycles are checked against the greedy family it would give
+        for modulus in range(8, 26):
+            inst = cayley_cycle_instance(spec, modulus)
+            assert find_separators(inst, 1, 9) == set_based_separator_family(inst, 1, 9), modulus
 
     @pytest.mark.parametrize("width, cap, tests", [(2, 4, 25_992), (3, 3, 6876)])
     def test_overlapping_windows_test_each_set_once(self, width, cap, tests):
