@@ -16,8 +16,8 @@ whose removal leaves the cycle connected.  Those copies are a slice of one
 unrolling of four copies, opened between blocks m-1 and 0.
 
 One walk over the cut checks that it is connected and collects the blocks
-it touches, through per-vertex neighbor and block-bit lists the instance
-keeps.  The test itself is a breadth-first search over integer neighbor
+it touches, through the graph's neighbor masks and each vertex's block.
+The test itself is a breadth-first search over integer neighbor
 bitmasks (`graphs.reach_mask`): it grows the reach of the lowest remaining
 left-end vertex and stops as soon as that reach meets the right end.
 `_unrolling` holds, from the first cut test on, the neighbor masks and the
@@ -60,8 +60,6 @@ class LineInstance:
     mode: str
     chi: Optional[int] = None
     _block_of: list[int] = field(init=False, repr=False, compare=False)
-    _block_bits: list[int] = field(init=False, repr=False, compare=False)
-    _masks: list[int] = field(init=False, repr=False, compare=False)
     _unrolling: tuple = field(init=False, repr=False, compare=False, default=())
     _contexts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
@@ -83,8 +81,6 @@ class LineInstance:
         if any(b == -1 for b in block_of):
             raise InputError("blocks must cover every vertex")
         object.__setattr__(self, "_block_of", block_of)
-        object.__setattr__(self, "_block_bits", [1 << b for b in block_of])
-        object.__setattr__(self, "_masks", self.graph.neighbor_masks())
         for u, v in self.graph.edges():
             gap = abs(block_of[u] - block_of[v])
             if self.mode == CYCLE and gap == m - 1:
@@ -231,8 +227,8 @@ def divides_into_two(inst: LineInstance, cut: int) -> bool:
         raise InputError(f"cut {cut:#x} has a vertex out of range for {n} vertices")
     # one walk from the cut's lowest vertex: it reaches the whole cut iff
     # the cut is connected, and collects the blocks it touches
-    masks = inst._masks
-    block_bits = inst._block_bits
+    masks = inst.graph.neighbor_masks()
+    block_of = inst._block_of
     frontier = reached = cut & -cut
     touched = 0
     while frontier:
@@ -241,7 +237,7 @@ def divides_into_two(inst: LineInstance, cut: int) -> bool:
             low = frontier & -frontier
             v = low.bit_length() - 1
             grown |= masks[v]
-            touched |= block_bits[v]
+            touched |= 1 << block_of[v]
             frontier ^= low
         frontier = grown & cut & ~reached
         reached |= frontier

@@ -294,11 +294,17 @@ def tower_to_json(tower: AnchoredTower) -> dict:
     }
 
 
+def _json_offset(value) -> tuple:
+    """An anchor offset of a JSON document: a list of exactly two entries,
+    which `AnchoredTower` checks are integers."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise InputError(f"anchor offset must be a list of two integers, got {value!r}")
+    return tuple(value)
+
+
 def tower_from_json(doc: dict) -> AnchoredTower:
     try:
-        anchors = tuple(
-            (a["position"], (a["offset"][0], a["offset"][1])) for a in doc["anchors"]
-        )
+        anchors = tuple((a["position"], _json_offset(a["offset"])) for a in doc["anchors"])
         return AnchoredTower(doc["k"], doc["extent"], doc["mode"], anchors)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise InputError(f"malformed tower document: {exc}") from exc

@@ -34,7 +34,6 @@ from .graphs import (
     induced_subgraph,
     mask_vertices,
     reach_mask,
-    set_distance,
     vertex_mask,
 )
 from .instances import CYCLE, SEGMENT, LineInstance, divides_into_two
@@ -110,16 +109,14 @@ def find_separators(
     cut-tested, unless it lies inside the previous or the first window,
     which tested it already; a hit is selected, its own breadth-first ball
     is ORed into the mask, and its extensions are not walked.  The family
-    is the one `build_separator_family` keeps from every window's cuts in
-    this order: a set of an earlier window either was selected, and now
-    meets the ball, or failed its test.  So no set is tested twice.
+    is the greedy distance-4 selection over every window's cuts in this
+    order: a set of an earlier window either was selected, and now meets
+    the ball, or failed its test.  So no set is tested twice.
 
-    Each cut test costs one unit of the budget, when one is given, charged
-    ahead in runs (`Budget._run`) and the unused rest given back on
-    return, so the count, the node limit and the clock reads are those of
-    one `spend` per test.  A budget with a time limit also has its clock
-    read every `Budget.CHECK_EVERY` walk steps, tested or not.  An empty
-    list means no window holds a cut.
+    Each cut test spends one unit of the budget, when one is given.  A
+    budget with a time limit also has its clock read every
+    `Budget.CHECK_EVERY` walk steps, tested or not.  An empty list means
+    no window holds a cut.
     """
     if size_cap < 1:
         raise InputError(f"size cap must be >= 1, got {size_cap}")
@@ -137,56 +134,49 @@ def find_separators(
     clocked = budget is not None and budget.ms is not None
     steps = ball = first = prev = 0
     out: list[frozenset[int]] = []
-    run = -1 if budget is None else 0  # cut tests charged ahead; -1 never runs out
-    try:
-        for start in starts:
-            window = vertex_mask(g, inst.window_vertices(start, width))
-            # a one-block window's cuts share one context; one that misses
-            # a bridge of it does not divide
-            required = inst.block_bridges(start) if width == 1 and window & ~ball else 0
-            # (prefix, its size, window vertices above its last one)
-            stack = [(0, 0, window)]
-            while stack:
-                sub, size, above = stack.pop()
-                above &= ~ball
-                if sub:
-                    steps += 1
-                    if clocked and steps % Budget.CHECK_EVERY == 0:
-                        budget.check_clock("separator search")
-                    if sub & ball or required & ~(sub | above):
-                        continue
-                    low = sub & -sub
-                    if reach_mask(masks, low, sub) == sub:
-                        # a set inside the previous or the first window
-                        # was tested there, and failed or is in the ball
-                        if sub & ~prev and sub & ~first:
-                            if run:
-                                run -= 1
-                            else:
-                                run = budget._run("separator search")
-                            if divides_into_two(inst, sub):
-                                member = hull = frozenset(mask_vertices(sub))
-                                out.append(member)
-                                for _ in range(MIN_SEPARATION - 1):
-                                    hull = closed_neighborhood(g, hull)
-                                ball |= vertex_mask(g, hull)
-                                continue
-                    elif sub & ~reach_mask(masks, low, sub | above):
-                        continue
-                if size == size_cap:
+    for start in starts:
+        window = vertex_mask(g, inst.window_vertices(start, width))
+        # a one-block window's cuts share one context; one that misses
+        # a bridge of it does not divide
+        required = inst.block_bridges(start) if width == 1 and window & ~ball else 0
+        # (prefix, its size, window vertices above its last one)
+        stack = [(0, 0, window)]
+        while stack:
+            sub, size, above = stack.pop()
+            above &= ~ball
+            if sub:
+                steps += 1
+                if clocked and steps % Budget.CHECK_EVERY == 0:
+                    budget.check_clock("separator search")
+                if sub & ball or required & ~(sub | above):
                     continue
-                # push the extensions highest first, so the lowest is walked first
-                higher = 0
-                while above:
-                    top = 1 << above.bit_length() - 1
-                    above ^= top
-                    stack.append((sub | top, size + 1, higher))
-                    higher |= top
-            first = first or window
-            prev = window
-    finally:
-        if run > 0:
-            budget.nodes -= run
+                low = sub & -sub
+                if reach_mask(masks, low, sub) == sub:
+                    # a set inside the previous or the first window
+                    # was tested there, and failed or is in the ball
+                    if sub & ~prev and sub & ~first:
+                        if budget is not None:
+                            budget.spend("separator search")
+                        if divides_into_two(inst, sub):
+                            member = hull = frozenset(mask_vertices(sub))
+                            out.append(member)
+                            for _ in range(MIN_SEPARATION - 1):
+                                hull = closed_neighborhood(g, hull)
+                            ball |= vertex_mask(g, hull)
+                            continue
+                elif sub & ~reach_mask(masks, low, sub | above):
+                    continue
+            if size == size_cap:
+                continue
+            # push the extensions highest first, so the lowest is walked first
+            higher = 0
+            while above:
+                top = 1 << above.bit_length() - 1
+                above ^= top
+                stack.append((sub | top, size + 1, higher))
+                higher |= top
+        first = first or window
+        prev = window
     return out
 
 
@@ -200,22 +190,11 @@ class SeparatorFamily:
         return {"members": [sorted(s) for s in self.members]}
 
 
-def build_separator_family(
-    inst: LineInstance, candidates: list[frozenset[int]]
-) -> SeparatorFamily:
-    """Greedy left-to-right selection under the distance >= 4 rule; maximal
-    within the candidate list.  It keeps every member of a list that is
-    already pairwise far, such as the family `find_separators` returns."""
-    if not candidates:
+def build_separator_family(members: list[frozenset[int]]) -> SeparatorFamily:
+    """The family `find_separators` selected; InputError when it is empty."""
+    if not members:
         raise InputError("no separators found; increase window or cap")
-    g = inst.graph
-    selected: list[frozenset[int]] = []
-    for cand in candidates:
-        if all(
-            set_distance(g, cand, other) >= MIN_SEPARATION for other in selected
-        ):
-            selected.append(cand)
-    return SeparatorFamily(tuple(selected))
+    return SeparatorFamily(tuple(members))
 
 
 def check_complement_bounded(inst: LineInstance, family: SeparatorFamily) -> dict:
@@ -350,10 +329,11 @@ def color_two_ended(
         chi = inst.chi if inst.chi is not None else chromatic_number(g, budget=budget)
     if chi < 1:
         raise InputError(f"chromatic number must be positive, got {chi}")
+    degree_bound = max(map(len, g.adj)) + 1  # colors enough for any graph
+    if chi > degree_bound:
+        raise InputError(f"chromatic number {chi} exceeds max degree + 1 = {degree_bound}")
     cap = size_cap if size_cap is not None else inst.max_block_size()
-    family = build_separator_family(
-        inst, find_separators(inst, window_blocks, cap, budget)
-    )
+    family = build_separator_family(find_separators(inst, window_blocks, cap, budget))
 
     # members are connected and pairwise at distance >= 4, so their hulls
     # are connected, pairwise non-adjacent pieces

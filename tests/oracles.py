@@ -8,6 +8,7 @@ oracles.
 Nothing in the package needs them, so they live with the tests.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -93,6 +94,27 @@ def distinct_vertex_sets(masks) -> set[frozenset[int]]:
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _three_copies(inst: LineInstance, rot: int):
+    """(graph, left end, right end) of three copies of a cycle instance
+    opened just before block rot: vertex v of copy c is c*n + v, and the
+    ends are block rot of copy 0 and block rot-1 of copy 2.  Built from the
+    edge list, once per instance and rotation."""
+    g, n, m = inst.graph, inst.graph.n, inst.block_count
+    edges = []
+    for u, v in g.edges():
+        ru = (inst.block_of(u) - rot) % m
+        rv = (inst.block_of(v) - rot) % m
+        if abs(ru - rv) <= 1:
+            edges += [(c * n + u, c * n + v) for c in range(3)]
+        else:
+            x, y = (u, v) if ru == m - 1 else (v, u)
+            edges += [(c * n + x, (c + 1) * n + y) for c in range(2)]
+    left = frozenset(v for v in range(n) if (inst.block_of(v) - rot) % m == 0)
+    right = frozenset(2 * n + v for v in range(n) if (inst.block_of(v) - rot) % m == m - 1)
+    return FiniteGraph(3 * n, edges), left, right
+
+
 def set_based_divides_into_two(inst, cut):
     """The cut test as a set-based component search on an explicitly built
     unrolled graph: the reference the bitmask test must agree with."""
@@ -109,19 +131,8 @@ def set_based_divides_into_two(inst, cut):
             (t + 1) % m for t in range(m)
             if t not in touched and (t + 1) % m in touched
         )
-        edges = []
-        for u, v in g.edges():
-            ru = (inst.block_of(u) - rot) % m
-            rv = (inst.block_of(v) - rot) % m
-            if abs(ru - rv) <= 1:
-                edges += [(c * n + u, c * n + v) for c in range(3)]
-            else:
-                x, y = (u, v) if ru == m - 1 else (v, u)
-                edges += [(c * n + x, (c + 1) * n + y) for c in range(2)]
-        graph = FiniteGraph(3 * n, edges)
+        graph, left, right = _three_copies(inst, rot)
         removed = {n + v for v in cut_set}
-        left = {v for v in range(n) if (inst.block_of(v) - rot) % m == 0}
-        right = {2 * n + v for v in range(n) if (inst.block_of(v) - rot) % m == m - 1}
     comps = components(graph, set(range(graph.n)) - removed)
     touching_left = [i for i, c in enumerate(comps) if (left - removed) & set(c)]
     touching_right = [i for i, c in enumerate(comps) if (right - removed) & set(c)]
@@ -173,9 +184,9 @@ def set_based_find_separators(
 ) -> list[frozenset[int]]:
     """The eager separator search over Python sets: each window's connected
     subsets in lexicographic order, a set of the frozensets already tested
-    across overlapping windows, and the set-based cut test.  Every cut it
-    finds, in that order; `build_separator_family` over them is the family
-    the lazy bitmask search must select."""
+    across overlapping windows, and the set-based cut test.  Of the cuts it
+    finds, in that order, it keeps each at path distance >= 4 from every
+    cut kept before it: the family the lazy bitmask search must select."""
     seen: set[frozenset[int]] = set()
     out = []
     for window in separator_windows(inst, window_blocks):
@@ -183,7 +194,9 @@ def set_based_find_separators(
             if cand in seen:
                 continue
             seen.add(cand)
-            if set_based_divides_into_two(inst, cand):
+            if set_based_divides_into_two(inst, cand) and all(
+                set_based_set_distance(inst.graph, cand, member) >= 4 for member in out
+            ):
                 out.append(cand)
     return out
 
@@ -191,13 +204,12 @@ def set_based_find_separators(
 def set_based_separator_family(
     inst: LineInstance, window_blocks: int, size_cap: int
 ) -> list[frozenset[int]]:
-    """The members `build_separator_family` keeps from
-    `set_based_find_separators`, found without cut-testing a candidate
-    that greedy would drop: each window's connected subsets in
-    lexicographic order, the ones at path distance >= 4 from every member
-    kept before them set-based cut-tested, and each hit kept.  A long
-    cycle makes the full search too slow for a test run, since each of its
-    cut tests builds a three-copy unrolling."""
+    """The family `set_based_find_separators` keeps, found without
+    cut-testing a candidate it would drop: each window's connected subsets
+    in lexicographic order, the ones at path distance >= 4 from every
+    member kept before them set-based cut-tested, and each hit kept.  A
+    long cycle makes the full search too slow for a test run, since it
+    cut-tests every candidate."""
     g = inst.graph
     out, near = [], set()
     for window in separator_windows(inst, window_blocks):

@@ -119,7 +119,7 @@ def test_criterion_8_oracle_consistency():
 def test_separator_examples_match_greedy_trace():
     """Supporting check: the documented scaffold shapes on the suite."""
     inst = cayley_cycle_instance(MarkedGroupSpec(3), 12, chi=3)
-    family = build_separator_family(inst, find_separators(inst, 1, 9))
+    family = build_separator_family(find_separators(inst, 1, 9))
     starts = [min(inst.block_of(v) for v in s) for s in family.members]
     assert starts == [0, 4, 8]
     assert all(divides_into_two(inst, vertex_mask(inst.graph, s)) for s in family.members)

@@ -16,7 +16,7 @@ from gridchroma.grid import VerificationReport
 from gridchroma.groups import MarkedGroupSpec
 from gridchroma.instances import cayley_cycle_instance
 from gridchroma.towers import tower_from_json, tower_graph
-from oracles import instance_to_json
+from oracles import instance_to_json, random_line_instance
 
 
 @pytest.fixture
@@ -116,6 +116,30 @@ class TestExitCodes:
         code, report = run(["shift-color", "--anchors", tower_file])
         assert code == 2
         assert "must be an integer" in report["error"]
+
+    @pytest.mark.parametrize("offset", [[1, 2, 7], [0, 0, "junk"], [1], {"0": 1, "1": 0}, "10"], ids=str)
+    def test_tower_offset_of_other_than_two_entries_is_input_error(self, tower_file, offset):
+        with open(tower_file) as fh:
+            doc = json.load(fh)
+        doc["anchors"][0]["offset"] = offset
+        with open(tower_file, "w") as fh:
+            json.dump(doc, fh)
+        code, report = run(["shift-color", "--anchors", tower_file])
+        assert code == 2
+        assert report["error"] == (
+            f"malformed tower document: anchor offset must be a list of two integers, got {offset!r}"
+        )
+
+    @pytest.mark.parametrize("chi, code", [(3, 0), (4, 2)])
+    def test_instance_chi_above_max_degree_plus_one_is_input_error(self, tmp_path, chi, code):
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(
+            {"mode": "segment", "chi": chi, "vertices": 3, "blocks": [[0], [1], [2]], "edges": [[0, 1], [1, 2]]}
+        ))
+        got, report = run(["two-ended-color", "--instance", str(path)])
+        assert got == code
+        if code:
+            assert report["error"] == f"chromatic number {chi} exceeds max degree + 1 = 3"
 
     @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-5"])
     def test_bad_budget_value_is_input_error(self, value, capsys):
@@ -347,6 +371,17 @@ class TestSubcommands:
         code, _ = run(["two-ended-color", "--instance", delta_instance_file, "--chi", "3"])
         assert code == 2
         assert "unrecognized arguments: --chi" in capsys.readouterr().err
+
+    def test_window_two_colors_an_instance_without_one_block_dividers(self, tmp_path):
+        path = tmp_path / "seed380.json"
+        path.write_text(json.dumps(instance_to_json(random_line_instance(380, "segment"))))
+        code, report = run(["two-ended-color", "--instance", str(path)])
+        assert code == 2
+        assert report["error"] == "no separators found; increase window or cap"
+        code, report = run(["two-ended-color", "--instance", str(path), "--window", "2"])
+        assert code == 0
+        assert report["results"]["colors_used"] == 5
+        assert report["results"]["complement_stats"]["satisfied"]
 
     def test_shift_color(self, tower_file):
         code, report = run(["shift-color", "--anchors", tower_file])

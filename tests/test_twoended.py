@@ -12,6 +12,7 @@ from gridchroma.groups import MarkedGroupSpec
 from gridchroma.instances import (
     CYCLE,
     SEGMENT,
+    LineInstance,
     cayley_cycle_instance,
     cayley_segment_instance,
     divides_into_two,
@@ -192,12 +193,8 @@ class TestFindSeparators:
                         budget = Budget()
                         cut_tests = 0
                         got = find_separators(inst, width, cap, budget)
-                        hits = set_based_find_separators(inst, width, cap)
-                        if hits:
-                            want = build_separator_family(inst, hits).members
-                            assert tuple(got) == want, (seed, mode, width, cap)
-                        else:
-                            assert got == [], (seed, mode, width, cap)
+                        want = set_based_find_separators(inst, width, cap)
+                        assert got == want, (seed, mode, width, cap)
                         # one budget unit per cut test, and no set tested twice
                         assert budget.nodes == cut_tests <= len(
                             {
@@ -231,12 +228,12 @@ class TestFindSeparators:
         spec = MarkedGroupSpec(3, twisted=twisted)
         for levels in range(2, 12):
             inst = cayley_segment_instance(spec, levels)
-            hits = set_based_find_separators(inst, 1, 9)
-            want = list(build_separator_family(inst, hits).members) if hits else []
+            want = set_based_find_separators(inst, 1, 9)
             assert set_based_separator_family(inst, 1, 9) == want, levels
             assert find_separators(inst, 1, 9) == want, levels
-        # the full set-based search takes about 9 s on one M=12 cycle, so
-        # cycles are checked against the greedy family it would give
+        # the full set-based search takes about 1 s on one M=12 cycle, so
+        # cycles are checked against the family it would keep, found
+        # without cut-testing what it drops
         for modulus in range(8, 26):
             inst = cayley_cycle_instance(spec, modulus)
             assert find_separators(inst, 1, 9) == set_based_separator_family(inst, 1, 9), modulus
@@ -339,18 +336,18 @@ class TestLargerK:
 class TestBuildFamily:
     def test_path_greedy_every_fourth(self):
         inst = path_instance(13, SEGMENT)
-        fam = build_separator_family(inst, find_separators(inst, 1, 1))
+        fam = build_separator_family(find_separators(inst, 1, 1))
         assert [sorted(s) for s in fam.members] == [[1], [5], [9]]
 
     def test_pairwise_distance_at_least_four(self):
         inst = cayley_cycle_instance(DELTA3, 12, chi=3)
-        fam = build_separator_family(inst, find_separators(inst, 1, 9))
+        fam = build_separator_family(find_separators(inst, 1, 9))
         for a, b in itertools.combinations(fam.members, 2):
             assert set_distance(inst.graph, a, b) >= 4
 
     def test_cayley_cycle_selects_blocks_0_4_8(self):
         inst = cayley_cycle_instance(DELTA3, 12, chi=3)
-        fam = build_separator_family(inst, find_separators(inst, 1, 9))
+        fam = build_separator_family(find_separators(inst, 1, 9))
         assert [min(inst.block_of(v) for v in s) for s in fam.members] == [0, 4, 8]
         report = check_complement_bounded(inst, fam)
         assert report["degrees"] == [2, 2, 2]
@@ -359,7 +356,7 @@ class TestBuildFamily:
 
     def test_two_member_cycle_family_has_parallel_passages(self):
         inst = cayley_cycle_instance(DELTA3, 9, chi=3)
-        fam = build_separator_family(inst, find_separators(inst, 1, 9))
+        fam = build_separator_family(find_separators(inst, 1, 9))
         assert len(fam.members) == 2
         report = check_complement_bounded(inst, fam)
         assert report["degrees"] == [2, 2]
@@ -367,7 +364,7 @@ class TestBuildFamily:
 
     def test_segment_family_is_a_path(self):
         inst = path_instance(13, SEGMENT)
-        fam = build_separator_family(inst, find_separators(inst, 1, 1))
+        fam = build_separator_family(find_separators(inst, 1, 1))
         report = check_complement_bounded(inst, fam)
         assert report["shape_ok"]
         assert report["degrees"] == [1, 2, 1]
@@ -375,13 +372,13 @@ class TestBuildFamily:
     def test_no_candidates_is_an_error(self):
         inst = ladder_instance(8, CYCLE)
         with pytest.raises(InputError, match="increase window or cap"):
-            build_separator_family(inst, find_separators(inst, 1, 1))
+            build_separator_family(find_separators(inst, 1, 1))
 
 
 class TestComplementBound:
     def test_path_gap_arithmetic(self):
         inst = path_instance(13, SEGMENT)
-        fam = build_separator_family(inst, find_separators(inst, 1, 1))
+        fam = build_separator_family(find_separators(inst, 1, 1))
         report = check_complement_bounded(inst, fam)
         assert report["satisfied"]
         assert report["max_component_size"] == 3
@@ -389,7 +386,7 @@ class TestComplementBound:
 
     def test_cayley_components_confined(self):
         inst = cayley_cycle_instance(DELTA3, 12, chi=3)
-        fam = build_separator_family(inst, find_separators(inst, 1, 9))
+        fam = build_separator_family(find_separators(inst, 1, 9))
         report = check_complement_bounded(inst, fam)
         assert report["satisfied"]
         assert report["max_component_blocks"] == 3
@@ -482,6 +479,27 @@ class TestColorTwoEnded:
         inst = cayley_cycle_instance(DELTA3, 12)
         with pytest.raises(InputError, match="too small"):
             color_two_ended(inst, chi=2)
+
+    @pytest.mark.parametrize("chi", [4, 1000])
+    def test_chi_above_max_degree_plus_one_rejected(self, chi):
+        # a 3-vertex path has max degree 2, so every chi above 3 is false;
+        # it is refused before the solver sizes its lists by chi
+        inst = LineInstance(FiniteGraph(3, [(0, 1), (1, 2)]), ((0,), (1,), (2,)), SEGMENT, chi)
+        with pytest.raises(InputError, match="exceeds max degree \\+ 1 = 3"):
+            color_two_ended(inst)
+        assert color_two_ended(inst, chi=3).coloring.palette == 5
+
+    def test_no_one_block_divider_needs_a_wider_window(self):
+        # the one instance among the random differentials' seeds 0..399
+        # whose blocks hold no dividing cut of their own
+        inst = random_line_instance(380, SEGMENT)
+        assert inst.blocks == ((0, 1), (2, 3, 4), (5, 6), (7, 8, 9))
+        with pytest.raises(InputError, match="no separators found; increase window or cap"):
+            color_two_ended(inst)
+        result = color_two_ended(inst, window_blocks=2)
+        assert result.chi == 3
+        assert result.colors_used == 5
+        assert result.complement_stats["satisfied"]
 
     def test_even_path_cycle_uses_exactly_chromatic_plus_structure(self):
         result = color_two_ended(path_instance(12, CYCLE))
