@@ -107,12 +107,7 @@ def set_distance(g: FiniteGraph, a: Iterable[int], b: Iterable[int]) -> float:
     while frontier:
         if frontier & b_mask:
             return d
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            grown |= masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & ~ball
+        frontier = neighbors_mask(masks, frontier) & ~ball
         ball |= frontier
         d += 1
     return INF
@@ -157,6 +152,16 @@ def mask_vertices(mask: int) -> list[int]:
     return out
 
 
+def neighbors_mask(masks: Sequence[int], mask: int) -> int:
+    """The union of the neighbor bitmasks of the vertices in `mask`."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= masks[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def reach_mask(
     masks: Sequence[int], seed: int, allowed: int, stop: int = 0, reached: int = 0
 ) -> Optional[int]:
@@ -174,6 +179,7 @@ def reach_mask(
     while frontier:
         if frontier & stop:
             return None
+        # `neighbors_mask` inline: a call per step here slows every cut test
         grown = 0
         while frontier:
             low = frontier & -frontier
@@ -183,14 +189,6 @@ def reach_mask(
         unseen ^= frontier
         reach |= frontier
     return reach
-
-
-def closed_neighborhood(g: FiniteGraph, vertices: Iterable[int]) -> set[int]:
-    """The set together with every vertex adjacent to it."""
-    out = set(vertices)
-    for v in list(out):
-        out.update(g.adj[v])
-    return out
 
 
 def induced_subgraph(
@@ -279,20 +277,26 @@ def graph_from_dimacs(text: str) -> FiniteGraph:
     return FiniteGraph(n, edges)
 
 
-def read_json(path: str):
-    """The document in a JSON file; text that does not parse is an
-    InputError."""
-    with open(path) as fh:
-        text = fh.read()
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 input file; other bytes are an InputError."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot decode {path} as UTF-8: {exc}") from exc
+
+
+def read_json(path: str):
+    """The document in a JSON file; text that does not parse, or nests
+    too deep for the parser, is an InputError."""
+    try:
+        return json.loads(_read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot parse {path}: {exc}") from exc
 
 
 def load_graph(path: str) -> FiniteGraph:
     """Load a graph from a .json or DIMACS .col file, picked by extension."""
     if path.endswith((".col", ".dimacs")):
-        with open(path) as fh:
-            return graph_from_dimacs(fh.read())
+        return graph_from_dimacs(_read_text(path))
     return graph_from_json(read_json(path))

@@ -15,26 +15,20 @@ in the middle copy, which distinguishes genuine two-sided cuts from sets
 whose removal leaves the cycle connected.  Those copies are a slice of one
 unrolling of four copies, opened between blocks m-1 and 0.
 
-One walk over the cut checks that it is connected and collects the blocks
-it touches, through the graph's neighbor masks and each vertex's block.
-The test itself is a breadth-first search over integer neighbor
-bitmasks (`graphs.reach_mask`): it grows the reach of the lowest remaining
+A frontier grown over the cut with `graphs.neighbors_mask` checks that
+it is connected; the blocks it touches are read off its vertices.  The
+test itself is a breadth-first search over integer neighbor bitmasks
+(`graphs.reach_mask`): it grows the reach of the lowest remaining
 left-end vertex and stops as soon as that reach meets the right end.
 `_unrolling` holds, from the first cut test on, the neighbor masks and the
 block masks of that unrolling (of the instance graph in segment mode),
-never a graph object.  `_contexts` caches, per mask of touched blocks,
-everything the test needs beyond the cut: the shift and the wrap mask that
-place the cut in the slice, the slice's vertex mask, its end masks, and
-the end reaches.  Those are the reach of each end's lowest vertex in the
-blocks beyond the touched span on its side.  The cut misses both, so the
-search resumes from the left one and may stop as soon as it meets the
-right one.  A cut that leaves a vertex of the bridge mask joins the two
-ends, so the test answers it without a search.  The bridges are the
-vertices adjacent to both reaches, plus the end vertices adjacent to the
-other end's reach, which a cut touching an end block can leave.  The
-bridges of a one-block window (`LineInstance.block_bridges`) are vertices
-every cut inside it must hold to divide.  A cycle cut that touches every
-block caches False.
+never a graph object.  `_cut_context` caches in `_contexts`, per mask of
+touched blocks, everything the test needs beyond the cut.  That includes
+the reach of each end's lowest vertex beyond the touched span, which the
+search resumes from and may stop on, and the bridge mask: a cut that
+leaves a bridge joins the two ends, so the test answers it without a
+search.  The bridges of a one-block window (`LineInstance.block_bridges`)
+are vertices every cut inside it must hold to divide.
 """
 
 from __future__ import annotations
@@ -43,7 +37,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InputError
-from .graphs import FiniteGraph, components, graph_from_json, json_int, reach_mask, read_json, vertex_mask
+from .graphs import (
+    FiniteGraph, components, graph_from_json, json_int, mask_vertices, neighbors_mask, reach_mask,
+    read_json, vertex_mask,
+)
 from .groups import MarkedGroupSpec
 from .quotients import build_quotient, cayley_window
 
@@ -120,9 +117,7 @@ class LineInstance:
     def block_bridges(self, b: int) -> int:
         """The bridges of the cuts inside block b, as a vertex bitmask:
         a cut there that leaves one does not divide the instance."""
-        context = self._contexts.get(1 << b)
-        if context is None:
-            context = self._cut_context(1 << b)
+        context = self._cut_context(1 << b)
         return context[-1] >> context[0] & self._unrolling[1][b]
 
     # -- the graph the cut test runs on -----------------------------------
@@ -159,8 +154,8 @@ class LineInstance:
         """(shift, wrap, full mask, neighbor masks, left-end mask, right-end
         mask, pre, pre's outer boundary, suf, bridges) for the cuts that
         touch exactly the blocks of the mask `touched`, or False for a cycle
-        cut that touches every block.  Cached in `_contexts` per touched
-        mask.
+        cut that touches every block.  Read from `_contexts`, or computed
+        and stored there on the first call per touched mask.
 
         The test runs on blocks start..stop-1 of the unrolling, whose
         vertices make up the full mask and whose first and last blocks are
@@ -177,6 +172,9 @@ class LineInstance:
         left-end vertices adjacent to `suf` and the right-end vertices
         adjacent to `pre`: one the cut leaves joins the ends.
         """
+        context = self._contexts.get(touched)
+        if context is not None:
+            return context
         # a connected cut touches an interval of blocks (cyclically in
         # cycle mode)
         m, span = self.block_count, touched.bit_count()
@@ -195,16 +193,9 @@ class LineInstance:
         pre = reach_mask(masks, left & -left, sum(blocks[start:lo]))
         suf = reach_mask(masks, right & -right, sum(blocks[lo + span:stop]))
         # the outer boundaries of pre and suf
-        near = []
-        for inside in (pre, suf):
-            out, rest = 0, inside
-            while rest:
-                low = rest & -rest
-                out |= masks[low.bit_length() - 1]
-                rest ^= low
-            near.append(out & ~inside)
+        boundary, far = (neighbors_mask(masks, x) & ~x for x in (pre, suf))
         # the three kinds of bridge, since the ends are disjoint
-        boundary, bridges = near[0], (near[0] | left) & (near[1] | right)
+        bridges = (boundary | left) & (far | right)
         wrap, full = sum(blocks[:start]), sum(blocks[start:stop])
         context = (shift, wrap, full, masks, left, right, pre, boundary, suf, bridges)
         self._contexts[touched] = context
@@ -216,8 +207,8 @@ def divides_into_two(inst: LineInstance, cut: int) -> bool:
     touching the left end, a different one touching the right.
 
     The cut is a vertex bitmask (bit v for vertex v, as `graphs.vertex_mask`
-    builds it).  InputError unless it is a non-bool int, non-empty, within
-    the instance's vertices and connected."""
+    builds it): a non-bool int, non-empty, within the instance's vertices
+    and connected, else InputError.  Its touched blocks pick a `_cut_context`."""
     n = inst.graph.n
     if not isinstance(cut, int) or isinstance(cut, bool):
         raise InputError(f"cut must be an integer vertex bitmask, got {cut!r}")
@@ -225,28 +216,20 @@ def divides_into_two(inst: LineInstance, cut: int) -> bool:
         raise InputError(f"cut must be a non-empty vertex bitmask, got {cut}")
     if cut >> n:
         raise InputError(f"cut {cut:#x} has a vertex out of range for {n} vertices")
-    # one walk from the cut's lowest vertex: it reaches the whole cut iff
-    # the cut is connected, and collects the blocks it touches
+    # a frontier grown from the cut's lowest vertex reaches the whole cut
+    # iff the cut is connected
     masks = inst.graph.neighbor_masks()
-    block_of = inst._block_of
     frontier = reached = cut & -cut
-    touched = 0
-    while frontier:
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            v = low.bit_length() - 1
-            grown |= masks[v]
-            touched |= 1 << block_of[v]
-            frontier ^= low
-        frontier = grown & cut & ~reached
+    while frontier and reached != cut:
+        frontier = neighbors_mask(masks, frontier) & cut & ~reached
         reached |= frontier
     if reached != cut:
         raise InputError("cut must induce a connected subgraph")
+    touched = 0
+    for v in mask_vertices(cut):
+        touched |= 1 << inst._block_of[v]
 
-    context = inst._contexts.get(touched)
-    if context is None:
-        context = inst._cut_context(touched)
+    context = inst._cut_context(touched)
     if not context:
         return False
     shift, wrap, full, masks, left, right, pre, boundary, suf, bridges = context
@@ -263,12 +246,9 @@ def divides_into_two(inst: LineInstance, cut: int) -> bool:
         return False
     # the left end must lie in one component that misses the right end;
     # pre and suf lie in the components of the two ends' lowest vertices,
-    # so the search resumes from pre and may stop on meeting suf ...
-    seed = left & -left
-    if seed & pre:
-        reach = reach_mask(masks, boundary, remaining, suf | right, pre)
-    else:
-        reach = reach_mask(masks, seed, remaining, suf | right)
+    # so the search resumes from pre (or starts at the left seed, when a
+    # segment cut in block 0 leaves pre empty) and may stop on meeting suf ...
+    reach = reach_mask(masks, boundary | left & -left, remaining, suf | right, pre)
     if reach is None or left & ~reach:
         return False
     # ... and the right end in one other component

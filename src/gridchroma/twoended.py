@@ -29,10 +29,10 @@ from .chi import Budget, Coloring, chromatic_number, find_coloring, is_proper
 from .errors import InputError, InvariantViolation
 from .graphs import (
     FiniteGraph,
-    closed_neighborhood,
     components,
     induced_subgraph,
     mask_vertices,
+    neighbors_mask,
     reach_mask,
     vertex_mask,
 )
@@ -107,11 +107,12 @@ def find_separators(
     fails, or meets the ball.  Wider windows, whose cuts touch varying
     blocks, are not pruned this way.  Each connected prefix is
     cut-tested, unless it lies inside the previous or the first window,
-    which tested it already; a hit is selected, its own breadth-first ball
-    is ORed into the mask, and its extensions are not walked.  The family
-    is the greedy distance-4 selection over every window's cuts in this
-    order: a set of an earlier window either was selected, and now meets
-    the ball, or failed its test.  So no set is tested twice.
+    which tested it already; a hit is selected, its radius-3 ball, grown
+    as a mask one `graphs.neighbors_mask` step at a time, is ORed into the
+    mask, and its extensions are not walked.  The family is the greedy
+    distance-4 selection over every window's cuts in this order: a set of
+    an earlier window either was selected, and now meets the ball, or
+    failed its test.  So no set is tested twice.
 
     Each cut test spends one unit of the budget, when one is given.  A
     budget with a time limit also has its clock read every
@@ -158,11 +159,10 @@ def find_separators(
                         if budget is not None:
                             budget.spend("separator search")
                         if divides_into_two(inst, sub):
-                            member = hull = frozenset(mask_vertices(sub))
-                            out.append(member)
+                            out.append(frozenset(mask_vertices(sub)))
                             for _ in range(MIN_SEPARATION - 1):
-                                hull = closed_neighborhood(g, hull)
-                            ball |= vertex_mask(g, hull)
+                                sub |= neighbors_mask(masks, sub)
+                            ball |= sub
                             continue
                 elif sub & ~reach_mask(masks, low, sub | above):
                     continue
@@ -337,7 +337,9 @@ def color_two_ended(
 
     # members are connected and pairwise at distance >= 4, so their hulls
     # are connected, pairwise non-adjacent pieces
-    hulls = [closed_neighborhood(g, member) for member in family.members]
+    masks = g.neighbor_masks()
+    members = [vertex_mask(g, member) for member in family.members]
+    hulls = [mask_vertices(member | neighbors_mask(masks, member)) for member in members]
     buffer_region = frozenset().union(*hulls)
     colors = [0] * g.n
     _color_pieces(g, hulls, chi, 0, colors, budget, "separator hull")

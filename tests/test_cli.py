@@ -192,6 +192,32 @@ class TestExitCodes:
         assert code == 2
         assert "cap of 10,000,000" in report["error"]
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            (["chi", "--graph"], "graph.json"),
+            (["chi", "--graph"], "graph.col"),
+            (["shift-color", "--anchors"], "tower.json"),
+            (["two-ended-color", "--instance"], "instance.json"),
+        ],
+        ids=["chi-json", "chi-col", "shift-color", "two-ended-color"],
+    )
+    def test_file_that_is_not_utf8_is_input_error(self, tmp_path, capsys, command, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe\x00bad")
+        code, report = run([*command, str(path)])
+        assert code == 2
+        assert report["error"].startswith(f"cannot decode {path} as UTF-8: ")
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200000)
+        code, report = run(["chi", "--graph", str(path)])
+        assert code == 2
+        assert report["error"].startswith(f"cannot parse {path}: ")
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_missing_file_is_input_error(self):
         code, _ = run(["chi", "--graph", "/no/such/file.json"])
         assert code == 2

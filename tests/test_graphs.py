@@ -8,13 +8,13 @@ import gridchroma.graphs
 from gridchroma.errors import InputError
 from gridchroma.graphs import (
     FiniteGraph,
-    closed_neighborhood,
     components,
     graph_from_dimacs,
     graph_from_json,
     graph_to_dimacs,
     graph_to_json,
     induced_subgraph,
+    neighbors_mask,
     set_distance,
     vertex_mask,
 )
@@ -235,9 +235,22 @@ class TestIndependence:
 
 
 class TestHelpers:
-    def test_closed_neighborhood(self):
-        g = path_graph(5)
-        assert closed_neighborhood(g, {2}) == {1, 2, 3}
+    def test_neighbors_mask_matches_set_union(self):
+        rng = random.Random(1)
+        for seed in range(60):
+            n = rng.randint(1, 30)
+            # sparse graphs too, so some chosen vertices are isolated
+            g = random_graph(n, rng.random() * rng.random(), seed)
+            masks = g.neighbor_masks()
+            assert neighbors_mask(masks, 0) == 0
+            chosen = {v for v in range(n) if rng.random() < 0.4}
+            union = set().union(*(g.adj[v] for v in chosen))
+            assert neighbors_mask(masks, vertex_mask(g, chosen)) == vertex_mask(g, union)
+
+    def test_neighbors_mask_of_an_isolated_vertex(self):
+        masks = FiniteGraph(3, [(0, 1)]).neighbor_masks()
+        assert neighbors_mask(masks, 0b100) == 0
+        assert neighbors_mask(masks, 0b101) == 0b010
 
     def test_induced_subgraph(self):
         g = cycle_graph(5)
