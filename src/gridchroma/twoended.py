@@ -15,7 +15,8 @@ The pipeline mirrors the constructive argument it verifies:
    neighborhoods,
 4. the remaining graph falls apart into pieces trapped between cuts (plus
    end pieces in segment mode); color each exactly with colors
-   chi..2chi-1.
+   chi..2chi-1; pieces with equal induced adjacency are searched once
+   per call.
 
 The union is proper and uses at most 2*chi - 1 colors.
 """
@@ -296,15 +297,23 @@ def _color_pieces(
     out: list[int],
     budget: Optional[Budget],
     what: str,
+    solved: dict,
 ):
+    """Color each piece exactly, offset into out.  `solved` maps an induced
+    adjacency to its palette-coloring; a piece whose adjacency is in it is
+    not searched again, and gets the colors a search would give, since
+    `find_coloring` depends only on the adjacency and the palette."""
     for piece in pieces:
         sub, mapping = induced_subgraph(g, piece)
-        got = find_coloring(sub, palette, budget=budget)
+        got = solved.get(sub.adj)
         if got is None:
-            raise InputError(
-                f"{what}: a piece of {len(piece)} vertices admits no "
-                f"{palette}-coloring; the declared chromatic number is too small"
-            )
+            got = find_coloring(sub, palette, budget=budget)
+            if got is None:
+                raise InputError(
+                    f"{what}: a piece of {len(piece)} vertices admits no "
+                    f"{palette}-coloring; the declared chromatic number is too small"
+                )
+            solved[sub.adj] = got
         for local, v in enumerate(mapping):
             out[v] = got.colors[local] + offset
 
@@ -342,12 +351,14 @@ def color_two_ended(
     hulls = [mask_vertices(member | neighbors_mask(masks, member)) for member in members]
     buffer_region = frozenset().union(*hulls)
     colors = [0] * g.n
-    _color_pieces(g, hulls, chi, 0, colors, budget, "separator hull")
+    # both stages use chi colors, so they share one dict, kept for this call
+    solved: dict = {}
+    _color_pieces(g, hulls, chi, 0, colors, budget, "separator hull", solved)
 
     # the dropped top class joins the complement, which recolors it
     trimmed = frozenset(v for v in buffer_region if colors[v] != chi)
     rest_pieces = components(g, [v for v in range(g.n) if v not in trimmed])
-    _color_pieces(g, rest_pieces, chi, chi - 1, colors, budget, "complement piece")
+    _color_pieces(g, rest_pieces, chi, chi - 1, colors, budget, "complement piece", solved)
 
     palette = 2 * chi - 1
     coloring = Coloring(tuple(colors), palette)

@@ -167,6 +167,16 @@ def random_line_instance(seed, mode):
             return LineInstance(g, blocks, mode)
 
 
+def triangle_gap_instance() -> LineInstance:
+    """A 13-block path segment whose block 3 also holds a triangle on its
+    vertex 3, declared 2-chromatic.  Its separators [1], [5] and [9] have
+    2-colorable hulls, and the triangle falls in the complement piece
+    between the first two."""
+    edges = [(i, i + 1) for i in range(12)] + [(3, 13), (3, 14), (13, 14)]
+    blocks = tuple((3, 13, 14) if i == 3 else (i,) for i in range(13))
+    return LineInstance(FiniteGraph(15, edges), blocks, SEGMENT, 2)
+
+
 def separator_windows(inst: LineInstance, window_blocks: int):
     """The vertex lists of the separator search's windows, leftmost first."""
     m = inst.block_count

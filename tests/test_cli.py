@@ -14,9 +14,9 @@ from gridchroma.cli import run
 from gridchroma.errors import InvariantViolation, UndecidedError
 from gridchroma.grid import VerificationReport
 from gridchroma.groups import MarkedGroupSpec
-from gridchroma.instances import cayley_cycle_instance
+from gridchroma.instances import cayley_cycle_instance, path_instance
 from gridchroma.towers import tower_from_json, tower_graph
-from oracles import instance_to_json, random_line_instance
+from oracles import instance_to_json, random_line_instance, triangle_gap_instance
 
 
 @pytest.fixture
@@ -140,6 +140,32 @@ class TestExitCodes:
         assert got == code
         if code:
             assert report["error"] == f"chromatic number {chi} exceeds max degree + 1 = 3"
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (
+                lambda: {**instance_to_json(path_instance(9, "segment")), "chi": 1},
+                "separator hull: a piece of 3 vertices admits no 1-coloring; "
+                "the declared chromatic number is too small",
+            ),
+            (
+                lambda: instance_to_json(triangle_gap_instance()),
+                "complement piece: a piece of 5 vertices admits no 2-coloring; "
+                "the declared chromatic number is too small",
+            ),
+        ],
+        ids=["hull", "complement-piece"],
+    )
+    def test_piece_without_a_chi_coloring_is_input_error(self, tmp_path, capsys, make, message):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(make()))
+        code, report = run(["two-ended-color", "--instance", str(path)])
+        assert code == 2
+        assert report["error"] == message
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-5"])
     def test_bad_budget_value_is_input_error(self, value, capsys):

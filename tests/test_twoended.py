@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -7,7 +9,7 @@ import pytest
 from gridchroma.chi import Budget, is_proper
 from gridchroma.errors import InputError, UndecidedError
 from gridchroma import instances, twoended
-from gridchroma.graphs import FiniteGraph, set_distance, vertex_mask
+from gridchroma.graphs import FiniteGraph, components, set_distance, vertex_mask
 from gridchroma.groups import MarkedGroupSpec
 from gridchroma.instances import (
     CYCLE,
@@ -37,6 +39,7 @@ from oracles import (
     set_based_connected_subsets,
     set_based_find_separators,
     set_based_separator_family,
+    triangle_gap_instance,
 )
 
 DELTA3 = MarkedGroupSpec(3)
@@ -501,6 +504,24 @@ class TestColorTwoEnded:
         assert result.colors_used == 5
         assert result.complement_stats["satisfied"]
 
+    def test_hull_without_a_chi_coloring_is_an_input_error(self):
+        with pytest.raises(InputError) as err:
+            color_two_ended(path_instance(9, SEGMENT), chi=1)
+        assert str(err.value) == (
+            "separator hull: a piece of 3 vertices admits no 1-coloring; "
+            "the declared chromatic number is too small"
+        )
+
+    def test_complement_piece_without_a_chi_coloring_is_an_input_error(self):
+        inst = triangle_gap_instance()
+        assert [sorted(s) for s in find_separators(inst, 1, 3)] == [[1], [5], [9]]
+        with pytest.raises(InputError) as err:
+            color_two_ended(inst)
+        assert str(err.value) == (
+            "complement piece: a piece of 5 vertices admits no 2-coloring; "
+            "the declared chromatic number is too small"
+        )
+
     def test_even_path_cycle_uses_exactly_chromatic_plus_structure(self):
         result = color_two_ended(path_instance(12, CYCLE))
         assert result.colors_used <= 3
@@ -514,3 +535,76 @@ class TestColorTwoEnded:
         assert result.colors_used <= 9
         assert len(result.family.members) == 2
         assert result.complement_stats["satisfied"]
+
+
+def shape_instances():
+    """Cayley cycles and segments of both groups at k=3 and 4, with chi = k
+    declared, then path and ladder cycles and segments of 12 and 13 blocks."""
+    for k, moduli, levels in ((3, (8, 9, 12, 13, 17), (4, 6, 9)), (4, (8, 9), (4, 6, 9))):
+        for twisted in (False, True):
+            spec = MarkedGroupSpec(k, twisted=twisted)
+            for modulus in moduli:
+                yield cayley_cycle_instance(spec, modulus, chi=k)
+            for count in levels:
+                yield cayley_segment_instance(spec, count, chi=k)
+    for m in (12, 13):
+        for mode in (CYCLE, SEGMENT):
+            yield path_instance(m, mode)
+            yield ladder_instance(m, mode)
+
+
+def count_solves(monkeypatch):
+    """Replace the colorer's `find_coloring` with one that records each
+    graph it is asked to solve."""
+    solved = []
+    search = twoended.find_coloring
+
+    def counting(g, *args, **kwargs):
+        solved.append(g.adj)
+        return search(g, *args, **kwargs)
+
+    monkeypatch.setattr(twoended, "find_coloring", counting)
+    return solved
+
+
+class TestPieceShapes:
+    def test_outputs_equal_a_search_per_piece(self):
+        # the sha256 of these 34 results as a search per piece gave them
+        digest = hashlib.sha256()
+        for inst in shape_instances():
+            result = color_two_ended(inst)
+            digest.update(json.dumps(result.to_json(), sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "d90b8908903b0a41d47887cb05df2cfa8f0d1aca6d2e10803fd79a41a002bdcd"
+        )
+
+    @pytest.mark.parametrize("spec", [DELTA3, GAMMA3], ids=["plain", "twisted"])
+    def test_one_search_per_distinct_shape(self, monkeypatch, spec):
+        solved = count_solves(monkeypatch)
+        inst = cayley_cycle_instance(spec, 12, chi=3)
+        result = color_two_ended(inst)
+        g = inst.graph
+        rest = components(g, [v for v in range(g.n) if v not in result.trimmed_buffer])
+        assert len(result.family.members) + len(rest) == 15
+        # three 27-vertex hulls, whose relabeling differs only for the one
+        # that wraps around block 0, nine lone vertices of the dropped
+        # class and three 15-vertex gap pieces
+        assert sorted(map(len, solved)) == [1, 15, 27, 27]
+        assert len(set(solved)) == 4
+
+    def test_no_shape_survives_the_call(self, monkeypatch):
+        solved = count_solves(monkeypatch)
+        inst = cayley_cycle_instance(DELTA3, 12, chi=3)
+        first = color_two_ended(inst)
+        assert len(solved) == 4
+        second = color_two_ended(inst)
+        assert len(solved) == 8
+        assert solved[:4] == solved[4:]
+        assert first.coloring == second.coloring
+
+    @pytest.mark.parametrize("spec", [DELTA3, GAMMA3], ids=["plain", "twisted"])
+    def test_budget_charges_each_shape_once(self, spec):
+        # 18 cut tests and 74 search nodes; a search per piece spent 168
+        budget = Budget()
+        color_two_ended(cayley_cycle_instance(spec, 12, chi=3), budget=budget)
+        assert budget.nodes == 92
