@@ -147,6 +147,11 @@ def _shift_saturation(level: list[int], newly: int, s: int, step: int):
 
 # -- enumeration -------------------------------------------------------------
 
+# How far back, in vertex order, an earlier neighbor counts as near: the
+# enumeration reads a near neighbor's color at every node, and folds a far
+# one's once per subtree (see `enumerate_colorings`).
+_NEAR = 6
+
 
 def enumerate_colorings(
     g: FiniteGraph,
@@ -173,7 +178,13 @@ def enumerate_colorings(
     The walk keeps an explicit stack (one mask of colors still to try per
     depth), so its depth is not bounded by the interpreter's recursion
     limit; the last vertex's colors are walked in one loop, a leaf each.
-    Each search node, leaves included, spends one budget unit, charged in
+    A vertex's earlier neighbors split at `_NEAR` indices back.  The near
+    ones are read at the vertex's own depth.  The far ones are all colored
+    `_NEAR` levels higher up, so the node at depth j folds the colors of
+    vertex j+_NEAR's far neighbors into that vertex's banned mask once,
+    for every node below it to read: where the tree widens with depth,
+    most neighbors are read once per subtree, not once per node.  Each
+    search node, leaves included, spends one budget unit, charged in
     runs; when the budget runs out, the UndecidedError raised carries the
     count of colorings visited so far as its lower bound.
     """
@@ -190,8 +201,14 @@ def enumerate_colorings(
     forb = list(base_forbidden) if base_forbidden is not None else [0] * n
     if len(forb) != n:
         raise InputError("base_forbidden must cover every vertex")
-    earlier = [tuple(w for w in g.adj[v] if w < v) for v in range(n)]
+    near = [tuple(w for w in g.adj[v] if v - _NEAR <= w < v) for v in range(n)]
+    # ahead[j]: the far earlier neighbors of vertex j+_NEAR, all colored at depth j
+    ahead = [
+        tuple(w for w in g.adj[j + _NEAR] if w < j) if j + _NEAR < n else () for j in range(n)
+    ]
+    farban = list(forb)
     full = (1 << (palette + 1)) - 2
+    color_of = {1 << c: c for c in range(1, palette + 1)}
     # caps[d]: the colors vertex d may take at all.  Canonically that is
     # 1..max_used+1, grown as each vertex is colored.
     caps = [full] * n
@@ -210,8 +227,14 @@ def enumerate_colorings(
                 run -= 1
             else:
                 run = budget._run("enumerate_colorings", count)
-            banned = forb[d]
-            for w in earlier[d]:
+            fold = ahead[d]
+            if fold:
+                banned = forb[d + _NEAR]
+                for w in fold:
+                    banned |= bits[w]
+                farban[d + _NEAR] = banned
+            banned = farban[d]
+            for w in near[d]:
                 banned |= bits[w]
             free = caps[d] & ~banned
             if d == last:
@@ -223,22 +246,22 @@ def enumerate_colorings(
                         run = budget._run("enumerate_colorings", count)
                     bit = free & -free
                     free ^= bit
-                    assign[d] = bit.bit_length() - 1
+                    assign[d] = color_of[bit]
                     count += 1
                     if visitor is not None:
                         try:
                             visitor(tuple(assign))
                         except StopEnumeration:
                             return count
-            todo[d] = free
-            while not todo[d]:
+            while not free:
                 if d == 0:
                     return count
                 d -= 1
-            bit = todo[d] & -todo[d]
-            todo[d] ^= bit
+                free = todo[d]
+            bit = free & -free
+            todo[d] = free ^ bit
             bits[d] = bit
-            assign[d] = bit.bit_length() - 1
+            assign[d] = color_of[bit]
             d += 1
             if canonical:
                 caps[d] = (caps[d - 1] | bit << 1) & full

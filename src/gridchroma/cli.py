@@ -156,9 +156,15 @@ def _verified(args, report, got, head: str) -> int:
     return EXIT_CODES[_outcome(got)]
 
 
+def _dichotomy_unit(got) -> str:
+    """What the dichotomy's count counts: a canonical run visits one
+    coloring per color class."""
+    return "classes" if got.params.get("canonical") else "colorings"
+
+
 def cmd_verify_dichotomy(args, report) -> int:
     got = verify_dichotomy(args.k, budget=_budget_from(args))
-    return _verified(args, report, got, f"dichotomy k={args.k}: colorings={got.count} ")
+    return _verified(args, report, got, f"dichotomy k={args.k}: {_dichotomy_unit(got)}={got.count} ")
 
 
 def cmd_verify_invariance(args, report) -> int:
@@ -259,7 +265,7 @@ def _claim_grid_chi(k, budget, rng, towers):
 
 def _claim_dichotomy(k, budget, rng, towers):
     got = verify_dichotomy(k, budget=budget)
-    return _outcome(got), {"colorings": got.count}
+    return _outcome(got), {_dichotomy_unit(got): got.count}
 
 
 def _claim_invariance(k, budget, rng, towers):

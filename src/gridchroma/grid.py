@@ -24,6 +24,7 @@ k-colorings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
@@ -361,7 +362,10 @@ def verify_invariance(
     layers must share an orientation, twisted layers must swap it.  A layer
     takes far fewer distinct colorings than the pair does, so the flags of
     each layer tuple are memoized; the memo is emptied when a miss finds it
-    holding FLAG_MEMO_CAP tuples, which at k=3 it never does.
+    holding FLAG_MEMO_CAP tuples, which at k=3 it never does.  Layer 0 is
+    the first k^2 vertices of a lexicographic enumeration, so it stays the
+    same over a run of consecutive colorings: the visitor keeps the last
+    layer-0 tuple and its flags, and looks layer 0 up only when it changes.
     """
     palette = 2 * k - 2
     graph = two_orbit_graph(k, twisted)
@@ -379,9 +383,14 @@ def verify_invariance(
         got = flags[layer] = _orientation_flags(k, layer)
         return got
 
+    last_lo = last_flags = None
+
     def visit(cols: tuple[int, ...]):
+        nonlocal last_lo, last_flags
         lo, hi = cols[:kk], cols[kk:]
-        h0, v0 = flags.get(lo) or miss(lo)
+        if lo != last_lo:
+            last_lo, last_flags = lo, flags.get(lo) or miss(lo)
+        h0, v0 = last_flags
         h1, v1 = flags.get(hi) or miss(hi)
         if h0 == v0 or h1 == v1:
             report.record_violation(
@@ -403,18 +412,31 @@ def verify_invariance(
 def verify_rigidity(
     k: int,
     budget: Optional[Budget] = None,
+    canonical: Optional[bool] = None,
 ) -> VerificationReport:
     """Check that every proper k-coloring of the plain two-orbit graph is a
     coordinate projection, with the same projection on both layers.
 
     In particular the color pattern of layer 1 equals that of layer 0, the
     finite form of "shifting one layer up never changes the color".
+
+    For k=3 the full enumeration runs by default.  For larger k, as in
+    `verify_dichotomy`, one representative per color permutation is
+    enumerated (sound: recoloring both layers at once keeps each layer a
+    projection, the axes, and the equality of the layers).  A class whose
+    representative uses u colors holds k!/(k-u)! colorings; the weight is
+    read off each representative, not assumed, and the count (also the
+    lower bound of a run the budget stops) is the weighted sum, so it
+    equals the full enumeration's.
     """
+    if canonical is None:
+        canonical = k > 3
     graph = two_orbit_graph(k, twisted=False)
     kk = k * k
-    report = VerificationReport("rigidity", {"k": k, "palette": k})
+    report = VerificationReport("rigidity", {"k": k, "palette": k, "canonical": canonical})
 
     rows, columns = _lines(k)
+    weighted = 0
 
     def projection_axis(layer: tuple[int, ...]) -> Optional[str]:
         for axis, lines in (("a", columns), ("b", rows)):
@@ -423,6 +445,8 @@ def verify_rigidity(
         return None
 
     def visit(cols: tuple[int, ...]):
+        nonlocal weighted
+        weighted += math.perm(k, len(set(cols))) if canonical else 1
         lo, hi = cols[:kk], cols[kk:]
         axis0, axis1 = projection_axis(lo), projection_axis(hi)
         if axis0 is None or axis1 is None or axis0 != axis1 or lo != hi:
@@ -430,4 +454,6 @@ def verify_rigidity(
                 {"coloring": list(cols), "layer0_axis": axis0, "layer1_axis": axis1}
             )
 
-    return _enumerate_into(report, graph, k, visit, budget)
+    _enumerate_into(report, graph, k, visit, budget, canonical)
+    report.count = weighted  # the colorings visited, when each weighs 1
+    return report

@@ -1,7 +1,8 @@
 """Graph predicates, the two-sided properness scan, set-based references
 for the bitmask traversals and the separator search, grid-shape
 classifiers, the coordinate colorings of the grid, a reference graph
-builder, the key-list DSATUR solver, the full-scan greedy clique, seeded
+builder, the key-list DSATUR solver, the full-scan greedy clique, a
+recursive reference enumerator of proper colorings, seeded
 random line instances and an instance serializer the test suites use as
 oracles.
 
@@ -598,3 +599,57 @@ def scan_greedy_clique(g: FiniteGraph) -> list[int]:
         if len(clique) > len(best):
             best = clique
     return sorted(best)
+
+
+def recursive_enumeration(
+    g: FiniteGraph,
+    palette: int,
+    base_forbidden: Optional[list[int]] = None,
+    canonical: bool = False,
+    max_nodes: Optional[int] = None,
+) -> tuple[list[tuple[int, ...]], int, bool]:
+    """The colorings `enumerate_colorings` visits, by plain recursion over
+    color sets: (the colorings in visit order, the nodes spent, whether the
+    node limit stopped the walk).
+
+    A node is spent on every partial coloring of vertices 0..d-1 reached,
+    the empty one included, for d < n, and on every complete coloring,
+    just before it is visited; the walk stops at the node past
+    `max_nodes`.  A vertex takes, in ascending order, the colors of
+    1..palette that neither its base_forbidden bits nor an earlier
+    neighbor hold, and canonically none above one past the largest color
+    so far.  Needs at least one vertex."""
+    n = g.n
+    earlier = [{w for w in g.adj[v] if w < v} for v in range(n)]
+    forb = base_forbidden or [0] * n
+    seen: list[tuple[int, ...]] = []
+    nodes = 0
+
+    class Stop(Exception):
+        pass
+
+    def spend():
+        nonlocal nodes
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise Stop
+
+    def extend(cols: tuple[int, ...]):
+        spend()
+        v = len(cols)
+        taken = {cols[w] for w in earlier[v]}
+        top = max(cols, default=0) + 1 if canonical else palette
+        for c in range(1, min(top, palette) + 1):
+            if c in taken or forb[v] >> c & 1:
+                continue
+            if v == n - 1:
+                spend()
+                seen.append(cols + (c,))
+            else:
+                extend(cols + (c,))
+
+    try:
+        extend(())
+    except Stop:
+        return seen, nodes, True
+    return seen, nodes, False

@@ -29,6 +29,7 @@ from oracles import (
     edge_scan_is_proper,
     key_list_dsatur_greedy,
     key_list_find_coloring,
+    recursive_enumeration,
     scan_greedy_clique,
 )
 
@@ -228,6 +229,38 @@ class TestEnumerate:
                     want = brute_force_colorings(g, palette, **options)
                     assert seen == want, (trial, palette, options)
                     assert count == len(want)
+
+    def test_matches_recursive_reference_past_the_near_window(self):
+        # on 12 to 24 vertices with shuffled labels most earlier neighbors
+        # lie past the near window, some inside it
+        rng = random.Random(31)
+        outcomes = set()
+        for trial in range(80):
+            n = rng.randint(12, 24)
+            labels = rng.sample(range(n), n)
+            p = rng.choice((0.15, 0.3, 0.5))
+            edges = [
+                (labels[u], labels[v]) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+            ]
+            g = FiniteGraph(n, edges)
+            palette = rng.randint(1, 5)
+            options = {"canonical": rng.random() < 0.5}
+            if rng.random() < 0.5:
+                options["base_forbidden"] = [
+                    sum(1 << c for c in range(1, palette + 1) if rng.random() < 0.2) for _ in range(n)
+                ]
+            limit = rng.choice((10, 300, 3000, 20000))
+            want, nodes, stopped = recursive_enumeration(g, palette, max_nodes=limit, **options)
+            budget = Budget(max_nodes=limit)
+            count, seen = budgeted_enumeration(g, palette, budget, options)
+            assert (seen, budget.nodes) == (want, nodes), (trial, options, limit)
+            assert count == (None if stopped else len(want))
+            if not stopped:
+                seen = []
+                assert enumerate_colorings(g, palette, seen.append, **options) == len(want)
+                assert seen == want
+            outcomes.add((stopped, len(want) > 0))
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
     @pytest.mark.parametrize(
         "name, graph, palette, canonical, count, nodes",

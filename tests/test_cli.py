@@ -473,6 +473,17 @@ class TestSubcommands:
         assert report["results"]["violations"] == []
         assert "violations=0" in capsys.readouterr().out
 
+    def test_canonical_dichotomy_counts_classes(self, capsys):
+        # from k=4 on the search visits one coloring per color class
+        code, report = run(["verify-dichotomy", "--k", "4"])
+        assert code == 0
+        assert report["results"]["count"] == 3826
+        out = capsys.readouterr().out
+        assert "classes=3826 " in out and "colorings=" not in out
+        assert gridchroma.cli._claim_dichotomy(4, Budget(), None, None) == (True, {"classes": 3826})
+        run(["verify-dichotomy", "--k", "3"])
+        assert "colorings=1056 " in capsys.readouterr().out
+
     def test_json_output_mode(self, capsys):
         code, _ = run(["verify-rigidity", "--k", "3", "--json"])
         assert code == 0

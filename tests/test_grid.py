@@ -329,6 +329,57 @@ class TestVerifiers:
         assert report.ok
         # 2 projections x 3! labelings, layer 1 forced equal to layer 0
         assert report.count == 12
+        assert not report.params["canonical"]
+
+    @pytest.mark.parametrize("k, count", [(3, 12), (4, 48), (5, 240)])
+    def test_rigidity_canonical_agrees_with_full(self, k, count):
+        # k! colorings per projection axis; a canonical class weighs k!
+        full = verify_rigidity(k, canonical=False)
+        canonical = verify_rigidity(k, canonical=True)
+        assert full.ok and canonical.ok
+        assert full.count == canonical.count == count
+        assert verify_rigidity(k).params["canonical"] == (k > 3)
+
+    def test_rigidity_k6(self):
+        report = verify_rigidity(6)
+        assert report.ok and report.params["canonical"]
+        assert report.count == 1440
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_rigidity_planted_violation_caught_in_both_modes(self, monkeypatch, k):
+        # with no cross edges between columns 0 and 1, layer 1 may swap
+        # their colors: one more coloring per layer-0 a-projection
+        kk = k * k
+        plain = two_orbit_graph(k, False)
+        swapped = {(a, a2) for a in (0, 1) for a2 in (0, 1) if a != a2}
+        edges = [
+            (u, v) for u in range(kk) for v in plain.adj[u]
+            if v >= kk and (u // k, (v - kk) // k) not in swapped or u < v < kk
+        ] + [(u, v) for u in range(kk, 2 * kk) for v in plain.adj[u] if u < v]
+        planted = gridchroma.graphs.FiniteGraph(2 * kk, edges)
+        monkeypatch.setattr(gridchroma.grid, "two_orbit_graph", lambda k, twisted: planted)
+        reports = [verify_rigidity(k, canonical=c) for c in (False, True)]
+        for report in reports:
+            assert not report.ok and not report.undecided
+            bad = report.violations[0]
+            assert bad["layer0_axis"] == bad["layer1_axis"] == "a"
+            lo, hi = bad["coloring"][:kk], bad["coloring"][kk:]
+            assert lo[0] == hi[k] != lo[k] == hi[0]  # columns 0 and 1 swapped
+        if k == 3:
+            # under the violation cap: both modes count all 12 + 6 colorings
+            assert reports[0].count == reports[1].count == 18
+            assert len(reports[1].violations) == 1
+
+    def test_rigidity_budget_stop_weighs_the_classes_visited(self):
+        report = verify_rigidity(5, budget=Budget(max_nodes=5000))
+        assert report.undecided
+        seen = []
+        with pytest.raises(UndecidedError) as stop:
+            enumerate_colorings(
+                two_orbit_graph(5, False), 5, seen.append, canonical=True, budget=Budget(max_nodes=5000)
+            )
+        assert stop.value.lower == len(seen) > 0
+        assert report.count == 120 * len(seen)
 
     def test_rejects_small_k(self):
         with pytest.raises(InputError):
