@@ -366,13 +366,19 @@ def verify_invariance(
     the first k^2 vertices of a lexicographic enumeration, so it stays the
     same over a run of consecutive colorings: the visitor keeps the last
     layer-0 tuple and its flags, and looks layer 0 up only when it changes.
+
+    Above k=3, as in `verify_rigidity`, one representative per color
+    permutation is enumerated (sound: recoloring both layers keeps every
+    flag), weighed (2k-2)!/(2k-2-u)! for the u colors it uses; the count,
+    also a budget stop's lower bound, is the weighted sum.
     """
     palette = 2 * k - 2
     graph = two_orbit_graph(k, twisted)
     kk = k * k
     want_equal = not twisted
+    canonical = k > 3
     report = VerificationReport(
-        "invariance", {"k": k, "twisted": twisted, "palette": palette}
+        "invariance", {"k": k, "twisted": twisted, "palette": palette, "canonical": canonical}
     )
 
     flags: dict[tuple[int, ...], tuple[bool, bool]] = {}
@@ -406,7 +412,17 @@ def verify_invariance(
                 }
             )
 
-    return _enumerate_into(report, graph, palette, visit, budget)
+    weighted = 0
+
+    def weigh(cols: tuple[int, ...]):
+        nonlocal weighted
+        weighted += math.perm(palette, len(set(cols)))
+        visit(cols)
+
+    _enumerate_into(report, graph, palette, weigh if canonical else visit, budget, canonical)
+    if canonical:
+        report.count = weighted
+    return report
 
 
 def verify_rigidity(

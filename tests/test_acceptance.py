@@ -19,24 +19,25 @@ from gridchroma.groups import MarkedGroupSpec
 from gridchroma.instances import CYCLE, cayley_cycle_instance, divides_into_two, path_instance
 from gridchroma.twoended import build_separator_family, check_complement_bounded, find_separators
 
-TOWERS = "tower palette <= k+1 over {towers} seeded towers"
+TOWERS = "tower palette <= k+1 over seeded towers"
 
-# claim name -> its value at k=3
+# claim name -> its value at k=3, in table order (the tower row, pinned by
+# its own test, sits between the witness rows and the search rows)
 PINNED = {
     "grid chi == k": 3,
-    "dichotomy: zero violations": {"colorings": 1056},  # the 4^9 raw scan
-    "invariance: plain equal / twisted opposite": {"plain": 12288, "twisted": 12288},
-    "rigidity: projections only": {"colorings": 12},
     "plain quotient chi == k (M=3)": 3,
-    "twisted odd quotient chi >= 2k-1 (M=3)": 5,
     "even collapse (M=4): twisted chi == k and swap map is an isomorphism": {"twisted_chi": 3, "edges_checked": 216},
-    "alternation obstruction (M in {3,5})": {m: {"ok": True, "undecided": False} for m in (3, 5)},
     "two-ended colorer within 2*chi-1": {
         "path cycle": {"colors": 3, "bound": 3},
         "ladder cycle": {"colors": 3, "bound": 3},
         "plain cayley cycle": {"colors": 5, "bound": 5},
         "twisted cayley cycle": {"colors": 5, "bound": 5},
     },
+    "dichotomy: zero violations": {"colorings": 1056},  # the 4^9 raw scan
+    "invariance: plain equal / twisted opposite": {"plain": 12288, "twisted": 12288},
+    "rigidity: projections only": {"colorings": 12},
+    "twisted odd quotient chi >= 2k-1 (M=3)": 5,
+    "alternation obstruction (M in {3,5})": {m: {"ok": True, "undecided": False} for m in (3, 5)},
 }
 
 
@@ -45,7 +46,7 @@ def _run(name, k=3, rng=None, towers=0):
     start = time.monotonic()
     outcome, value = dict(CLAIMS)[name](k, None, rng or random.Random(0), towers)
     elapsed = time.monotonic() - start
-    print(f"[{STATUS[outcome]}] {name.replace('{towers}', str(towers))} k={k}: {value} ({elapsed:.1f}s)")
+    print(f"[{STATUS[outcome]}] {name} k={k}: {value} ({elapsed:.1f}s)")
     return outcome, value
 
 
@@ -93,7 +94,8 @@ def test_criterion_7_towers():
 
 
 def test_every_claim_is_accepted():
-    assert [name for name, _ in CLAIMS] == [*PINNED, TOWERS]
+    pinned = list(PINNED)
+    assert [name for name, _ in CLAIMS] == [*pinned[:4], TOWERS, *pinned[4:]]
 
 
 def test_criterion_8_oracle_consistency():

@@ -583,20 +583,36 @@ class TestReport:
         assert rows["invariance: plain equal / twisted opposite"] is False
         assert code == 1
 
-    def test_invariance_halves_get_their_own_budgets(self, monkeypatch):
+    @pytest.mark.parametrize("plain_s", [0.3, 0.6])
+    def test_invariance_groups_share_the_row_budget_in_call_order(self, monkeypatch, plain_s):
         clock = [100.0]
         seen = []
 
-        def invariance(k, twisted, budget=None):  # plain takes 0.3 s of the row's 1 s
+        def invariance(k, twisted, budget=None):  # plain takes plain_s of the row's 1 s
             seen.append((twisted, budget.share(1).ms))  # the time left before its deadline
-            clock[0] += 0.0 if twisted else 0.3
+            clock[0] += 0.0 if twisted else plain_s
             return VerificationReport("invariance", {}, count=5)
 
         monkeypatch.setattr(gridchroma.chi.time, "monotonic", lambda: clock[0])
         monkeypatch.setattr(gridchroma.cli, "verify_invariance", invariance)
         got = gridchroma.cli._claim_invariance(3, Budget(ms=1000), None, 0)
         assert got == (True, {"plain": 5, "twisted": 5})
-        assert seen == [(False, pytest.approx(500)), (True, pytest.approx(700))]
+        assert seen == [(False, pytest.approx(1000)), (True, pytest.approx(1000 - 1000 * plain_s))]
+
+    def test_search_rows_get_the_time_the_witness_rows_leave(self, monkeypatch):
+        # the witness rows come first and take milliseconds at k=3, so the
+        # dichotomy, first of the five search rows, gets about a fifth of
+        # the budget, not the ninth it got as the table's second row
+        shares = []
+
+        def dichotomy(k, budget=None, canonical=None):
+            shares.append(budget.share(1).ms)
+            return VerificationReport("dichotomy", {"k": k}, count=1056)
+
+        monkeypatch.setattr(gridchroma.cli, "verify_dichotomy", dichotomy)
+        code, _ = run(["report", "--k", "3", "--towers", "1", "--budget-ms", "10000"])
+        assert code == 0
+        assert len(shares) == 1 and shares[0] >= 1600
 
     def test_violation_outranks_undecided_in_a_verifier(self, monkeypatch):
         def dichotomy(k, budget=None, canonical=None):
@@ -614,9 +630,10 @@ class TestReport:
         code, report = run(["report", "--k", "3", "--towers", "1"])
         rows = report["results"]["rows"]
         assert len(rows) == 10
-        assert rows[-1]["pass"] is None
-        assert rows[-1]["value"] == {"undecided": "witness: time budget exhausted"}
-        assert all(row["pass"] for row in rows[:-1])
+        tower = next(row for row in rows if row["row"].startswith("tower"))
+        assert tower["pass"] is None
+        assert tower["value"] == {"undecided": "witness: time budget exhausted"}
+        assert all(row["pass"] for row in rows if row is not tower)
         assert code == 3
 
     def test_out_of_memory_in_a_row_names_the_row(self, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -323,6 +324,41 @@ class TestVerifiers:
         plain = verify_invariance(3, twisted=False)
         twisted = verify_invariance(3, twisted=True)
         assert plain.count == twisted.count
+
+    def test_invariance_runs_canonically_above_k3(self):
+        for k in (3, 4):
+            report = verify_invariance(k, True, budget=Budget(max_nodes=100))
+            assert report.params["canonical"] is (k > 3)
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_invariance_budget_stop_weighs_the_classes_visited(self, twisted):
+        report = verify_invariance(4, twisted, budget=Budget(max_nodes=5000))
+        assert report.undecided and not report.violations
+        weights = []
+        with pytest.raises(UndecidedError):
+            enumerate_colorings(
+                two_orbit_graph(4, twisted),
+                6,
+                lambda cols: weights.append(math.perm(6, len(set(cols)))),
+                canonical=True,
+                budget=Budget(max_nodes=5000),
+            )
+        assert report.count == sum(weights) > len(weights) > 0
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_invariance_planted_violation_caught_canonically(self, monkeypatch, twisted):
+        # a layer whose last two cells (one column) share a color reads with
+        # its orientation swapped: a plant that recoloring keeps, so some
+        # class representative must show it
+        def planted(k, cols):
+            h, v = _orientation_flags(k, cols)
+            return (v, h) if cols[-1] == cols[-2] else (h, v)
+
+        monkeypatch.setattr(gridchroma.grid, "_orientation_flags", planted)
+        report = verify_invariance(4, twisted, budget=Budget(max_nodes=5000))
+        assert report.params["canonical"] and report.violations
+        lo, hi = report.violations[0]["coloring"][:16], report.violations[0]["coloring"][16:]
+        assert (lo[-1] == lo[-2]) != (hi[-1] == hi[-2])
 
     def test_rigidity_k3(self):
         report = verify_rigidity(3)
