@@ -351,7 +351,7 @@ def _dsatur(
     full = (1 << (palette + 1)) - 2
     dead = palette - 1
     classes = _degree_classes(g)
-    low = [((m & -m) >> 1).bit_length() for m in adj]
+    low = [nbrs[0] if nbrs else 0 for nbrs in g.adj]  # adjacency is sorted
     # one frame per colored vertex: what it needs to undo its color and
     # try the next one; none when no vertex can run out of colors
     stack: list[tuple] = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
 
@@ -34,7 +34,7 @@ def refuse_above_cap(what: str, count: int, unit: str = "edges") -> None:
 class FiniteGraph:
     """Undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "_masks")
+    __slots__ = ("n", "adj", "_masks", "_mask_source")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -52,16 +52,26 @@ class FiniteGraph:
             tuple(sorted(s)) for s in neighbor_sets
         )
         self._masks: Optional[list[int]] = None
+        self._mask_source: Optional[Callable[[], list[int]]] = None
 
     @classmethod
-    def _from_sorted_adjacency(cls, adj: Sequence[tuple[int, ...]]) -> FiniteGraph:
+    def _from_sorted_adjacency(
+        cls,
+        adj: Sequence[tuple[int, ...]],
+        masks: Optional[Callable[[], list[int]]] = None,
+    ) -> FiniteGraph:
         """A graph from finished neighbor tuples, trusted as given: each
         sorted, loop-free, in range and symmetric.  For builders that
-        produce them that way, skipping the edge list and its sets."""
+        produce them that way, skipping the edge list and its sets.
+
+        `masks`, when given, computes the neighbor bitmasks of the same
+        adjacency; the first `neighbor_masks` call runs it in place of one
+        OR per edge, and a graph never searched never runs it."""
         g = cls.__new__(cls)
         g.n = len(adj)
         g.adj = tuple(adj)
         g._masks = None
+        g._mask_source = masks
         return g
 
     # -- basic queries ----------------------------------------------------
@@ -77,7 +87,10 @@ class FiniteGraph:
         return sum(len(a) for a in self.adj) // 2
 
     def neighbor_masks(self) -> list[int]:
-        """Per-vertex adjacency bitmasks, built lazily, cached."""
+        """Per-vertex adjacency bitmasks, built lazily, cached: by the
+        builder's own recipe when it gave one, else one OR per edge."""
+        if self._masks is None and self._mask_source is not None:
+            self._masks = self._mask_source()
         if self._masks is None:
             masks = []
             for nbrs in self.adj:

@@ -183,6 +183,47 @@ def _cell_getters(spec: MarkedGroupSpec, product, order: tuple[int, ...]) -> tup
 
 
 @lru_cache(maxsize=32)
+def _mask_templates(spec: MarkedGroupSpec, product) -> tuple:
+    """`_templates` as bitmasks: per cell a*k+b, its same, above and
+    below neighbors as bits 0..k^2-1 of a level's block, and its inner
+    mask, all three sides laid out on the three blocks of levels n-1, n
+    and n+1.  Keyed, like `_templates`, on the product as well as the spec.
+    """
+    kk = spec.k ** 2
+    same, above, below = (
+        tuple(sum(1 << d for d in nbrs) for nbrs in side) for side in _templates(spec, product)
+    )
+    inner = tuple(lo | mid << kk | hi << 2 * kk for lo, mid, hi in zip(below, same, above))
+    return same, above, below, inner
+
+
+def _tiled_masks(spec: MarkedGroupSpec, product, levels: int, cyclic: bool) -> list[int]:
+    """The neighbor bitmasks of `layer_graph(spec, levels, cyclic)` built
+    under `product`, tiled from `_mask_templates`: cell c of level n has
+    same[c] on block n, above[c] on block n+1 and below[c] on block n-1
+    (mod levels when cyclic), each dropped where a window has no such
+    level.  An inner level is its cells' inner masks shifted once."""
+    kk = spec.k ** 2
+    same, above, below, inner = _mask_templates(spec, product)
+    masks: list[int] = []
+    for n in range(levels):
+        if 0 < n < levels - 1:
+            shift = (n - 1) * kk
+            masks += [m << shift for m in inner]
+            continue
+        sides = [(same, n)]
+        if cyclic or n + 1 < levels:
+            sides.append((above, (n + 1) % levels))
+        if cyclic or n > 0:
+            sides.append((below, (n - 1) % levels))
+        level = [0] * kk
+        for side, block in sides:
+            level = [m | d << block * kk for m, d in zip(level, side)]
+        masks += level
+    return masks
+
+
+@lru_cache(maxsize=32)
 def _column_graph(spec: MarkedGroupSpec, product) -> FiniteGraph:
     """Two adjacent levels with each column contracted to one vertex:
     column a of the lower level is vertex a, of the upper level k+a.
@@ -230,7 +271,9 @@ def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> Fin
     (`_cell_getters`).  The templates are sorted, so the tuples come out
     sorted, with no edge list and no per-vertex sort, and they all hold
     the one list's int objects.  An inner level's window is the single
-    slice of levels n-1..n+1, the same in both modes.
+    slice of levels n-1..n+1, the same in both modes.  Its neighbor
+    bitmasks are tiled from the same templates, under the product it was
+    built with, on the first `neighbor_masks` call (`_tiled_masks`).
     """
     if cyclic and levels < 3:
         raise InputError(f"a quotient needs at least 3 levels, got {levels}")
@@ -239,8 +282,9 @@ def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> Fin
     k = spec.k
     kk = k * k
     refuse_oversized(spec, levels)
+    product = multiply
     vertices = list(range(levels * kk))
-    inner = _cell_getters(spec, multiply, (2, 0, 1))  # below, same, above
+    inner = _cell_getters(spec, product, (2, 0, 1))  # below, same, above
     adj: list[tuple[int, ...]] = []
     for n in range(levels):
         if 0 < n < levels - 1:
@@ -253,9 +297,11 @@ def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> Fin
                 blocks.append(((n - 1) % levels * kk, 2))
             blocks.sort()
             window = [v for base, _ in blocks for v in vertices[base : base + kk]]
-            getters = _cell_getters(spec, multiply, tuple(side for _, side in blocks))
+            getters = _cell_getters(spec, product, tuple(side for _, side in blocks))
         adj += [get(window) for get in getters]
-    return FiniteGraph._from_sorted_adjacency(adj)
+    return FiniteGraph._from_sorted_adjacency(
+        adj, lambda: _tiled_masks(spec, product, levels, cyclic)
+    )
 
 
 # -- verification reports -----------------------------------------------------

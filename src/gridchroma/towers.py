@@ -14,20 +14,20 @@ a color moved columns without passing through the spare.  Anchor gaps
 must exceed 3k, which leaves room for any schedule this module emits (the
 rotation needs at most 3k/2 steps).
 
-The coloring is checked, not trusted, once per distinct pair of
-consecutive layer maps on the 2k-vertex column graph of two adjacent
-levels; the tower graph is built only for the witness search and on
-request.
+The coloring is checked, not trusted, on the 2k-vertex column graph of
+two adjacent levels (see `color_tower`); the tower graph is built only
+for the witness search and on request.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Optional
 
+from . import chi
 from .chi import Budget, Coloring, find_coloring, is_proper
 from .errors import InputError, InvariantViolation
 from .graphs import FiniteGraph, json_int, read_json
@@ -161,7 +161,8 @@ class TowerColoring:
 
     @property
     def colors_used(self) -> int:
-        return self.coloring.used
+        # each map's colors fill k cells of its level: no rescan of the coloring
+        return len(set().union(*self.orbit_maps))
 
     @cached_property
     def graph(self) -> FiniteGraph:
@@ -186,6 +187,27 @@ def tower_graph(tower: AnchoredTower) -> FiniteGraph:
     return cayley_window(spec, tower.extent)
 
 
+@lru_cache(maxsize=32)
+def _spare_steps(columns: FiniteGraph) -> tuple[bool, ...]:
+    """The verdicts of `is_proper` on a column graph for the identity map
+    1..k on the lower level paired with, on the upper level, the identity
+    with column u recolored k+1 (entry u), or the identity itself (entry
+    k).  `column_graph` memoizes its graph per spec and product, so this
+    table is proven once per k and product.  It runs `chi.is_proper`, so
+    it never holds a verdict of a replaced `towers.is_proper`.
+
+    A pair of maps injective into 1..k+1 that differ in at most one
+    column is one of these k+1 pairs up to a renaming of the colors,
+    which keeps properness: the renaming sends the lower map to the
+    identity and its spare color to k+1, and an injective upper map that
+    differs from it only at column u holds that spare there.
+    """
+    k = columns.n // 2
+    identity = tuple(range(1, k + 1))
+    uppers = [identity[:u] + (k + 1,) + identity[u + 1 :] for u in range(k)] + [identity]
+    return tuple(chi.is_proper(columns, Coloring(identity + upper, k + 1)) for upper in uppers)
+
+
 def color_tower(tower: AnchoredTower) -> TowerColoring:
     """Color the whole tower with at most k+1 colors.
 
@@ -198,9 +220,11 @@ def color_tower(tower: AnchoredTower) -> TowerColoring:
     The result is checked proper without the tower graph: a cell's color
     depends only on its layer's map and its column, so each distinct pair
     of consecutive maps, the wrap pair included in cycle mode, is checked
-    once on `grid.column_graph`.  A one-level segment pairs its map with
-    itself, a stricter check that an injective map passes, since cross
-    edges join distinct columns.
+    on `grid.column_graph`.  A pair of injective maps into 1..k+1 that
+    differ in at most one column reads its verdict from `_spare_steps`;
+    any other pair runs `is_proper`.  A one-level segment pairs its map
+    with itself, a stricter check that an injective map passes, since
+    cross edges join distinct columns.
     """
     k = tower.k
     spec = MarkedGroupSpec(k)
@@ -230,8 +254,16 @@ def color_tower(tower: AnchoredTower) -> TowerColoring:
     if tower.mode == CYCLE:
         pairs.add((maps[-1], maps[0]))
     columns = column_graph(spec)
+    steps = _spare_steps(columns)
+    palette = set(range(1, k + 2))
+    injective = {m for m in layers if len(m) == len(set(m) & palette) == k}
     for lo, hi in pairs:
-        if not is_proper(columns, Coloring(lo + hi, k + 1)):
+        moved = [u for u, (x, y) in enumerate(zip(lo, hi)) if x != y]
+        if len(moved) <= 1 and lo in injective and hi in injective:
+            proper = steps[moved[0] if moved else k]
+        else:
+            proper = is_proper(columns, Coloring(lo + hi, k + 1))
+        if not proper:
             raise InvariantViolation("tower coloring came out improper")
     return TowerColoring(tower, coloring, maps)
 

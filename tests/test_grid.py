@@ -538,6 +538,54 @@ class TestLayerGraph:
         assert column_graph(plain).adj == contracted(twisted)
 
 
+class TestTiledMasks:
+    """A layer graph's neighbor bitmasks are tiled from the level
+    templates on first use; they must equal the masks the edge-list
+    constructor's adjacency gives, one OR per edge."""
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+    def test_tiled_masks_equal_the_per_edge_masks(self, k, twisted):
+        spec = MarkedGroupSpec(k, twisted=twisted)
+        shapes = [(levels, False) for levels in range(1, 8)]
+        shapes += [(levels, True) for levels in range(3, 8)]
+        for levels, cyclic in shapes:
+            want = edge_list_layer_graph(spec, levels, cyclic=cyclic).neighbor_masks()
+            assert layer_graph(spec, levels, cyclic=cyclic).neighbor_masks() == want
+
+    @pytest.mark.parametrize("levels, cyclic", [(1, False), (2, False), (5, False), (3, True), (5, True)])
+    def test_tiled_masks_follow_a_replaced_product(self, monkeypatch, levels, cyclic):
+        # the plain spec built under the twisted product is the twisted
+        # graph; its masks are tiled under the product it was built with,
+        # even when first read after the product is restored
+        plain, twisted = MarkedGroupSpec(3), MarkedGroupSpec(3, twisted=True)
+        want = edge_list_layer_graph(twisted, levels, cyclic=cyclic).neighbor_masks()
+        with monkeypatch.context() as m:
+            m.setattr(gridchroma.grid, "multiply", lambda spec, g, h: multiply(twisted, g, h))
+            built = layer_graph(plain, levels, cyclic=cyclic)
+        assert built.neighbor_masks() == want
+        if levels > 1:
+            assert layer_graph(plain, levels, cyclic=cyclic).neighbor_masks() != want
+
+    def test_layer_graph_tiles_no_masks_until_asked(self, monkeypatch):
+        calls = []
+        real = gridchroma.grid._tiled_masks
+
+        def counting(*args):
+            calls.append(args[2:])
+            return real(*args)
+
+        monkeypatch.setattr(gridchroma.grid, "_tiled_masks", counting)
+        g = layer_graph(MarkedGroupSpec(4), 6, cyclic=True)
+        two_orbit_graph(4, twisted=True)
+        build_quotient(MarkedGroupSpec(3), 5)
+        assert calls == []
+        masks = g.neighbor_masks()
+        assert calls == [(6, True)]
+        assert g.neighbor_masks() is masks
+        assert calls == [(6, True)]
+
+
 def test_raw_scan_oracle_for_dichotomy_count():
     """Independent count of proper 4-colorings: scan all 4^9 assignments."""
     edges = list(H3.edges())

@@ -1,17 +1,20 @@
 import hashlib
+import math
 import random
 import tracemalloc
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 import gridchroma.cli as cli
 import gridchroma.graphs as graphs
+import gridchroma.grid as grid
 import gridchroma.towers as towers
 from gridchroma.chi import Budget, Coloring, find_coloring, is_proper
 from gridchroma.errors import InputError, InvariantViolation
 from gridchroma.grid import cell, two_orbit_graph
+from gridchroma.groups import MarkedGroupSpec, multiply
 from gridchroma.instances import CYCLE, SEGMENT
 from gridchroma.towers import (
     AnchoredTower,
@@ -402,6 +405,100 @@ class TestColumnCheck:
         assert peak < 16 << 20
         assert result.colors_used == 4
         assert len(result.coloring.colors) == 450_000
+
+
+def twisting(spec, g, h):
+    """The twisted product under any spec.  It passes every template
+    check, and its cross edges join some columns to themselves, so under
+    it a plain tower's spare steps and repeated maps are improper."""
+    return multiply(MarkedGroupSpec(spec.k, twisted=True), g, h)
+
+
+class TestSpareSteps:
+    """color_tower reads the verdict of a spare step, or of a map paired
+    with itself, from k+1 verdicts proven once per k and product; read
+    after renaming the colors, the table must agree with is_proper on the
+    column graph for every such pair."""
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("plant", ["product", "twisting", "edge"])
+    def test_table_equals_brute_force_on_every_step(self, monkeypatch, k, plant):
+        # every injective map into 1..k+1, with itself (entry k) and with
+        # the step that recolors its column u with its spare (entry u), on
+        # the column graph of the product, of the twisting product, and of
+        # the product with one cross edge joining column 1 to itself, under
+        # which entry 1 alone is true
+        if plant == "twisting":
+            monkeypatch.setattr(grid, "multiply", twisting)
+        columns = grid.column_graph(MarkedGroupSpec(k))
+        if plant == "edge":
+            columns = graphs.FiniteGraph(2 * k, [*columns.edges(), (1, k + 1)])
+        steps = towers._spare_steps(columns)
+        checks = 0
+        for lo in permutations(range(1, k + 2), k):
+            spare = spare_color(k, lo)
+            pairs = [(k, lo)] + [(u, lo[:u] + (spare,) + lo[u + 1 :]) for u in range(k)]
+            for entry, hi in pairs:
+                assert steps[entry] == is_proper(columns, Coloring(lo + hi, k + 1))
+                checks += 1
+        assert checks == math.factorial(k + 1) * (k + 1)
+        assert steps == {
+            "product": (True,) * (k + 1),
+            "twisting": (False,) * (k + 1),
+            "edge": tuple(u == 1 for u in range(k + 1)),
+        }[plant]
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("mode", [SEGMENT, CYCLE])
+    def test_improper_step_under_a_planted_product_is_refused(self, monkeypatch, k, mode):
+        # the layer maps do not depend on the product; under the twisting
+        # one the tower graph rejects them, and so must the table, with no
+        # pair falling back to is_proper.  A fresh product object gets a
+        # fresh column graph, so the table is proven afresh here.
+        gap = 3 * k + 1
+        extent = gap + 1 if mode == SEGMENT else 2 * gap
+        tower = AnchoredTower(k, extent, mode, ((0, (0, 0)), (gap, (1, 0))))
+        coloring = color_tower(tower).coloring
+        fallbacks = []
+
+        def counting(graph, coloring):
+            fallbacks.append(coloring)
+            return is_proper(graph, coloring)
+
+        monkeypatch.setattr(towers, "is_proper", counting)
+        monkeypatch.setattr(grid, "multiply", lambda spec, g, h: twisting(spec, g, h))
+        assert not is_proper(tower_graph(tower), coloring)
+        assert not all(towers._spare_steps(grid.column_graph(MarkedGroupSpec(k)))[:k])
+        with pytest.raises(InvariantViolation, match="came out improper"):
+            color_tower(tower)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_each_pair_reads_the_entry_of_its_moved_column(self, monkeypatch, k):
+        # with one table entry false, a tower is refused iff one of its
+        # consecutive pairs, the wrap pair included, recolors that column
+        # (or, for the last entry, repeats a map)
+        rng = random.Random(k)
+        for mode in (SEGMENT, CYCLE) * 2:
+            tower = random_tower(k, rng, mode)
+            maps = color_tower(tower).orbit_maps
+            pairs = list(zip(maps, maps[1:] or maps))
+            if mode == CYCLE:
+                pairs.append((maps[-1], maps[0]))
+            taken = set()
+            for lo, hi in pairs:
+                moved = [u for u in range(k) if lo[u] != hi[u]]
+                taken.add(moved[0] if moved else k)
+            for entry in range(k + 1):
+                table = tuple(e != entry for e in range(k + 1))
+                with monkeypatch.context() as m:
+                    m.setattr(towers, "_spare_steps", lambda columns: table)
+                    try:
+                        color_tower(tower)
+                        refused = False
+                    except InvariantViolation:
+                        refused = True
+                assert refused == (entry in taken)
 
 
 class TestWitness:
