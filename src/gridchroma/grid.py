@@ -38,9 +38,9 @@ from .groups import GroupElement, MarkedGroupSpec, generators, multiply
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 
-# The most layer tuples `verify_invariance` memoizes flags for: at k=3 a
-# layer takes at most 1,056 colorings; from k=4 on nearly every lookup of
-# the second layer misses, and an unbounded memo grew to 776 MB at k=5.
+# The most layer tuples the canonical walk of `verify_invariance` (k >= 4)
+# memoizes flags for: nearly every lookup of the second layer misses, and
+# an unbounded memo grew to 776 MB at k=5.  The k=3 join needs no memo.
 FLAG_MEMO_CAP = 1 << 16
 
 
@@ -397,35 +397,50 @@ def verify_dichotomy(
     return _enumerate_into(report, grid_graph(k), palette, visit, budget, canonical)
 
 
+def _propagation_fault(cols: tuple[int, ...], flags0, flags1, twisted: bool) -> Optional[dict]:
+    """The violation a two-layer coloring `cols` (layer 0, then layer 1)
+    records, given each layer's (horizontal?, vertical?) flags, or None:
+    plain layers must share an orientation, twisted layers must swap it."""
+    (h0, v0), (h1, v1) = flags0, flags1
+    if h0 == v0 or h1 == v1:
+        return {"coloring": list(cols), "reason": "layer escaped the dichotomy"}
+    if (h0 != h1) != twisted:
+        return {
+            "coloring": list(cols),
+            "layer0": HORIZONTAL if h0 else VERTICAL,
+            "layer1": HORIZONTAL if h1 else VERTICAL,
+        }
+    return None
+
+
 def verify_invariance(
     k: int,
     twisted: bool,
     budget: Optional[Budget] = None,
 ) -> VerificationReport:
-    """Check orientation propagation across adjacent tower layers.
+    """Check orientation propagation across adjacent tower layers: in every
+    proper (2k-2)-coloring of the two-orbit graph, plain layers must share
+    an orientation and twisted layers must swap it.
 
-    Enumerates every proper (2k-2)-coloring of the two-orbit graph; plain
-    layers must share an orientation, twisted layers must swap it.  A layer
-    takes far fewer distinct colorings than the pair does, so the flags of
-    each layer tuple are memoized; the memo is emptied when a miss finds it
-    holding FLAG_MEMO_CAP tuples, which at k=3 it never does.  Layer 0 is
-    the first k^2 vertices of a lexicographic enumeration, so it stays the
-    same over a run of consecutive colorings: the visitor keeps the last
-    layer-0 tuple and its flags, and looks layer 0 up only when it changes.
-
-    Above k=3, as in `verify_rigidity`, one representative per color
-    permutation is enumerated (sound: recoloring both layers keeps every
-    flag), weighed (2k-2)!/(2k-2-u)! for the u colors it uses; the count,
-    also a budget stop's lower bound, is the weighted sum.
+    At k=3 every such coloring is checked, as a pair of grid colorings
+    (`_join_layers`).  Above k=3, as in `verify_rigidity`, the two-orbit
+    graph is walked one representative per color permutation (sound:
+    recoloring both layers keeps every flag), weighed (2k-2)!/(2k-2-u)!
+    for the u colors it uses; the count, also a budget stop's lower bound,
+    is the weighted sum.  The walk memoizes each layer tuple's flags,
+    emptying the memo when a miss finds it holding FLAG_MEMO_CAP tuples,
+    and looks layer 0, the first k^2 vertices of a lexicographic
+    enumeration, up only when it changes.
     """
     palette = 2 * k - 2
     graph = two_orbit_graph(k, twisted)
     kk = k * k
-    want_equal = not twisted
     canonical = k > 3
     report = VerificationReport(
         "invariance", {"k": k, "twisted": twisted, "palette": palette, "canonical": canonical}
     )
+    if not canonical:
+        return _join_layers(report, k, twisted, graph, budget)
 
     flags: dict[tuple[int, ...], tuple[bool, bool]] = {}
 
@@ -436,38 +451,91 @@ def verify_invariance(
         return got
 
     last_lo = last_flags = None
+    weighted = 0
 
     def visit(cols: tuple[int, ...]):
-        nonlocal last_lo, last_flags
+        nonlocal last_lo, last_flags, weighted
+        weighted += math.perm(palette, len(set(cols)))
         lo, hi = cols[:kk], cols[kk:]
         if lo != last_lo:
             last_lo, last_flags = lo, flags.get(lo) or miss(lo)
-        h0, v0 = last_flags
-        h1, v1 = flags.get(hi) or miss(hi)
-        if h0 == v0 or h1 == v1:
-            report.record_violation(
-                {"coloring": list(cols), "reason": "layer escaped the dichotomy"}
-            )
-            return
-        if (h0 == h1) != want_equal:
-            report.record_violation(
-                {
-                    "coloring": list(cols),
-                    "layer0": HORIZONTAL if h0 else VERTICAL,
-                    "layer1": HORIZONTAL if h1 else VERTICAL,
-                }
-            )
+        fault = _propagation_fault(cols, last_flags, flags.get(hi) or miss(hi), twisted)
+        if fault is not None:
+            report.record_violation(fault)
 
-    weighted = 0
+    _enumerate_into(report, graph, palette, visit, budget, canonical)
+    report.count = weighted
+    return report
 
-    def weigh(cols: tuple[int, ...]):
-        nonlocal weighted
-        weighted += math.perm(palette, len(set(cols)))
-        visit(cols)
 
-    _enumerate_into(report, graph, palette, weigh if canonical else visit, budget, canonical)
-    if canonical:
-        report.count = weighted
+def _join_layers(
+    report: VerificationReport, k: int, twisted: bool, graph: FiniteGraph, budget: Optional[Budget]
+) -> VerificationReport:
+    """Fill in the full k=3 invariance report: a two-layer coloring is a
+    pair of grid colorings that no cross edge of `graph` forbids.
+
+    The grid's colorings are enumerated once, in lexicographic order, and
+    layer i is bit i of every bitset below.  clash[y][c] holds the layers
+    that put color c on a cross neighbor of lower cell y, so a lower layer
+    `lo` pairs with the layers outside every clash[y][lo[y]].  Taking the
+    lower layers in order and each one's pairs in ascending bit order is
+    the two-orbit graph's lexicographic order, so the count, the
+    violations and the pair the violation cap stops on are a walk's.
+    Each lower layer spends one budget node; a budget stop leaves the
+    report undecided with the pairs counted so far (none inside the grid
+    enumeration).
+    """
+    kk = k * k
+    palette = 2 * k - 2
+    layers: list[tuple[int, ...]] = []
+    try:
+        enumerate_colorings(grid_graph(k), palette, layers.append, budget=budget)
+    except UndecidedError:
+        report.undecided = True
+        return report
+    every = (1 << len(layers)) - 1
+    flags = [_orientation_flags(k, cols) for cols in layers]
+    horiz = sum(1 << i for i, (h, _) in enumerate(flags) if h)
+    escaped = sum(1 << i for i, (h, v) in enumerate(flags) if h == v)
+    # has[z][c]: the layers that put color c on cell z; z's colors, last
+    # layer first, read as a binary numeral with a 1 wherever c stands
+    digits = [b"0" * c + b"1" + b"0" * (255 - c) for c in range(palette + 1)]
+    has = [
+        [int(colors.translate(d), 2) for d in digits]
+        for colors in (bytes(column[::-1]) for column in zip(*layers))
+    ]
+    clash = [[0] * (palette + 1) for _ in range(kk)]
+    for y in range(kk):
+        for w in graph.adj[y]:
+            if w >= kk:
+                clash[y] = [a | b for a, b in zip(clash[y], has[w - kk])]
+    count = 0
+    try:
+        for i, lo in enumerate(layers):
+            if budget is not None:
+                budget.spend("verify_invariance")
+            banned = 0
+            for row, c in zip(clash, lo):
+                banned |= row[c]
+            ok = every & ~banned
+            h0, v0 = flags[i]
+            if h0 == v0:
+                bad = ok
+            else:
+                # an upper layer must be horizontal exactly when lo is,
+                # in the plain group, and exactly when lo is not, twisted
+                bad = ok & (escaped | (horiz if h0 == twisted else every & ~horiz))
+            while bad:
+                low = bad & -bad
+                bad ^= low
+                j = low.bit_length() - 1
+                report.record_violation(_propagation_fault(lo + layers[j], flags[i], flags[j], twisted))
+            count += ok.bit_count()
+    except StopEnumeration:
+        count += (ok & ((low << 1) - 1)).bit_count()
+    except UndecidedError:
+        report.undecided = True
+    report.count = count
     return report
 
 

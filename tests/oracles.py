@@ -1,7 +1,7 @@
 """Graph predicates, the two-sided properness scan, set-based references
 for the bitmask traversals and the separator search, grid-shape
 classifiers, the coordinate colorings of the grid, a reference graph
-builder, the key-list DSATUR solver, the full-scan greedy clique, a
+builder, a two-layer walk of the invariance check, the key-list DSATUR solver, the full-scan greedy clique, a
 recursive reference enumerator of proper colorings, seeded
 random line instances and an instance serializer the test suites use as
 oracles.
@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from gridchroma.chi import Budget, Coloring, is_proper
+from gridchroma.chi import Budget, Coloring, enumerate_colorings, is_proper
 from gridchroma.errors import InputError, InvariantViolation
 from gridchroma.graphs import FiniteGraph, components, mask_vertices
 from gridchroma import grid
@@ -419,6 +419,34 @@ def orientation(k: int, coloring: Coloring) -> str:
             f"coloring dichotomy failed: horizontal={horiz}, vertical={vert}"
         )
     return HORIZONTAL if horiz else VERTICAL
+
+
+def walked_invariance(k: int, twisted: bool) -> "grid.VerificationReport":
+    """The full invariance report by a walk over every proper (2k-2)-
+    coloring of the two-orbit graph, one visit each: a pair's layers are
+    classified by `grid._orientation_flags` as it stands at call time, so
+    a replaced one is followed."""
+    report = grid.VerificationReport(
+        "invariance", {"k": k, "twisted": twisted, "palette": 2 * k - 2, "canonical": False}
+    )
+    kk = k * k
+
+    def visit(cols: tuple[int, ...]):
+        h0, v0 = grid._orientation_flags(k, cols[:kk])
+        h1, v1 = grid._orientation_flags(k, cols[kk:])
+        if h0 == v0 or h1 == v1:
+            report.record_violation({"coloring": list(cols), "reason": "layer escaped the dichotomy"})
+        elif (h0 == h1) == twisted:
+            report.record_violation(
+                {
+                    "coloring": list(cols),
+                    "layer0": HORIZONTAL if h0 else VERTICAL,
+                    "layer1": HORIZONTAL if h1 else VERTICAL,
+                }
+            )
+
+    report.count = enumerate_colorings(grid.two_orbit_graph(k, twisted), 2 * k - 2, visit)
+    return report
 
 
 def instance_to_json(inst: LineInstance) -> dict:

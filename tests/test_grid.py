@@ -32,6 +32,7 @@ from oracles import (
     is_regular,
     orientation,
     projection_coloring,
+    walked_invariance,
 )
 
 H3 = grid_graph(3)
@@ -279,7 +280,12 @@ class TestVerifiers:
                 grid_graph(4), 6, seen.append, canonical=True, budget=Budget(max_nodes=5000)
             )
         assert report.count == stop.value.lower == len(seen) > 0
-        report = verify_invariance(3, False, budget=Budget(max_nodes=20000))
+        # the grid's 1,056 colorings take 3,997 nodes: a stop among them
+        # has counted no pair, a stop in the join the pairs of the lower
+        # layers taken so far
+        report = verify_invariance(3, False, budget=Budget(max_nodes=2000))
+        assert report.undecided and report.count == 0
+        report = verify_invariance(3, False, budget=Budget(max_nodes=4500))
         assert report.undecided
         assert 0 < report.count < 12288
 
@@ -312,13 +318,69 @@ class TestVerifiers:
 
         monkeypatch.setattr(gridchroma.grid, "_orientation_flags", flags)
         assert verify_invariance(3, twisted).count == 12288
-        # at k=3 the memo never fills: each layer tuple is worked out once
-        assert len(calls) == len(set(calls)) <= 1056
+        # the k=3 join works out each grid coloring's flags once, memo-free
+        assert len(calls) == len(set(calls)) == 1056
+        # the canonical walk above k=3 memoizes them: under the cap each
+        # layer tuple is worked out once
+        calls.clear()
+        report = verify_invariance(4, twisted, budget=Budget(max_nodes=20000))
+        assert report.undecided and not report.violations
+        assert len(calls) == len(set(calls))
         calls.clear()
         monkeypatch.setattr(gridchroma.grid, "FLAG_MEMO_CAP", 4)
-        report = verify_invariance(3, twisted)
-        assert report.ok and report.count == 12288
+        capped = verify_invariance(4, twisted, budget=Budget(max_nodes=20000))
+        assert capped.to_json() == report.to_json()
         assert len(calls) > len(set(calls))  # a capped memo forgets and recomputes
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_invariance_join_counts_every_pair(self, monkeypatch, twisted):
+        # every layer escapes the dichotomy, so with no cap every pair the
+        # join counts is recorded: they must be the two-orbit graph's
+        # colorings, each once, in the walk's order
+        monkeypatch.setattr(gridchroma.grid, "_orientation_flags", lambda k, cols: (True, True))
+        monkeypatch.setattr(gridchroma.grid.VerificationReport, "MAX_RECORDED", 20000)
+        report = verify_invariance(3, twisted)
+        walked = []
+        enumerate_colorings(two_orbit_graph(3, twisted), 4, walked.append)
+        assert report.count == len(walked) == 12288
+        assert [v["coloring"] for v in report.violations] == [list(cols) for cols in walked]
+
+    # plants on a layer whose last two cells (one column) share a color:
+    # it reads with its orientation swapped, or as escaping the dichotomy
+    PLANTS = {
+        "swap": lambda h, v, cols: (v, h) if cols[-1] == cols[-2] else (h, v),
+        "escape": lambda h, v, cols: (True, True) if cols[-1] == cols[-2] else (h, v),
+    }
+
+    @pytest.mark.parametrize(
+        "plant, twisted, count",
+        [("swap", False, 35), ("swap", True, 13), ("escape", False, 11), ("escape", True, 11)],
+    )
+    def test_invariance_join_reports_as_the_walk(self, monkeypatch, plant, twisted, count):
+        # the cap stops the join and the walk on the same pair; with no cap
+        # both record every faulty pair, escaped lower layers included
+        def planted(k, cols):
+            return self.PLANTS[plant](*_orientation_flags(k, cols), cols)
+
+        monkeypatch.setattr(gridchroma.grid, "_orientation_flags", planted)
+        report = verify_invariance(3, twisted)
+        assert report.to_json() == walked_invariance(3, twisted).to_json()
+        assert report.count == count and len(report.violations) == 11
+        monkeypatch.setattr(gridchroma.grid.VerificationReport, "MAX_RECORDED", 20000)
+        report = verify_invariance(3, twisted)
+        assert report.count == 12288 and report.violations
+        assert report.to_json() == walked_invariance(3, twisted).to_json()
+
+    def test_invariance_join_follows_a_replaced_product(self, monkeypatch):
+        # under a product that ignores the twist, twisted layers keep their
+        # orientation: the join must read the cross edges of the product
+        # in place when it is called
+        plain = MarkedGroupSpec(3)
+        assert verify_invariance(3, True).ok
+        monkeypatch.setattr(gridchroma.grid, "multiply", lambda spec, g, h: multiply(plain, g, h))
+        report = verify_invariance(3, True)
+        assert report.violations and not report.undecided
+        assert report.to_json() == walked_invariance(3, True).to_json()
 
     def test_invariance_counts_equal_across_twists(self):
         plain = verify_invariance(3, twisted=False)
