@@ -56,8 +56,7 @@ def grid_graph(k: int) -> FiniteGraph:
     """Build the complete-difference graph on the k x k grid; cell (a, b)
     is vertex a*k+b (see `cell`).  Refuses, before building, a k whose
     k^2(k-1)^2/2 edges exceed graphs.MAX_LAYER_GRAPH_EDGES."""
-    if k < 3:
-        raise InputError(f"grid modulus must be >= 3, got {k}")
+    MarkedGroupSpec(k)  # refuses a k that is not an integer >= 3
     refuse_above_cap(f"the grid graph at k={k} needs about", k * k * (k - 1) ** 2 // 2)
     return FiniteGraph._from_sorted_adjacency(_grid_adjacency(k))
 
@@ -113,26 +112,31 @@ UNIT_SHIFT = GroupElement(0, 0, 1)
 
 @lru_cache(maxsize=32)
 def _templates(spec: MarkedGroupSpec, product) -> tuple:
-    """The per-cell neighbor tuples of the tower graphs: (same, above,
-    below), each holding per cell a*k+b the sorted cells it is joined to
-    on the same level, the level above and the level below.
+    """The per-cell neighbor templates of the tower graphs: (same, cross,
+    same masks, cross masks, inner masks).  Per cell a*k+b, `same` and
+    `cross` hold the sorted cells it is joined to on its own level and on
+    each adjacent level, the masks hold them as bits of a level's block,
+    and the inner mask lays cross, same and cross on levels n-1, n, n+1.
 
     All are read off the group product at level 0, each edge entered at
-    both of its cells.  Three invariants are checked, not assumed.  For
+    both of its cells.  Four invariants are checked, not assumed.  For
     every generator, the edges computed at level 1 must be those of level
     0 moved up a level (left multiplication commutes with the right unit
     shift); the product sees a level only through its parity, so the
     templates then hold on every level and descend to every cyclic
-    quotient.  `same` must be the grid graph's adjacency.  And every cell
-    must have (k-1)^2 neighbors on the level above and on the level below,
-    so that a cell whose three levels are distinct (inside a window, or
+    quotient.  `same` must be the grid graph's adjacency.  Every cell must
+    have (k-1)^2 neighbors on the level above and on the level below, so
+    that a cell whose three levels are distinct (inside a window, or
     anywhere in a quotient) has the 3(k-1)^2 neighbors of its generators.
+    And the level above must join each cell to the cells the level below
+    does (the generators are closed under inverses), so one `cross` serves.
 
     The bounded memo (hence the tuples) is keyed on the product as well as
     the spec, so a replaced `grid.multiply` is derived and checked afresh.
     """
     k = spec.k
-    same, above, below = ([set() for _ in range(k * k)] for _ in range(3))
+    kk = k * k
+    same, above, below = ([set() for _ in range(kk)] for _ in range(3))
     # the templates of the edge's two ends when y0 = s*x0 lies on x0's
     # level, the level above, or else the level below
     sides = {0: (same, same), 1: (above, below)}
@@ -151,17 +155,24 @@ def _templates(spec: MarkedGroupSpec, product) -> tuple:
                 u, v = a * k + b, y0.a * k + y0.b
                 near[u].add(v)
                 far[v].add(u)
-    cells = tuple(tuple(tuple(sorted(c)) for c in side) for side in (same, above, below))
-    if cells[0] != _grid_adjacency(k):
+    same, above, below = (tuple(tuple(sorted(c)) for c in side) for side in (same, above, below))
+    if same != _grid_adjacency(k):
         raise InvariantViolation("tower layer is not a copy of the grid graph")
-    for where, side in (("above", cells[1]), ("below", cells[2])):
+    for where, side in (("above", above), ("below", below)):
         for c, nbrs in enumerate(side):
             if len(nbrs) != (k - 1) ** 2:
                 raise InvariantViolation(
                     f"cell {divmod(c, k)} has {len(nbrs)} neighbors on the level "
                     f"{where}, expected {(k - 1) ** 2}"
                 )
-    return cells
+    if above != below:
+        c = next(c for c in range(kk) if above[c] != below[c])
+        raise InvariantViolation(
+            f"cell {divmod(c, k)} has other neighbors on the level above than on the level below"
+        )
+    same_masks, cross_masks = (tuple(sum(1 << d for d in nbrs) for nbrs in side) for side in (same, above))
+    inner = tuple(x | s << kk | x << 2 * kk for s, x in zip(same_masks, cross_masks))
+    return same, above, same_masks, cross_masks, inner
 
 
 @lru_cache(maxsize=64)
@@ -170,9 +181,9 @@ def _cell_getters(spec: MarkedGroupSpec, product, order: tuple[int, ...]) -> tup
 
     The window lists the vertices of the level's neighboring levels, one
     block of k^2 per level in order of its first vertex; `order` names the
-    template (0 same, 1 above, 2 below) of each block.  `_templates` gives
-    a cell (k-1)^2 >= 4 neighbors per side, so every getter returns a
-    tuple.  Keyed, like `_templates`, on the product as well as the spec.
+    template (0 same, 1 cross) of each block.  `_templates` gives a cell
+    (k-1)^2 >= 4 neighbors per side, so every getter returns a tuple.
+    Keyed, like `_templates`, on the product as well as the spec.
     """
     sides = _templates(spec, product)
     kk = spec.k ** 2
@@ -182,43 +193,33 @@ def _cell_getters(spec: MarkedGroupSpec, product, order: tuple[int, ...]) -> tup
     )
 
 
-@lru_cache(maxsize=32)
-def _mask_templates(spec: MarkedGroupSpec, product) -> tuple:
-    """`_templates` as bitmasks: per cell a*k+b, its same, above and
-    below neighbors as bits 0..k^2-1 of a level's block, and its inner
-    mask, all three sides laid out on the three blocks of levels n-1, n
-    and n+1.  Keyed, like `_templates`, on the product as well as the spec.
-    """
-    kk = spec.k ** 2
-    same, above, below = (
-        tuple(sum(1 << d for d in nbrs) for nbrs in side) for side in _templates(spec, product)
-    )
-    inner = tuple(lo | mid << kk | hi << 2 * kk for lo, mid, hi in zip(below, same, above))
-    return same, above, below, inner
+def _end_blocks(n: int, levels: int, cyclic: bool) -> list[tuple[int, int]]:
+    """The (level, side) blocks of level n of a build on `levels` levels,
+    sorted by level: n itself with side 0 (same), and each adjacent level
+    the build has with side 1 (cross), mod levels when cyclic."""
+    blocks = [(n, 0)]
+    for m in (n - 1, n + 1):
+        if cyclic or 0 <= m < levels:
+            blocks.append((m % levels, 1))
+    return sorted(blocks)
 
 
 def _tiled_masks(spec: MarkedGroupSpec, product, levels: int, cyclic: bool) -> list[int]:
     """The neighbor bitmasks of `layer_graph(spec, levels, cyclic)` built
-    under `product`, tiled from `_mask_templates`: cell c of level n has
-    same[c] on block n, above[c] on block n+1 and below[c] on block n-1
-    (mod levels when cyclic), each dropped where a window has no such
-    level.  An inner level is its cells' inner masks shifted once."""
+    under `product`: cell c of level n has its same mask on block n and its
+    cross mask on each adjacent level's block (`_end_blocks`), and an inner
+    level is its cells' inner masks (`_templates`) shifted once."""
     kk = spec.k ** 2
-    same, above, below, inner = _mask_templates(spec, product)
+    *sides, inner = _templates(spec, product)[2:]
     masks: list[int] = []
     for n in range(levels):
         if 0 < n < levels - 1:
             shift = (n - 1) * kk
             masks += [m << shift for m in inner]
             continue
-        sides = [(same, n)]
-        if cyclic or n + 1 < levels:
-            sides.append((above, (n + 1) % levels))
-        if cyclic or n > 0:
-            sides.append((below, (n - 1) % levels))
         level = [0] * kk
-        for side, block in sides:
-            level = [m | d << block * kk for m, d in zip(level, side)]
+        for block, side in _end_blocks(n, levels, cyclic):
+            level = [m | d << block * kk for m, d in zip(level, sides[side])]
         masks += level
     return masks
 
@@ -228,16 +229,16 @@ def _column_graph(spec: MarkedGroupSpec, product) -> FiniteGraph:
     """Two adjacent levels with each column contracted to one vertex:
     column a of the lower level is vertex a, of the upper level k+a.
 
-    Its edges are the `same` edges inside each level and the `above` edges
+    Its edges are the `same` edges inside each level and the `cross` edges
     between the levels, read off `_templates`.  A coloring constant on
     each column of two adjacent levels is proper on them iff the lower
     colors followed by the upper ones are proper here.  Keyed, like
     `_templates`, on the product as well as the spec.
     """
     k = spec.k
-    same, above, _ = _templates(spec, product)
+    same, cross = _templates(spec, product)[:2]
     edges = [(c // k + lift, d // k + lift) for c in range(k * k) for d in same[c] for lift in (0, k)]
-    edges += [(c // k, k + d // k) for c in range(k * k) for d in above[c]]
+    edges += [(c // k, k + d // k) for c in range(k * k) for d in cross[c]]
     return FiniteGraph(2 * k, edges)
 
 
@@ -284,19 +285,14 @@ def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> Fin
     refuse_oversized(spec, levels)
     product = multiply
     vertices = list(range(levels * kk))
-    inner = _cell_getters(spec, product, (2, 0, 1))  # below, same, above
+    inner = _cell_getters(spec, product, (1, 0, 1))  # cross, same, cross
     adj: list[tuple[int, ...]] = []
     for n in range(levels):
         if 0 < n < levels - 1:
             window, getters = vertices[(n - 1) * kk : (n + 2) * kk], inner
         else:
-            blocks = [(n * kk, 0)]
-            if cyclic or n + 1 < levels:
-                blocks.append(((n + 1) % levels * kk, 1))
-            if cyclic or n > 0:
-                blocks.append(((n - 1) % levels * kk, 2))
-            blocks.sort()
-            window = [v for base, _ in blocks for v in vertices[base : base + kk]]
+            blocks = _end_blocks(n, levels, cyclic)
+            window = [v for m, _ in blocks for v in vertices[m * kk : (m + 1) * kk]]
             getters = _cell_getters(spec, product, tuple(side for _, side in blocks))
         adj += [get(window) for get in getters]
     return FiniteGraph._from_sorted_adjacency(

@@ -500,6 +500,11 @@ class TestSizeGuard:
         with pytest.raises(InputError, match="249,761,250 edges"):
             grid_graph(150)
 
+    @pytest.mark.parametrize("k", [2, 3.0, "3"], ids=repr)
+    def test_grid_modulus_that_is_not_an_integer_from_3_refused(self, k):
+        with pytest.raises(InputError, match="grid modulus must be an integer >= 3"):
+            grid_graph(k)
+
     def test_grid_cap_is_inclusive(self, monkeypatch):
         # k=3: 9 cells of degree 4, 18 edges
         monkeypatch.setattr(gridchroma.graphs, "MAX_LAYER_GRAPH_EDGES", 18)
@@ -534,11 +539,14 @@ class TestLayerGraph:
 
     def test_templates_are_frozen(self):
         spec = MarkedGroupSpec(3, twisted=True)
-        sides = gridchroma.grid._templates(spec, gridchroma.grid.multiply)
-        assert len(sides) == 3 and type(sides) is tuple
-        for side in sides:
+        templates = gridchroma.grid._templates(spec, gridchroma.grid.multiply)
+        assert len(templates) == 5 and type(templates) is tuple
+        for side in templates:
             assert len(side) == 9 and type(side) is tuple
+        for side in templates[:2]:  # same, cross
             assert all(type(cell) is tuple for cell in side)
+        for masks in templates[2:]:  # same, cross and inner masks
+            assert all(type(mask) is int for mask in masks)
 
     def test_layer_that_is_not_the_grid_is_caught(self, monkeypatch):
         # the product is intact; the grid it is checked against loses an edge

@@ -194,6 +194,37 @@ def test_cell_short_of_neighbors_is_caught_by_every_builder(monkeypatch):
         assert str(exc.value) == "cell (0, 0) has 3 neighbors on the level above, expected 4"
 
 
+def test_level_above_unlike_level_below_is_caught_by_every_builder(monkeypatch):
+    # an inverse-closed generating set whose +1 cells are not closed under
+    # negation: every cell keeps 4 neighbors on each side, but the level
+    # above joins it to other cells than the level below does; the inverse
+    # of (a, b, 1) is (-a, -b, -1), with a and b swapped when twisted
+    def lopsided(spec):
+        up = [(1, 1), (1, 2), (2, 1), (0, 1)]
+        down = [(b, a) if spec.twisted else (a, b) for a, b in up]
+        intra = [s for s in generators(spec) if s.n == 0]
+        return intra + [GroupElement(a, b, 1) for a, b in up] + [GroupElement(-a % 3, -b % 3, -1) for a, b in down]
+
+    monkeypatch.setattr(grid, "generators", lopsided)
+    builds = [
+        lambda: cayley_window(DELTA3, 4),
+        lambda: two_orbit_graph(3, True),
+        lambda: build_quotient(DELTA3, 5),
+        lambda: grid.column_graph(GAMMA3),
+    ]
+    # a builder that goes on must not leave its graph's templates behind
+    memos = (grid._templates, grid._cell_getters, grid._column_graph)
+    try:
+        for build in builds:
+            for memo in memos:
+                memo.cache_clear()
+            with pytest.raises(InvariantViolation, match="on the level above than on the level below"):
+                build()
+    finally:
+        for memo in memos:
+            memo.cache_clear()
+
+
 class TestQuotientChi:
     # values frozen from exact solver runs; the plain upper bounds also
     # follow from the first-coordinate coloring and the twisted odd lower
