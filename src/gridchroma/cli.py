@@ -156,20 +156,21 @@ def _verified(args, report, got, head: str) -> int:
     return EXIT_CODES[_outcome(got)]
 
 
-def _dichotomy_unit(got) -> str:
-    """What the dichotomy's count counts: a canonical run visits one
-    coloring per color class."""
+def _count_unit(got) -> str:
+    """What a verifier's count counts: cases refuted, classes or colorings."""
+    if "cases" in got.params:
+        return "cases"
     return "classes" if got.params.get("canonical") else "colorings"
 
 
 def cmd_verify_dichotomy(args, report) -> int:
     got = verify_dichotomy(args.k, budget=_budget_from(args))
-    return _verified(args, report, got, f"dichotomy k={args.k}: {_dichotomy_unit(got)}={got.count} ")
+    return _verified(args, report, got, f"dichotomy k={args.k}: {_count_unit(got)}={got.count} ")
 
 
 def cmd_verify_invariance(args, report) -> int:
     got = verify_invariance(args.k, args.group == "gamma", budget=_budget_from(args))
-    head = f"invariance k={args.k} group={args.group}: colorings={got.count} "
+    head = f"invariance k={args.k} group={args.group}: {_count_unit(got)}={got.count} "
     return _verified(args, report, got, head)
 
 
@@ -265,14 +266,15 @@ def _claim_grid_chi(k, budget, rng, towers):
 
 def _claim_dichotomy(k, budget, rng, towers):
     got = verify_dichotomy(k, budget=budget)
-    return _outcome(got), {_dichotomy_unit(got): got.count}
+    return _outcome(got), {_count_unit(got): got.count}
 
 
 def _claim_invariance(k, budget, rng, towers):
     plain = verify_invariance(k, twisted=False, budget=budget)
     twisted = verify_invariance(k, twisted=True, budget=budget)
     outcome = _verdict((_outcome(plain), _outcome(twisted))) and plain.count == twisted.count
-    return outcome, {"plain": plain.count, "twisted": twisted.count}
+    counts = {"plain": plain.count, "twisted": twisted.count}
+    return outcome, {"cases": counts} if _count_unit(plain) == "cases" else counts
 
 
 def _claim_rigidity(k, budget, rng, towers):

@@ -25,23 +25,18 @@ k-colorings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 from typing import Optional
 
-from .chi import Budget, enumerate_colorings
+from .chi import Budget, enumerate_colorings, find_coloring
 from .errors import InputError, InvariantViolation, StopEnumeration, UndecidedError
-from .graphs import FiniteGraph, refuse_above_cap
+from .graphs import FiniteGraph, mask_vertices, refuse_above_cap
 from .groups import GroupElement, MarkedGroupSpec, generators, multiply
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
-
-# The most layer tuples the canonical walk of `verify_invariance` (k >= 4)
-# memoizes flags for: nearly every lookup of the second layer misses, and
-# an unbounded memo grew to 776 MB at k=5.  The k=3 join needs no memo.
-FLAG_MEMO_CAP = 1 << 16
 
 
 def cell(k: int, v: int) -> tuple[int, int, int]:
@@ -111,7 +106,7 @@ def two_orbit_graph(k: int, twisted: bool) -> FiniteGraph:
 UNIT_SHIFT = GroupElement(0, 0, 1)
 
 @lru_cache(maxsize=32)
-def _templates(spec: MarkedGroupSpec, product) -> tuple:
+def _templates(spec: MarkedGroupSpec, product, gens) -> tuple:
     """The per-cell neighbor templates of the tower graphs: (same, cross,
     same masks, cross masks, inner masks).  Per cell a*k+b, `same` and
     `cross` hold the sorted cells it is joined to on its own level and on
@@ -125,14 +120,15 @@ def _templates(spec: MarkedGroupSpec, product) -> tuple:
     shift); the product sees a level only through its parity, so the
     templates then hold on every level and descend to every cyclic
     quotient.  `same` must be the grid graph's adjacency.  Every cell must
-    have (k-1)^2 neighbors on the level above and on the level below, so
-    that a cell whose three levels are distinct (inside a window, or
-    anywhere in a quotient) has the 3(k-1)^2 neighbors of its generators.
-    And the level above must join each cell to the cells the level below
-    does (the generators are closed under inverses), so one `cross` serves.
+    have (k-1)^2 neighbors on the level above.  And the level above must
+    join each cell to the cells the level below does (the generators are
+    closed under inverses), so one `cross` serves, and a cell whose three
+    levels are distinct (inside a window, or anywhere in a quotient) has
+    the 3(k-1)^2 neighbors of its generators.
 
-    The bounded memo (hence the tuples) is keyed on the product as well as
-    the spec, so a replaced `grid.multiply` is derived and checked afresh.
+    The bounded memo (hence the tuples) is keyed on the spec, the product
+    and the generators, so a replaced or restored `grid.multiply` or
+    `grid.generators` is followed.
     """
     k = spec.k
     kk = k * k
@@ -140,7 +136,7 @@ def _templates(spec: MarkedGroupSpec, product) -> tuple:
     # the templates of the edge's two ends when y0 = s*x0 lies on x0's
     # level, the level above, or else the level below
     sides = {0: (same, same), 1: (above, below)}
-    for s in generators(spec):
+    for s in gens(spec):
         for a in range(k):
             for b in range(k):
                 x0 = GroupElement(a, b, 0)
@@ -158,13 +154,11 @@ def _templates(spec: MarkedGroupSpec, product) -> tuple:
     same, above, below = (tuple(tuple(sorted(c)) for c in side) for side in (same, above, below))
     if same != _grid_adjacency(k):
         raise InvariantViolation("tower layer is not a copy of the grid graph")
-    for where, side in (("above", above), ("below", below)):
-        for c, nbrs in enumerate(side):
-            if len(nbrs) != (k - 1) ** 2:
-                raise InvariantViolation(
-                    f"cell {divmod(c, k)} has {len(nbrs)} neighbors on the level "
-                    f"{where}, expected {(k - 1) ** 2}"
-                )
+    for c, nbrs in enumerate(above):
+        if len(nbrs) != (k - 1) ** 2:
+            raise InvariantViolation(
+                f"cell {divmod(c, k)} has {len(nbrs)} neighbors on the level above, expected {(k - 1) ** 2}"
+            )
     if above != below:
         c = next(c for c in range(kk) if above[c] != below[c])
         raise InvariantViolation(
@@ -176,16 +170,16 @@ def _templates(spec: MarkedGroupSpec, product) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _cell_getters(spec: MarkedGroupSpec, product, order: tuple[int, ...]) -> tuple:
+def _cell_getters(spec: MarkedGroupSpec, product, gens, order: tuple[int, ...]) -> tuple:
     """Per cell a*k+b, the getter of its neighbors from a level's window.
 
     The window lists the vertices of the level's neighboring levels, one
     block of k^2 per level in order of its first vertex; `order` names the
     template (0 same, 1 cross) of each block.  `_templates` gives a cell
     (k-1)^2 >= 4 neighbors per side, so every getter returns a tuple.
-    Keyed, like `_templates`, on the product as well as the spec.
+    Keyed, like `_templates`, on the product and the generators.
     """
-    sides = _templates(spec, product)
+    sides = _templates(spec, product, gens)
     kk = spec.k ** 2
     return tuple(
         itemgetter(*[i * kk + v for i, side in enumerate(order) for v in sides[side][c]])
@@ -204,13 +198,13 @@ def _end_blocks(n: int, levels: int, cyclic: bool) -> list[tuple[int, int]]:
     return sorted(blocks)
 
 
-def _tiled_masks(spec: MarkedGroupSpec, product, levels: int, cyclic: bool) -> list[int]:
-    """The neighbor bitmasks of `layer_graph(spec, levels, cyclic)` built
-    under `product`: cell c of level n has its same mask on block n and its
-    cross mask on each adjacent level's block (`_end_blocks`), and an inner
-    level is its cells' inner masks (`_templates`) shifted once."""
+def _tiled_masks(spec: MarkedGroupSpec, product, gens, levels: int, cyclic: bool) -> list[int]:
+    """The neighbor bitmasks of `layer_graph(spec, levels, cyclic)` under
+    `product` and `gens`: cell c of level n has its same mask on block n
+    and its cross mask on each adjacent level's block (`_end_blocks`), and
+    an inner level is its cells' inner masks (`_templates`) shifted once."""
     kk = spec.k ** 2
-    *sides, inner = _templates(spec, product)[2:]
+    *sides, inner = _templates(spec, product, gens)[2:]
     masks: list[int] = []
     for n in range(levels):
         if 0 < n < levels - 1:
@@ -225,7 +219,7 @@ def _tiled_masks(spec: MarkedGroupSpec, product, levels: int, cyclic: bool) -> l
 
 
 @lru_cache(maxsize=32)
-def _column_graph(spec: MarkedGroupSpec, product) -> FiniteGraph:
+def _column_graph(spec: MarkedGroupSpec, product, gens) -> FiniteGraph:
     """Two adjacent levels with each column contracted to one vertex:
     column a of the lower level is vertex a, of the upper level k+a.
 
@@ -233,10 +227,10 @@ def _column_graph(spec: MarkedGroupSpec, product) -> FiniteGraph:
     between the levels, read off `_templates`.  A coloring constant on
     each column of two adjacent levels is proper on them iff the lower
     colors followed by the upper ones are proper here.  Keyed, like
-    `_templates`, on the product as well as the spec.
+    `_templates`, on the product and the generators.
     """
     k = spec.k
-    same, cross = _templates(spec, product)[:2]
+    same, cross = _templates(spec, product, gens)[:2]
     edges = [(c // k + lift, d // k + lift) for c in range(k * k) for d in same[c] for lift in (0, k)]
     edges += [(c // k, k + d // k) for c in range(k * k) for d in cross[c]]
     return FiniteGraph(2 * k, edges)
@@ -244,8 +238,8 @@ def _column_graph(spec: MarkedGroupSpec, product) -> FiniteGraph:
 
 def column_graph(spec: MarkedGroupSpec) -> FiniteGraph:
     """The 2k-vertex column graph of two adjacent levels under the current
-    `grid.multiply` (see `_column_graph`)."""
-    return _column_graph(spec, multiply)
+    `grid.multiply` and `grid.generators` (see `_column_graph`)."""
+    return _column_graph(spec, multiply, generators)
 
 
 def refuse_oversized(spec: MarkedGroupSpec, levels: int) -> None:
@@ -273,7 +267,7 @@ def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> Fin
     sorted, with no edge list and no per-vertex sort, and they all hold
     the one list's int objects.  An inner level's window is the single
     slice of levels n-1..n+1, the same in both modes.  Its neighbor
-    bitmasks are tiled from the same templates, under the product it was
+    bitmasks are tiled from the same templates, under the group law it was
     built with, on the first `neighbor_masks` call (`_tiled_masks`).
     """
     if cyclic and levels < 3:
@@ -283,9 +277,9 @@ def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> Fin
     k = spec.k
     kk = k * k
     refuse_oversized(spec, levels)
-    product = multiply
+    law = (multiply, generators)
     vertices = list(range(levels * kk))
-    inner = _cell_getters(spec, product, (1, 0, 1))  # cross, same, cross
+    inner = _cell_getters(spec, *law, (1, 0, 1))  # cross, same, cross
     adj: list[tuple[int, ...]] = []
     for n in range(levels):
         if 0 < n < levels - 1:
@@ -293,10 +287,10 @@ def layer_graph(spec: MarkedGroupSpec, levels: int, cyclic: bool = False) -> Fin
         else:
             blocks = _end_blocks(n, levels, cyclic)
             window = [v for m, _ in blocks for v in vertices[m * kk : (m + 1) * kk]]
-            getters = _cell_getters(spec, product, tuple(side for _, side in blocks))
+            getters = _cell_getters(spec, *law, tuple(side for _, side in blocks))
         adj += [get(window) for get in getters]
     return FiniteGraph._from_sorted_adjacency(
-        adj, lambda: _tiled_masks(spec, product, levels, cyclic)
+        adj, lambda: _tiled_masks(spec, *law, levels, cyclic)
     )
 
 
@@ -328,15 +322,7 @@ class VerificationReport:
             raise StopEnumeration
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "count": self.count,
-            "violations": self.violations,
-            "undecided": self.undecided,
-            "notes": self.notes,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def _enumerate_into(
@@ -393,11 +379,11 @@ def verify_dichotomy(
     return _enumerate_into(report, grid_graph(k), palette, visit, budget, canonical)
 
 
-def _propagation_fault(cols: tuple[int, ...], flags0, flags1, twisted: bool) -> Optional[dict]:
+def _propagation_fault(k: int, cols: tuple[int, ...], twisted: bool) -> Optional[dict]:
     """The violation a two-layer coloring `cols` (layer 0, then layer 1)
-    records, given each layer's (horizontal?, vertical?) flags, or None:
-    plain layers must share an orientation, twisted layers must swap it."""
-    (h0, v0), (h1, v1) = flags0, flags1
+    records, or None: plain layers must share an orientation, twisted
+    layers must swap it, as each layer's `_orientation_flags` read."""
+    (h0, v0), (h1, v1) = _orientation_flags(k, cols[: k * k]), _orientation_flags(k, cols[k * k :])
     if h0 == v0 or h1 == v1:
         return {"coloring": list(cols), "reason": "layer escaped the dichotomy"}
     if (h0 != h1) != twisted:
@@ -418,49 +404,59 @@ def verify_invariance(
     proper (2k-2)-coloring of the two-orbit graph, plain layers must share
     an orientation and twisted layers must swap it.
 
-    At k=3 every such coloring is checked, as a pair of grid colorings
-    (`_join_layers`).  Above k=3, as in `verify_rigidity`, the two-orbit
-    graph is walked one representative per color permutation (sound:
-    recoloring both layers keeps every flag), weighed (2k-2)!/(2k-2-u)!
-    for the u colors it uses; the count, also a budget stop's lower bound,
-    is the weighted sum.  The walk memoizes each layer tuple's flags,
-    emptying the memo when a miss finds it holding FLAG_MEMO_CAP tuples,
-    and looks layer 0, the first k^2 vertices of a lexicographic
-    enumeration, up only when it changes.
+    At k=3 every such coloring is checked and counted, as a pair of grid
+    colorings (`_join_layers`).  Above k=3 the count is the cases refuted
+    by `_refute_cases`.  No layer escapes the dichotomy: an all-distinct
+    row and column hold 2k-1 colors (off their crossing, a row cell and a
+    column cell are adjacent), and a repeat in every line takes 2k classes,
+    as a class of two or more cells lies in one line (`_templates` checks
+    `same` against the grid).  So a violation is an all-distinct line on
+    each layer, of different families when plain, of one family twisted.
     """
-    palette = 2 * k - 2
     graph = two_orbit_graph(k, twisted)
-    kk = k * k
-    canonical = k > 3
-    report = VerificationReport(
-        "invariance", {"k": k, "twisted": twisted, "palette": palette, "canonical": canonical}
-    )
-    if not canonical:
+    params = {"k": k, "twisted": twisted, "palette": 2 * k - 2}
+    if k == 3:
+        report = VerificationReport("invariance", {**params, "canonical": False})
         return _join_layers(report, k, twisted, graph, budget)
+    report = VerificationReport("invariance", {**params, "cases": 2 * k * k})
+    return _refute_cases(report, k, twisted, graph, budget)
 
-    flags: dict[tuple[int, ...], tuple[bool, bool]] = {}
 
-    def miss(layer: tuple[int, ...]) -> tuple[bool, bool]:
-        if len(flags) >= FLAG_MEMO_CAP:
-            flags.clear()
-        got = flags[layer] = _orientation_flags(k, layer)
-        return got
+def _with_cliques(graph: FiniteGraph, lines) -> FiniteGraph:
+    """`graph` with each of the vertex sets `lines` made a clique."""
+    adj, masks = list(graph.adj), list(graph.neighbor_masks())
+    for line in lines:
+        for v in line:
+            masks[v] |= sum(1 << w for w in line if w != v)
+            adj[v] = tuple(mask_vertices(masks[v]))
+    return FiniteGraph._from_sorted_adjacency(adj, lambda: masks)
 
-    last_lo = last_flags = None
-    weighted = 0
 
-    def visit(cols: tuple[int, ...]):
-        nonlocal last_lo, last_flags, weighted
-        weighted += math.perm(palette, len(set(cols)))
-        lo, hi = cols[:kk], cols[kk:]
-        if lo != last_lo:
-            last_lo, last_flags = lo, flags.get(lo) or miss(lo)
-        fault = _propagation_fault(cols, last_flags, flags.get(hi) or miss(hi), twisted)
-        if fault is not None:
-            report.record_violation(fault)
-
-    _enumerate_into(report, graph, palette, visit, budget, canonical)
-    report.count = weighted
+def _refute_cases(
+    report: VerificationReport, k: int, twisted: bool, graph: FiniteGraph, budget: Optional[Budget]
+) -> VerificationReport:
+    """Fill in an invariance report by its 2k^2 cases: `graph` with a line
+    of each layer made a clique (a row and a column, either way round, when
+    plain; two rows or two columns when twisted) has no (2k-2)-coloring.  A
+    coloring a case finds is recorded as its `_propagation_fault`; a budget
+    stop, read before each case, leaves the cases refuted so far."""
+    families = _lines(k)
+    try:
+        for f in (0, 1):
+            for line0 in families[f]:
+                for line1 in families[f if twisted else 1 - f]:
+                    if budget is not None:
+                        budget.check_clock("verify_invariance")
+                    case = _with_cliques(graph, (line0(range(k * k)), line1(range(k * k, 2 * k * k))))
+                    found = find_coloring(case, 2 * k - 2, budget=budget)
+                    if found is None:
+                        report.count += 1
+                    else:
+                        report.record_violation(_propagation_fault(k, found.colors, twisted))
+    except StopEnumeration:
+        pass
+    except UndecidedError:
+        report.undecided = True
     return report
 
 
@@ -525,7 +521,7 @@ def _join_layers(
                 low = bad & -bad
                 bad ^= low
                 j = low.bit_length() - 1
-                report.record_violation(_propagation_fault(lo + layers[j], flags[i], flags[j], twisted))
+                report.record_violation(_propagation_fault(k, lo + layers[j], twisted))
             count += ok.bit_count()
     except StopEnumeration:
         count += (ok & ((low << 1) - 1)).bit_count()

@@ -192,9 +192,10 @@ def _spare_steps(columns: FiniteGraph) -> tuple[bool, ...]:
     """The verdicts of `is_proper` on a column graph for the identity map
     1..k on the lower level paired with, on the upper level, the identity
     with column u recolored k+1 (entry u), or the identity itself (entry
-    k).  `column_graph` memoizes its graph per spec and product, so this
-    table is proven once per k and product.  It runs `chi.is_proper`, so
-    it never holds a verdict of a replaced `towers.is_proper`.
+    k).  `column_graph` memoizes its graph per spec and group law (product
+    and generators), so this table is proven once per k and law.  It runs
+    `chi.is_proper`, so it never holds a verdict of a replaced
+    `towers.is_proper`.
 
     A pair of maps injective into 1..k+1 that differ in at most one
     column is one of these k+1 pairs up to a renaming of the colors,

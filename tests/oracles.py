@@ -22,7 +22,7 @@ from gridchroma.errors import InputError, InvariantViolation
 from gridchroma.graphs import FiniteGraph, components, mask_vertices
 from gridchroma import grid
 from gridchroma.grid import HORIZONTAL, VERTICAL, _orientation_flags, grid_graph
-from gridchroma.groups import GroupElement, generators
+from gridchroma.groups import GroupElement
 from gridchroma.instances import CYCLE, SEGMENT, LineInstance
 
 SINGLETON = "singleton"
@@ -337,11 +337,12 @@ def edge_list_layer_graph(spec, levels: int, cyclic: bool = False) -> FiniteGrap
     """A tower graph from its edge list: each level's copy of the intra
     pairs and, to the level above (wrapping when cyclic), of the cross
     pairs, handed to the edge-list constructor.  The pairs are read off
-    `grid.multiply` at level 0, not taken from `grid._templates`."""
+    `grid.generators` and `grid.multiply` at level 0, not taken from
+    `grid._templates`."""
     k = spec.k
     kk = k * k
     intra, cross = set(), set()
-    for s in generators(spec):
+    for s in grid.generators(spec):
         for a in range(k):
             for b in range(k):
                 y = grid.multiply(spec, s, GroupElement(a, b, 0))

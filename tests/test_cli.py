@@ -484,6 +484,18 @@ class TestSubcommands:
         run(["verify-dichotomy", "--k", "3"])
         assert "colorings=1056 " in capsys.readouterr().out
 
+    def test_invariance_counts_cases_above_k3(self, capsys):
+        # from k=4 on the count is the cases refuted, 2k^2 per group
+        code, report = run(["verify-invariance", "--k", "4", "--group", "gamma"])
+        assert code == 0
+        assert report["results"]["count"] == 32
+        out = capsys.readouterr().out
+        assert "cases=32 " in out and "colorings=" not in out
+        got = gridchroma.cli._claim_invariance(4, Budget(), None, None)
+        assert got == (True, {"cases": {"plain": 32, "twisted": 32}})
+        run(["verify-invariance", "--k", "3"])
+        assert "colorings=12288 " in capsys.readouterr().out
+
     def test_json_output_mode(self, capsys):
         code, _ = run(["verify-rigidity", "--k", "3", "--json"])
         assert code == 0

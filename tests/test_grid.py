@@ -1,10 +1,9 @@
 import itertools
-import math
 import random
 
 import pytest
 
-from gridchroma.chi import Budget, Coloring, chromatic_number, enumerate_colorings, is_proper
+from gridchroma.chi import Budget, Coloring, chromatic_number, enumerate_colorings, find_coloring, is_proper
 from gridchroma.errors import InputError, InvariantViolation, StopEnumeration, UndecidedError
 from gridchroma.groups import MarkedGroupSpec, multiply
 import gridchroma.graphs
@@ -12,6 +11,7 @@ import gridchroma.grid
 from gridchroma.grid import (
     HORIZONTAL,
     VERTICAL,
+    VerificationReport,
     _orientation_flags,
     cell,
     column_graph,
@@ -309,7 +309,7 @@ class TestVerifiers:
         assert report.count == 12288
 
     @pytest.mark.parametrize("twisted", [False, True])
-    def test_invariance_memo_cap(self, monkeypatch, twisted):
+    def test_invariance_join_flags_each_grid_coloring_once(self, monkeypatch, twisted):
         calls = []
 
         def flags(k, cols):
@@ -320,17 +320,6 @@ class TestVerifiers:
         assert verify_invariance(3, twisted).count == 12288
         # the k=3 join works out each grid coloring's flags once, memo-free
         assert len(calls) == len(set(calls)) == 1056
-        # the canonical walk above k=3 memoizes them: under the cap each
-        # layer tuple is worked out once
-        calls.clear()
-        report = verify_invariance(4, twisted, budget=Budget(max_nodes=20000))
-        assert report.undecided and not report.violations
-        assert len(calls) == len(set(calls))
-        calls.clear()
-        monkeypatch.setattr(gridchroma.grid, "FLAG_MEMO_CAP", 4)
-        capped = verify_invariance(4, twisted, budget=Budget(max_nodes=20000))
-        assert capped.to_json() == report.to_json()
-        assert len(calls) > len(set(calls))  # a capped memo forgets and recomputes
 
     @pytest.mark.parametrize("twisted", [False, True])
     def test_invariance_join_counts_every_pair(self, monkeypatch, twisted):
@@ -387,40 +376,82 @@ class TestVerifiers:
         twisted = verify_invariance(3, twisted=True)
         assert plain.count == twisted.count
 
-    def test_invariance_runs_canonically_above_k3(self):
-        for k in (3, 4):
-            report = verify_invariance(k, True, budget=Budget(max_nodes=100))
-            assert report.params["canonical"] is (k > 3)
+    @pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_invariance_refutes_2k2_cases_above_k3(self, k, twisted):
+        report = verify_invariance(k, twisted)
+        assert report.ok
+        assert report.count == report.params["cases"] == 2 * k * k
+        assert "canonical" not in report.params
+        assert "cases" not in verify_invariance(3, twisted).params
 
     @pytest.mark.parametrize("twisted", [False, True])
-    def test_invariance_budget_stop_weighs_the_classes_visited(self, twisted):
-        report = verify_invariance(4, twisted, budget=Budget(max_nodes=5000))
+    def test_case_refutations_agree_with_the_join_at_k3(self, twisted):
+        graph = two_orbit_graph(3, twisted)
+        report = gridchroma.grid._refute_cases(VerificationReport("invariance", {}), 3, twisted, graph, None)
+        assert report.ok and report.count == 18
+        assert verify_invariance(3, twisted).ok
+
+    @staticmethod
+    def line_pairs(k, same_family):
+        """Each pair of a line of layer 0 and a line of layer 1, as vertex
+        lists: of one family (rows with rows, columns with columns) or of
+        the two (rows with columns, columns with rows)."""
+        kk = k * k
+        rows = [[a * k + b for a in range(k)] for b in range(k)]
+        columns = [[a * k + b for b in range(k)] for a in range(k)]
+        families = [(rows, rows), (columns, columns)] if same_family else [(rows, columns), (columns, rows)]
+        return [(line0, [kk + v for v in line1]) for f0, f1 in families for line0 in f0 for line1 in f1]
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_non_flipping_line_pairs_find_colorings(self, k, twisted):
+        # the pairs the law allows (one family when plain, both families
+        # when twisted) are colorable, so the refuted cases are not vacuous
+        graph = two_orbit_graph(k, twisted)
+        for lines in self.line_pairs(k, same_family=not twisted):
+            cliques = [(u, v) for line in lines for u, v in itertools.combinations(line, 2)]
+            case = gridchroma.graphs.FiniteGraph(2 * k * k, [*graph.edges(), *cliques])
+            built = gridchroma.grid._with_cliques(graph, lines)
+            assert built.adj == case.adj and built.neighbor_masks() == case.neighbor_masks()
+            found = find_coloring(case, 2 * k - 2)
+            assert found is not None and is_proper(case, found)
+
+    def test_twist_ignoring_product_fails_above_k3(self, monkeypatch):
+        # under a product that ignores the twist, twisted layers may keep
+        # their orientation: every case finds a coloring of that graph
+        monkeypatch.setattr(gridchroma.grid, "multiply", lambda spec, g, h: multiply(MarkedGroupSpec(spec.k), g, h))
+        planted = two_orbit_graph(4, True)
+        report = verify_invariance(4, True)
+        assert not report.ok and not report.undecided and report.count == 0
+        *recorded, note = report.violations
+        assert len(recorded) == 10 and note == "... further violations suppressed"
+        for fault in recorded:
+            assert is_proper(planted, Coloring(tuple(fault["coloring"]), 6))
+            assert fault["layer0"] == fault["layer1"]
+        monkeypatch.setattr(gridchroma.grid.VerificationReport, "MAX_RECORDED", 100)
+        report = verify_invariance(4, True)
+        assert report.count == 0 and len(report.violations) == 32
+        assert verify_invariance(4, False).ok
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_invariance_budget_stop_counts_the_cases_refuted(self, monkeypatch, twisted):
+        spent = []  # the nodes spent after each case, cumulative
+
+        def counted(graph, palette, budget):
+            found = find_coloring(graph, palette, budget=budget)
+            spent.append(budget.nodes)
+            return found
+
+        monkeypatch.setattr(gridchroma.grid, "find_coloring", counted)
+        assert verify_invariance(4, twisted, budget=Budget(max_nodes=10**6)).ok
+        assert len(spent) == 32
+        cap = spent[-1] // 2
+        report = verify_invariance(4, twisted, budget=Budget(max_nodes=cap))
         assert report.undecided and not report.violations
-        weights = []
-        with pytest.raises(UndecidedError):
-            enumerate_colorings(
-                two_orbit_graph(4, twisted),
-                6,
-                lambda cols: weights.append(math.perm(6, len(set(cols)))),
-                canonical=True,
-                budget=Budget(max_nodes=5000),
-            )
-        assert report.count == sum(weights) > len(weights) > 0
-
-    @pytest.mark.parametrize("twisted", [False, True])
-    def test_invariance_planted_violation_caught_canonically(self, monkeypatch, twisted):
-        # a layer whose last two cells (one column) share a color reads with
-        # its orientation swapped: a plant that recoloring keeps, so some
-        # class representative must show it
-        def planted(k, cols):
-            h, v = _orientation_flags(k, cols)
-            return (v, h) if cols[-1] == cols[-2] else (h, v)
-
-        monkeypatch.setattr(gridchroma.grid, "_orientation_flags", planted)
-        report = verify_invariance(4, twisted, budget=Budget(max_nodes=5000))
-        assert report.params["canonical"] and report.violations
-        lo, hi = report.violations[0]["coloring"][:16], report.violations[0]["coloring"][16:]
-        assert (lo[-1] == lo[-2]) != (hi[-1] == hi[-2])
+        assert report.count == sum(nodes <= cap for nodes in spent[:32]) > 0
+        report = verify_invariance(4, twisted, budget=Budget(ms=0))
+        assert report.undecided and report.count == 0
 
     def test_rigidity_k3(self):
         report = verify_rigidity(3)
@@ -539,7 +570,7 @@ class TestLayerGraph:
 
     def test_templates_are_frozen(self):
         spec = MarkedGroupSpec(3, twisted=True)
-        templates = gridchroma.grid._templates(spec, gridchroma.grid.multiply)
+        templates = gridchroma.grid._templates(spec, gridchroma.grid.multiply, gridchroma.grid.generators)
         assert len(templates) == 5 and type(templates) is tuple
         for side in templates:
             assert len(side) == 9 and type(side) is tuple
@@ -554,7 +585,7 @@ class TestLayerGraph:
         adj[0] = adj[0][1:]
         monkeypatch.setattr(gridchroma.grid, "_grid_adjacency", lambda k: tuple(adj))
         with pytest.raises(InvariantViolation, match="not a copy of the grid graph"):
-            gridchroma.grid._templates.__wrapped__(MarkedGroupSpec(3), multiply)
+            gridchroma.grid._templates.__wrapped__(MarkedGroupSpec(3), multiply, gridchroma.grid.generators)
 
     def test_too_few_levels_refused(self):
         spec = MarkedGroupSpec(3)
@@ -642,7 +673,7 @@ class TestTiledMasks:
         real = gridchroma.grid._tiled_masks
 
         def counting(*args):
-            calls.append(args[2:])
+            calls.append(args[3:])
             return real(*args)
 
         monkeypatch.setattr(gridchroma.grid, "_tiled_masks", counting)

@@ -18,7 +18,7 @@ from gridchroma.quotients import (
     verify_alternation_obstruction,
     verify_even_quotient_isomorphism,
 )
-from oracles import is_regular
+from oracles import edge_list_layer_graph, is_regular
 
 DELTA3 = MarkedGroupSpec(3)
 GAMMA3 = MarkedGroupSpec(3, twisted=True)
@@ -187,8 +187,6 @@ def test_cell_short_of_neighbors_is_caught_by_every_builder(monkeypatch):
         lambda: build_quotient(DELTA3, 5),
     ]
     for build in builds:
-        grid._templates.cache_clear()
-        grid._cell_getters.cache_clear()
         with pytest.raises(InvariantViolation) as exc:
             build()
         assert str(exc.value) == "cell (0, 0) has 3 neighbors on the level above, expected 4"
@@ -212,17 +210,32 @@ def test_level_above_unlike_level_below_is_caught_by_every_builder(monkeypatch):
         lambda: build_quotient(DELTA3, 5),
         lambda: grid.column_graph(GAMMA3),
     ]
-    # a builder that goes on must not leave its graph's templates behind
-    memos = (grid._templates, grid._cell_getters, grid._column_graph)
-    try:
-        for build in builds:
-            for memo in memos:
-                memo.cache_clear()
-            with pytest.raises(InvariantViolation, match="on the level above than on the level below"):
-                build()
-    finally:
-        for memo in memos:
-            memo.cache_clear()
+    for build in builds:
+        with pytest.raises(InvariantViolation, match="on the level above than on the level below"):
+            build()
+
+
+def test_memos_follow_a_replaced_generator_set_and_its_restoring(monkeypatch):
+    # a valid generating set of both groups whose +1 cells (1, 0), (2, 0),
+    # (0, 1), (0, 2) differ in one coordinate: it passes every template
+    # check, so only a memo keyed on the generators tells it from the real
+    # set, whether the memo is warm when it is put in or when it is taken out
+    def rook(spec):
+        intra = [s for s in generators(spec) if s.n == 0]
+        return intra + [GroupElement(a, b, n) for a, b in ((1, 0), (2, 0), (0, 1), (0, 2)) for n in (1, -1)]
+
+    def builds():
+        window = grid.layer_graph(DELTA3, 3)
+        want = edge_list_layer_graph(DELTA3, 3)
+        assert window.adj == want.adj and window.neighbor_masks() == want.neighbor_masks()
+        return window.adj, grid.column_graph(DELTA3).adj
+
+    real = builds()
+    with monkeypatch.context() as m:
+        m.setattr(grid, "generators", rook)
+        replaced = builds()
+    assert replaced[0] != real[0] and replaced[1] != real[1]
+    assert builds() == real
 
 
 class TestQuotientChi:
