@@ -158,7 +158,6 @@ def enumerate_colorings(
     palette: int,
     visitor: Optional[Callable[[tuple[int, ...]], None]] = None,
     *,
-    base_forbidden: Optional[list[int]] = None,
     canonical: bool = False,
     budget: Optional[Budget] = None,
 ) -> int:
@@ -169,10 +168,8 @@ def enumerate_colorings(
     lexicographic.  Returns the total count, or the count so far when the
     visitor raises StopEnumeration.
 
-    base_forbidden gives a per-vertex bitmask of disallowed colors (bit c =
-    color c), useful for enumerating extensions of an already-colored
-    neighborhood.  canonical restricts each vertex to used colors plus the
-    single lowest unused one, enumerating exactly one representative per
+    canonical restricts each vertex to used colors plus the single lowest
+    unused one, enumerating exactly one representative per
     color-permutation class.
 
     The walk keeps an explicit stack (one mask of colors still to try per
@@ -198,15 +195,12 @@ def enumerate_colorings(
             except StopEnumeration:
                 pass
         return 1
-    forb = list(base_forbidden) if base_forbidden is not None else [0] * n
-    if len(forb) != n:
-        raise InputError("base_forbidden must cover every vertex")
     near = [tuple(w for w in g.adj[v] if v - _NEAR <= w < v) for v in range(n)]
     # ahead[j]: the far earlier neighbors of vertex j+_NEAR, all colored at depth j
     ahead = [
         tuple(w for w in g.adj[j + _NEAR] if w < j) if j + _NEAR < n else () for j in range(n)
     ]
-    farban = list(forb)
+    farban = [0] * n
     full = (1 << (palette + 1)) - 2
     color_of = {1 << c: c for c in range(1, palette + 1)}
     # caps[d]: the colors vertex d may take at all.  Canonically that is
@@ -229,7 +223,7 @@ def enumerate_colorings(
                 run = budget._run("enumerate_colorings", count)
             fold = ahead[d]
             if fold:
-                banned = forb[d + _NEAR]
+                banned = 0
                 for w in fold:
                     banned |= bits[w]
                 farban[d + _NEAR] = banned

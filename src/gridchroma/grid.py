@@ -30,7 +30,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Optional
 
-from .chi import Budget, enumerate_colorings, find_coloring
+from .chi import Budget, Coloring, enumerate_colorings, find_coloring, is_proper
 from .errors import InputError, InvariantViolation, StopEnumeration, UndecidedError
 from .graphs import FiniteGraph, mask_vertices, refuse_above_cap
 from .groups import GroupElement, MarkedGroupSpec, generators, multiply
@@ -325,30 +325,6 @@ class VerificationReport:
         return {**asdict(self), "ok": self.ok}
 
 
-def _enumerate_into(
-    report: VerificationReport,
-    graph: FiniteGraph,
-    palette: int,
-    visit,
-    budget: Optional[Budget],
-    canonical: bool = False,
-) -> VerificationReport:
-    """Run the enumeration behind a verifier and fill in its report.
-
-    The count is the colorings visited, also when the run stops early: at
-    the violation cap, or when the budget runs out, which leaves the report
-    undecided and the count in the UndecidedError as its lower bound.
-    """
-    try:
-        report.count = enumerate_colorings(
-            graph, palette, visit, canonical=canonical, budget=budget
-        )
-    except UndecidedError as exc:
-        report.count = exc.lower
-        report.undecided = True
-    return report
-
-
 def verify_dichotomy(
     k: int,
     budget: Optional[Budget] = None,
@@ -376,7 +352,13 @@ def verify_dichotomy(
                 {"coloring": list(cols), "horizontal": horiz, "vertical": vert}
             )
 
-    return _enumerate_into(report, grid_graph(k), palette, visit, budget, canonical)
+    try:
+        report.count = enumerate_colorings(grid_graph(k), palette, visit, canonical=canonical, budget=budget)
+    except UndecidedError as exc:
+        # a budget stop keeps the colorings visited as the lower bound
+        report.count = exc.lower
+        report.undecided = True
+    return report
 
 
 def _propagation_fault(k: int, cols: tuple[int, ...], twisted: bool) -> Optional[dict]:
@@ -405,13 +387,15 @@ def verify_invariance(
     an orientation and twisted layers must swap it.
 
     At k=3 every such coloring is checked and counted, as a pair of grid
-    colorings (`_join_layers`).  Above k=3 the count is the cases refuted
-    by `_refute_cases`.  No layer escapes the dichotomy: an all-distinct
-    row and column hold 2k-1 colors (off their crossing, a row cell and a
-    column cell are adjacent), and a repeat in every line takes 2k classes,
-    as a class of two or more cells lies in one line (`_templates` checks
-    `same` against the grid).  So a violation is an all-distinct line on
-    each layer, of different families when plain, of one family twisted.
+    colorings (`_join_layers`).  Above k=3 the count is the 2k^2 cases
+    `_refute_cases` refutes.  No layer escapes the dichotomy: an
+    all-distinct row and column hold 2k-1 colors (off their crossing, a
+    row cell and a column cell are adjacent), and a repeat in every line
+    takes 2k classes, as a class of two or more cells lies in one line
+    (`_templates` checks `same` against the grid).  So a violation is an
+    all-distinct line on each layer, of different families when plain, of
+    one family twisted, and each case is the graph with such a pair of
+    lines made cliques.
     """
     graph = two_orbit_graph(k, twisted)
     params = {"k": k, "twisted": twisted, "palette": 2 * k - 2}
@@ -419,7 +403,18 @@ def verify_invariance(
         report = VerificationReport("invariance", {**params, "canonical": False})
         return _join_layers(report, k, twisted, graph, budget)
     report = VerificationReport("invariance", {**params, "cases": 2 * k * k})
-    return _refute_cases(report, k, twisted, graph, budget)
+    kk = k * k
+    families = _lines(k)
+    cases = (
+        (_with_cliques(graph, (line0(range(kk)), line1(range(kk, 2 * kk)))), None)
+        for f in (0, 1)
+        for line0 in families[f]
+        for line1 in families[f if twisted else 1 - f]
+    )
+    report.count = _refute_cases(
+        report, cases, 2 * k - 2, lambda cols: _propagation_fault(k, cols, twisted), budget
+    )
+    return report
 
 
 def _with_cliques(graph: FiniteGraph, lines) -> FiniteGraph:
@@ -432,32 +427,27 @@ def _with_cliques(graph: FiniteGraph, lines) -> FiniteGraph:
     return FiniteGraph._from_sorted_adjacency(adj, lambda: masks)
 
 
-def _refute_cases(
-    report: VerificationReport, k: int, twisted: bool, graph: FiniteGraph, budget: Optional[Budget]
-) -> VerificationReport:
-    """Fill in an invariance report by its 2k^2 cases: `graph` with a line
-    of each layer made a clique (a row and a column, either way round, when
-    plain; two rows or two columns when twisted) has no (2k-2)-coloring.  A
-    coloring a case finds is recorded as its `_propagation_fault`; a budget
-    stop, read before each case, leaves the cases refuted so far."""
-    families = _lines(k)
+def _refute_cases(report: VerificationReport, cases, palette: int, fault, budget: Optional[Budget]) -> int:
+    """The number of `(graph, pins)` cases refuted: `find_coloring(graph,
+    palette, pins)` returns None.  A coloring a case finds is recorded in
+    `report` as `fault(colors)`, up to the violation cap, which ends the
+    run; a budget stop, read before each case, leaves `report` undecided
+    with the cases refuted so far."""
+    refuted = 0
     try:
-        for f in (0, 1):
-            for line0 in families[f]:
-                for line1 in families[f if twisted else 1 - f]:
-                    if budget is not None:
-                        budget.check_clock("verify_invariance")
-                    case = _with_cliques(graph, (line0(range(k * k)), line1(range(k * k, 2 * k * k))))
-                    found = find_coloring(case, 2 * k - 2, budget=budget)
-                    if found is None:
-                        report.count += 1
-                    else:
-                        report.record_violation(_propagation_fault(k, found.colors, twisted))
+        for graph, pins in cases:
+            if budget is not None:
+                budget.check_clock(f"verify_{report.name}")
+            found = find_coloring(graph, palette, pins, budget=budget)
+            if found is None:
+                refuted += 1
+            else:
+                report.record_violation(fault(found.colors))
     except StopEnumeration:
         pass
     except UndecidedError:
         report.undecided = True
-    return report
+    return refuted
 
 
 def _join_layers(
@@ -531,34 +521,49 @@ def _join_layers(
     return report
 
 
-def verify_rigidity(
-    k: int,
-    budget: Optional[Budget] = None,
-    canonical: Optional[bool] = None,
-) -> VerificationReport:
+def verify_rigidity(k: int, budget: Optional[Budget] = None) -> VerificationReport:
     """Check that every proper k-coloring of the plain two-orbit graph is a
     coordinate projection, with the same projection on both layers.
 
     In particular the color pattern of layer 1 equals that of layer 0, the
     finite form of "shifting one layer up never changes the color".
 
-    For k=3 the full enumeration runs by default.  For larger k, as in
-    `verify_dichotomy`, one representative per color permutation is
-    enumerated (sound: recoloring both layers at once keeps each layer a
-    projection, the axes, and the equality of the layers).  A class whose
-    representative uses u colors holds k!/(k-u)! colorings; the weight is
-    read off each representative, not assumed, and the count (also the
-    lower bound of a run the budget stops) is the weighted sum, so it
-    equals the full enumeration's.
+    Every class of a k-coloring of a layer is a full line: a class of two
+    or more cells lies in one line (`_templates` checks `same` against the
+    grid), so it holds at most k cells, and k classes must cover the k^2
+    cells.  A row class and a column class would meet, so each layer is a
+    projection, with every line of one family all-distinct.  And a
+    coloring whose layers differ at a cell can be relabelled so that the
+    cell reads 1 below and 2 above.  So rigidity holds iff `_refute_cases`
+    refutes 2k^2+2 cases: for each family f, its lines made cliques on
+    layer 0 and the other family's on layer 1 (the layers' projections
+    differ); and for each f and cell c, f's lines made cliques on both
+    layers with c pinned to 1 below and 2 above (they differ at c).
+
+    The count is the colorings.  Once every case is refuted, each is a
+    relabelling of an identity projection that is equal on both layers,
+    so there are k! per such projection that `is_proper` accepts (2k! in
+    all).  It stays 0 unless every case is refuted.  A coloring a case
+    finds is a violation, recorded with each layer's projection axis.
     """
-    if canonical is None:
-        canonical = k > 3
     graph = two_orbit_graph(k, twisted=False)
     kk = k * k
-    report = VerificationReport("rigidity", {"k": k, "palette": k, "canonical": canonical})
+    report = VerificationReport("rigidity", {"k": k, "palette": k})
+    families = _lines(k)
+    rows, columns = families
 
-    rows, columns = _lines(k)
-    weighted = 0
+    def cliques(f0: int, f1: int) -> FiniteGraph:
+        """`graph` with the lines of family f0 cliques on layer 0, of f1 on layer 1."""
+        lines = [line(range(kk)) for line in families[f0]]
+        return _with_cliques(graph, lines + [line(range(kk, 2 * kk)) for line in families[f1]])
+
+    def cases():
+        for f in (0, 1):
+            yield cliques(f, 1 - f), None
+        for f in (0, 1):
+            case = cliques(f, f)
+            for c in range(kk):
+                yield case, {c: 1, kk + c: 2}
 
     def projection_axis(layer: tuple[int, ...]) -> Optional[str]:
         for axis, lines in (("a", columns), ("b", rows)):
@@ -566,16 +571,12 @@ def verify_rigidity(
                 return axis
         return None
 
-    def visit(cols: tuple[int, ...]):
-        nonlocal weighted
-        weighted += math.perm(k, len(set(cols))) if canonical else 1
-        lo, hi = cols[:kk], cols[kk:]
-        axis0, axis1 = projection_axis(lo), projection_axis(hi)
-        if axis0 is None or axis1 is None or axis0 != axis1 or lo != hi:
-            report.record_violation(
-                {"coloring": list(cols), "layer0_axis": axis0, "layer1_axis": axis1}
-            )
+    def fault(cols: tuple[int, ...]) -> dict:
+        axes = projection_axis(cols[:kk]), projection_axis(cols[kk:])
+        return {"coloring": list(cols), "layer0_axis": axes[0], "layer1_axis": axes[1]}
 
-    _enumerate_into(report, graph, k, visit, budget, canonical)
-    report.count = weighted  # the colorings visited, when each weighs 1
+    if _refute_cases(report, cases(), k, fault, budget) == 2 * kk + 2:
+        identities = (tuple(c // k + 1 for c in range(kk)), tuple(c % k + 1 for c in range(kk)))
+        proper = sum(is_proper(graph, Coloring(p + p, k)) for p in identities)
+        report.count = math.factorial(k) * proper
     return report

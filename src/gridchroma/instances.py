@@ -15,11 +15,12 @@ in the middle copy, which distinguishes genuine two-sided cuts from sets
 whose removal leaves the cycle connected.  Those copies are a slice of one
 unrolling of four copies, opened between blocks m-1 and 0.
 
-A frontier grown over the cut with `graphs.neighbors_mask` checks that
-it is connected; the blocks it touches are read off its vertices.  The
-test itself is a breadth-first search over integer neighbor bitmasks
-(`graphs.reach_mask`): it grows the reach of the lowest remaining
-left-end vertex and stops as soon as that reach meets the right end.
+The cut is checked connected by one `graphs.reach_mask` call, from its
+lowest vertex through the cut; the blocks it touches are read off its
+vertices.  The test itself is a breadth-first search over integer
+neighbor bitmasks (`graphs.reach_mask` again): it grows the reach of the
+lowest remaining left-end vertex and stops as soon as that reach meets
+the right end.
 `_unrolling` holds, from the first cut test on, the neighbor masks and the
 block masks of that unrolling (of the instance graph in segment mode),
 never a graph object.  `_cut_context` caches in `_contexts`, per mask of
@@ -216,14 +217,8 @@ def divides_into_two(inst: LineInstance, cut: int) -> bool:
         raise InputError(f"cut must be a non-empty vertex bitmask, got {cut}")
     if cut >> n:
         raise InputError(f"cut {cut:#x} has a vertex out of range for {n} vertices")
-    # a frontier grown from the cut's lowest vertex reaches the whole cut
-    # iff the cut is connected
-    masks = inst.graph.neighbor_masks()
-    frontier = reached = cut & -cut
-    while frontier and reached != cut:
-        frontier = neighbors_mask(masks, frontier) & cut & ~reached
-        reached |= frontier
-    if reached != cut:
+    # the cut is connected iff its lowest vertex reaches all of it
+    if reach_mask(inst.graph.neighbor_masks(), cut & -cut, cut) != cut:
         raise InputError("cut must induce a connected subgraph")
     touched = 0
     for v in mask_vertices(cut):

@@ -633,7 +633,6 @@ def scan_greedy_clique(g: FiniteGraph) -> list[int]:
 def recursive_enumeration(
     g: FiniteGraph,
     palette: int,
-    base_forbidden: Optional[list[int]] = None,
     canonical: bool = False,
     max_nodes: Optional[int] = None,
 ) -> tuple[list[tuple[int, ...]], int, bool]:
@@ -645,12 +644,10 @@ def recursive_enumeration(
     the empty one included, for d < n, and on every complete coloring,
     just before it is visited; the walk stops at the node past
     `max_nodes`.  A vertex takes, in ascending order, the colors of
-    1..palette that neither its base_forbidden bits nor an earlier
-    neighbor hold, and canonically none above one past the largest color
-    so far.  Needs at least one vertex."""
+    1..palette that no earlier neighbor holds, and canonically none above
+    one past the largest color so far.  Needs at least one vertex."""
     n = g.n
     earlier = [{w for w in g.adj[v] if w < v} for v in range(n)]
-    forb = base_forbidden or [0] * n
     seen: list[tuple[int, ...]] = []
     nodes = 0
 
@@ -669,7 +666,7 @@ def recursive_enumeration(
         taken = {cols[w] for w in earlier[v]}
         top = max(cols, default=0) + 1 if canonical else palette
         for c in range(1, min(top, palette) + 1):
-            if c in taken or forb[v] >> c & 1:
+            if c in taken:
                 continue
             if v == n - 1:
                 spend()

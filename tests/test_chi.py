@@ -61,16 +61,13 @@ def brute_force_chi(g):
     return g.n
 
 
-def brute_force_colorings(g, palette, base_forbidden=None, canonical=False):
-    """Every admissible assignment, in lexicographic order, by a raw scan
-    over all palette^n maps; the independent oracle for enumeration."""
+def brute_force_colorings(g, palette, canonical=False):
+    """Every proper assignment, in lexicographic order, by a raw scan over
+    all palette^n maps; the independent oracle for enumeration."""
     edges = list(g.edges())
-    forb = base_forbidden or [0] * g.n
     out = []
     for cols in itertools.product(range(1, palette + 1), repeat=g.n):
         if any(cols[u] == cols[v] for u, v in edges):
-            continue
-        if any(forb[v] >> c & 1 for v, c in enumerate(cols)):
             continue
         if canonical and any(c > max(cols[:v], default=0) + 1 for v, c in enumerate(cols)):
             continue
@@ -207,23 +204,13 @@ class TestEnumerate:
                 - enumerate_colorings(contracted, palette)
             )
 
-    def test_base_forbidden_restricts(self):
-        g = FiniteGraph(1, [])
-        assert enumerate_colorings(g, 3, base_forbidden=[0b0110]) == 1
-
     def test_matches_brute_force_sequence(self):
         rng = random.Random(7)
         for trial in range(24):
             n = trial % 9
             g = random_graph(n, rng.choice((0.2, 0.4, 0.6)), seed=trial)
             for palette in range(1, 5):
-                forb = [rng.randrange(1 << (palette + 1)) for _ in range(n)]
-                for options in (
-                    {},
-                    {"canonical": True},
-                    {"base_forbidden": forb},
-                    {"base_forbidden": forb, "canonical": True},
-                ):
+                for options in ({}, {"canonical": True}):
                     seen = []
                     count = enumerate_colorings(g, palette, seen.append, **options)
                     want = brute_force_colorings(g, palette, **options)
@@ -245,10 +232,6 @@ class TestEnumerate:
             g = FiniteGraph(n, edges)
             palette = rng.randint(1, 5)
             options = {"canonical": rng.random() < 0.5}
-            if rng.random() < 0.5:
-                options["base_forbidden"] = [
-                    sum(1 << c for c in range(1, palette + 1) if rng.random() < 0.2) for _ in range(n)
-                ]
             limit = rng.choice((10, 300, 3000, 20000))
             want, nodes, stopped = recursive_enumeration(g, palette, max_nodes=limit, **options)
             budget = Budget(max_nodes=limit)
@@ -534,7 +517,6 @@ ENUMERATION_CASES = [
     (cycle_graph(5), 3, {}),
     (random_graph(7, 0.4, seed=2), 3, {"canonical": True}),
     (grid_graph(3), 3, {}),
-    (path_graph(4), 3, {"base_forbidden": [0, 0b100, 0, 0b10]}),
 ]
 SEARCH_CASES = [
     (twisted_quotient(3, 3), 4, {}),

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -387,9 +388,13 @@ class TestVerifiers:
 
     @pytest.mark.parametrize("twisted", [False, True])
     def test_case_refutations_agree_with_the_join_at_k3(self, twisted):
+        # the line pairs that would break the law: one family when twisted,
+        # the two families when plain
         graph = two_orbit_graph(3, twisted)
-        report = gridchroma.grid._refute_cases(VerificationReport("invariance", {}), 3, twisted, graph, None)
-        assert report.ok and report.count == 18
+        cases = [(gridchroma.grid._with_cliques(graph, lines), None) for lines in self.line_pairs(3, twisted)]
+        report = VerificationReport("invariance", {})
+        assert gridchroma.grid._refute_cases(report, cases, 4, list, None) == 18
+        assert report.ok
         assert verify_invariance(3, twisted).ok
 
     @staticmethod
@@ -438,8 +443,8 @@ class TestVerifiers:
     def test_invariance_budget_stop_counts_the_cases_refuted(self, monkeypatch, twisted):
         spent = []  # the nodes spent after each case, cumulative
 
-        def counted(graph, palette, budget):
-            found = find_coloring(graph, palette, budget=budget)
+        def counted(graph, palette, pins, budget):
+            found = find_coloring(graph, palette, pins, budget=budget)
             spent.append(budget.nodes)
             return found
 
@@ -458,57 +463,123 @@ class TestVerifiers:
         assert report.ok
         # 2 projections x 3! labelings, layer 1 forced equal to layer 0
         assert report.count == 12
-        assert not report.params["canonical"]
+        assert report.params == {"k": 3, "palette": 3}
 
-    @pytest.mark.parametrize("k, count", [(3, 12), (4, 48), (5, 240)])
-    def test_rigidity_canonical_agrees_with_full(self, k, count):
-        # k! colorings per projection axis; a canonical class weighs k!
-        full = verify_rigidity(k, canonical=False)
-        canonical = verify_rigidity(k, canonical=True)
-        assert full.ok and canonical.ok
-        assert full.count == canonical.count == count
-        assert verify_rigidity(k).params["canonical"] == (k > 3)
+    @pytest.mark.parametrize("k, count", [(3, 12), (4, 48)])
+    def test_rigidity_cases_count_the_full_enumeration(self, k, count):
+        # the reference: every k-coloring, enumerated, is one projection
+        # on both layers, and there are as many as the cases count
+        kk = k * k
+        seen = []
+        assert enumerate_colorings(two_orbit_graph(k, False), k, seen.append) == count
+        projections = {projection_coloring(k, axis).colors for axis in "ab"}
+        for cols in seen:
+            assert cols[:kk] == cols[kk:]
+            assert tuple(sorted(set(cols))) == tuple(range(1, k + 1))
+            relabel = {c: i + 1 for i, c in enumerate(dict.fromkeys(cols[:kk]))}
+            assert tuple(relabel[c] for c in cols[:kk]) in projections
+        assert verify_rigidity(k).count == count
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
+    def test_rigidity_counts_2_k_factorial(self, k):
+        report = verify_rigidity(k)
+        assert report.ok
+        assert report.count == 2 * math.factorial(k)
+        assert "canonical" not in report.params
 
     def test_rigidity_k6(self):
         report = verify_rigidity(6)
-        assert report.ok and report.params["canonical"]
-        assert report.count == 1440
+        assert report.to_json() == {
+            "name": "rigidity",
+            "params": {"k": 6, "palette": 6},
+            "count": 1440,
+            "violations": [],
+            "undecided": False,
+            "notes": [],
+            "ok": True,
+        }
 
-    @pytest.mark.parametrize("k", [3, 4])
-    def test_rigidity_planted_violation_caught_in_both_modes(self, monkeypatch, k):
-        # with no cross edges between columns 0 and 1, layer 1 may swap
-        # their colors: one more coloring per layer-0 a-projection
+    @staticmethod
+    def swapped_columns_graph(k):
+        """The plain two-orbit graph with no cross edges between columns 0
+        and 1, so layer 1 may swap their colors."""
         kk = k * k
         plain = two_orbit_graph(k, False)
-        swapped = {(a, a2) for a in (0, 1) for a2 in (0, 1) if a != a2}
+        swapped = {(0, 1), (1, 0)}
         edges = [
             (u, v) for u in range(kk) for v in plain.adj[u]
             if v >= kk and (u // k, (v - kk) // k) not in swapped or u < v < kk
         ] + [(u, v) for u in range(kk, 2 * kk) for v in plain.adj[u] if u < v]
-        planted = gridchroma.graphs.FiniteGraph(2 * kk, edges)
+        return gridchroma.graphs.FiniteGraph(2 * kk, edges)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_rigidity_planted_violation_caught(self, monkeypatch, k):
+        # a case pinning a cell of column 0 or 1 to differ finds the swap,
+        # one per such cell: 2k violations, under the cap, and count 0
+        kk = k * k
+        planted = self.swapped_columns_graph(k)
         monkeypatch.setattr(gridchroma.grid, "two_orbit_graph", lambda k, twisted: planted)
-        reports = [verify_rigidity(k, canonical=c) for c in (False, True)]
-        for report in reports:
-            assert not report.ok and not report.undecided
-            bad = report.violations[0]
+        report = verify_rigidity(k)
+        assert not report.ok and not report.undecided and report.count == 0
+        assert len(report.violations) == 2 * k
+        for bad in report.violations:
             assert bad["layer0_axis"] == bad["layer1_axis"] == "a"
+            assert is_proper(planted, Coloring(tuple(bad["coloring"]), k))
             lo, hi = bad["coloring"][:kk], bad["coloring"][kk:]
             assert lo[0] == hi[k] != lo[k] == hi[0]  # columns 0 and 1 swapped
-        if k == 3:
-            # under the violation cap: both modes count all 12 + 6 colorings
-            assert reports[0].count == reports[1].count == 18
-            assert len(reports[1].violations) == 1
+            assert lo[2 * k :] == hi[2 * k :]
+        monkeypatch.setattr(gridchroma.grid.VerificationReport, "MAX_RECORDED", 3)
+        report = verify_rigidity(k)
+        assert report.count == 0 and not report.undecided
+        assert report.violations[3:] == ["... further violations suppressed"]
 
-    def test_rigidity_budget_stop_weighs_the_classes_visited(self):
-        report = verify_rigidity(5, budget=Budget(max_nodes=5000))
-        assert report.undecided
-        seen = []
-        with pytest.raises(UndecidedError) as stop:
-            enumerate_colorings(
-                two_orbit_graph(5, False), 5, seen.append, canonical=True, budget=Budget(max_nodes=5000)
-            )
-        assert stop.value.lower == len(seen) > 0
-        assert report.count == 120 * len(seen)
+    def test_rigidity_count_reads_which_projections_are_proper(self, monkeypatch):
+        # an edge inside column 0 of each layer rules out the projection
+        # along a, so the b-projections alone are counted, as they are
+        # by the full enumeration
+        plain = two_orbit_graph(3, False)
+        planted = gridchroma.graphs.FiniteGraph(18, [*plain.edges(), (0, 1), (9, 10)])
+        monkeypatch.setattr(gridchroma.grid, "two_orbit_graph", lambda k, twisted: planted)
+        report = verify_rigidity(3)
+        assert report.ok and report.count == enumerate_colorings(planted, 3) == 6
+
+    def test_rigidity_layers_without_cross_edges_fail_every_case(self, monkeypatch):
+        # two grids side by side: the mismatch cases come first, layer 0
+        # projected along a then b, and every one of the 2k^2+2 cases finds
+        # a coloring
+        kk = 9
+        edges = [(u + lift, v + lift) for u, v in H3.edges() for lift in (0, kk)]
+        planted = gridchroma.graphs.FiniteGraph(2 * kk, edges)
+        monkeypatch.setattr(gridchroma.grid, "two_orbit_graph", lambda k, twisted: planted)
+        monkeypatch.setattr(gridchroma.grid.VerificationReport, "MAX_RECORDED", 100)
+        report = verify_rigidity(3)
+        assert report.count == 0 and not report.undecided
+        assert len(report.violations) == 2 * kk + 2
+        axes = [(bad["layer0_axis"], bad["layer1_axis"]) for bad in report.violations]
+        assert axes == [("a", "b"), ("b", "a")] + [("a", "a")] * kk + [("b", "b")] * kk
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_unpinned_same_family_cases_find_colorings(self, k):
+        # with one family's lines cliques on both layers and no pins, a
+        # coloring exists, so the pinned cases are refuted by their pins
+        kk = k * k
+        graph = two_orbit_graph(k, False)
+        rows = [[a * k + b for a in range(k)] for b in range(k)]
+        columns = [[a * k + b for b in range(k)] for a in range(k)]
+        for family in (rows, columns):
+            lines = family + [[kk + v for v in line] for line in family]
+            cliques = [(u, v) for line in lines for u, v in itertools.combinations(line, 2)]
+            case = gridchroma.graphs.FiniteGraph(2 * kk, [*graph.edges(), *cliques])
+            found = find_coloring(case, k)
+            assert found is not None and is_proper(case, found)
+
+    def test_rigidity_budget_stop_leaves_count_0(self):
+        budget = Budget()
+        assert verify_rigidity(5, budget=budget).ok
+        for stop in (Budget(ms=0), Budget(max_nodes=budget.nodes - 1), Budget(max_nodes=20)):
+            report = verify_rigidity(5, budget=stop)
+            assert report.undecided and report.count == 0 and not report.violations
+        assert verify_rigidity(5, budget=Budget(max_nodes=budget.nodes)).ok
 
     def test_rejects_small_k(self):
         with pytest.raises(InputError):

@@ -355,24 +355,24 @@ class TestBlockBridges:
     def test_end_block_cut_runs_no_search(self, monkeypatch, make):
         # a cut of one vertex in either end block leaves the rest of that
         # end, which is adjacent to the other end's reach: once the cut's
-        # context is cached, the bridge mask answers it
-        calls = 0
+        # context is cached, the bridge mask answers it, and the one
+        # reach_mask call left is the check that the cut is connected
+        calls = []
 
-        def counting_reach_mask(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return reach_mask(*args, **kwargs)
+        def counting_reach_mask(masks, seed, allowed, *args):
+            calls.append((seed, allowed))
+            return reach_mask(masks, seed, allowed, *args)
 
         reach_mask = instances.reach_mask
         monkeypatch.setattr(instances, "reach_mask", counting_reach_mask)
         inst = make()
         for block in (inst.blocks[0], inst.blocks[-1]):
-            cut = {block[0]}
-            want = set_based_divides_into_two(inst, cut)
-            assert divides_into_two(inst, vertex_mask(inst.graph, cut)) == want
-            calls = 0
-            assert divides_into_two(inst, vertex_mask(inst.graph, cut)) == want
-            assert calls == 0
+            cut = vertex_mask(inst.graph, {block[0]})
+            want = set_based_divides_into_two(inst, {block[0]})
+            assert divides_into_two(inst, cut) == want
+            calls.clear()
+            assert divides_into_two(inst, cut) == want
+            assert calls == [(cut, cut)]
 
     def test_dividing_cuts_hold_every_block_bridge(self):
         bridged = dividing = 0

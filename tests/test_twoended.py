@@ -159,21 +159,31 @@ class TestFindSeparators:
     def test_non_separating_cuts_run_no_search(self, monkeypatch):
         # every one-block candidate but the full block leaves a vertex
         # adjacent to both end reaches, so the only searches are the two
-        # end reaches per walked span and those of the 3 separators
-        calls = 0
+        # end reaches per walked span and those of the 3 separators; each
+        # cut test also checks its cut connected, by one reach over the cut
+        cuts, checks, calls = [], 0, 0
 
-        def counting_reach_mask(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return reach_mask(*args, **kwargs)
+        def recording_divides_into_two(inst, cut):
+            cuts.append(cut)
+            return divides_into_two(inst, cut)
 
+        def counting_reach_mask(masks, seed, allowed, *args):
+            nonlocal checks, calls
+            if cuts and (seed, allowed) == (cuts[-1] & -cuts[-1], cuts[-1]):
+                checks += 1
+            else:
+                calls += 1
+            return reach_mask(masks, seed, allowed, *args)
+
+        divides_into_two = twoended.divides_into_two
         reach_mask = instances.reach_mask
+        monkeypatch.setattr(twoended, "divides_into_two", recording_divides_into_two)
         monkeypatch.setattr(instances, "reach_mask", counting_reach_mask)
         inst = cayley_cycle_instance(DELTA3, 12)
         budget = Budget()
         got = find_separators(inst, 1, 9, budget)
         assert got == block_family(inst, [0, 4, 8])
-        assert budget.nodes == 18
+        assert budget.nodes == len(cuts) == checks == 18
         assert calls <= 2 * 3 + 2 * len(got)
 
     def test_matches_set_based_search(self, monkeypatch):
