@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import InputError, StopEnumeration, UndecidedError
 from .graphs import FiniteGraph
@@ -156,9 +156,10 @@ _NEAR = 6
 def enumerate_colorings(
     g: FiniteGraph,
     palette: int,
-    visitor: Optional[Callable[[tuple[int, ...]], None]] = None,
+    visitor: Optional[Callable[..., None]] = None,
     *,
     canonical: bool = False,
+    lines: Optional[Sequence[tuple[int, ...]]] = None,
     budget: Optional[Budget] = None,
 ) -> int:
     """Visit every proper coloring with the given palette available.
@@ -184,14 +185,28 @@ def enumerate_colorings(
     search node, leaves included, spends one budget unit, charged in
     runs; when the budget runs out, the UndecidedError raised carries the
     count of colorings visited so far as its lower bound.
+
+    lines, when given, is a sequence of nonempty tuples of distinct
+    vertices, and the visitor takes a second argument: the bitmask of the
+    lines (bit i for lines[i]) whose colors are pairwise distinct.  Each
+    color the next-to-last vertex of a line takes folds the colors of all
+    but its last vertex into one mask, -1 when one repeats, for the whole
+    subtree below, as far neighbors are folded; each color the last
+    vertex then takes marks the line distinct iff it is not in that mask.
+    Only the vertices where a line ends carry the bitmask down, each from
+    the line end before it; a vertex that ends or folds no line costs
+    one list read.  The tree, the visit order, the count and the budget
+    charges are those of the call without lines.
     """
     if palette < 1:
         raise InputError(f"palette must be >= 1, got {palette}")
     n = g.n
+    if lines and any(not line or len(set(line)) < len(line) or min(line) < 0 or max(line) >= n for line in lines):
+        raise InputError("lines must be nonempty tuples of distinct vertices of the graph")
     if n == 0:
         if visitor is not None:
             try:
-                visitor(())
+                visitor(()) if lines is None else visitor((), 0)
             except StopEnumeration:
                 pass
         return 1
@@ -201,6 +216,23 @@ def enumerate_colorings(
         tuple(w for w in g.adj[j + _NEAR] if w < j) if j + _NEAR < n else () for j in range(n)
     ]
     farban = [0] * n
+    # Per vertex j: folds[j] holds (i, pre) for the lines i whose vertices
+    # but the last, pre, end at j; ends[j] holds (1 << i, i) for the lines
+    # i that end at j; back[j] is the last line end before j, or -1, whose
+    # slot in `seen` stays 0.
+    folds: list[list] = [[] for _ in range(n)]
+    ends: list[list] = [[] for _ in range(n)]
+    for i, line in enumerate(lines or ()):
+        *pre, end = sorted(line)
+        if pre:
+            folds[pre[-1]].append((i, tuple(pre)))
+        ends[end].append((1 << i, i))
+    marked = [bool(f or e) for f, e in zip(folds, ends)]
+    back = [-1] * n
+    for j in range(1, n):
+        back[j] = j - 1 if ends[j - 1] else back[j - 1]
+    folded = [0] * len(lines or ())  # per line, its pre's colors, or -1
+    seen = [0] * (n + 1)  # per line end, the distinct lines so far
     full = (1 << (palette + 1)) - 2
     color_of = {1 << c: c for c in range(1, palette + 1)}
     # caps[d]: the colors vertex d may take at all.  Canonically that is
@@ -233,6 +265,7 @@ def enumerate_colorings(
             free = caps[d] & ~banned
             if d == last:
                 # one leaf per free color of the last vertex
+                above = seen[back[d]]
                 while free:
                     if run:
                         run -= 1
@@ -244,7 +277,14 @@ def enumerate_colorings(
                     count += 1
                     if visitor is not None:
                         try:
-                            visitor(tuple(assign))
+                            if lines is None:
+                                visitor(tuple(assign))
+                            else:
+                                distinct = above
+                                for lbit, i in ends[d]:
+                                    if not folded[i] & bit:
+                                        distinct |= lbit
+                                visitor(tuple(assign), distinct)
                         except StopEnumeration:
                             return count
             while not free:
@@ -256,6 +296,17 @@ def enumerate_colorings(
             todo[d] = free ^ bit
             bits[d] = bit
             assign[d] = color_of[bit]
+            if marked[d]:
+                distinct = seen[back[d]]
+                for lbit, i in ends[d]:
+                    if not folded[i] & bit:
+                        distinct |= lbit
+                seen[d] = distinct
+                for i, pre in folds[d]:
+                    mask = 0
+                    for w in pre:
+                        mask |= bits[w]
+                    folded[i] = mask if mask.bit_count() == len(pre) else -1
             d += 1
             if canonical:
                 caps[d] = (caps[d - 1] | bit << 1) & full

@@ -66,13 +66,28 @@ def _grid_adjacency(k: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _line_cells(k: int) -> tuple[tuple[int, ...], ...]:
+    """The grid's 2k lines, each a tuple of cells in vertex order: the k
+    rows (b = 0..k-1), then the k columns (a = 0..k-1)."""
+    kk = k * k
+    return tuple(tuple(range(b, kk, k)) for b in range(k)) + tuple(
+        tuple(range(a * k, a * k + k)) for a in range(k)
+    )
+
+
 @lru_cache(maxsize=None)
 def _lines(k: int) -> tuple[tuple[itemgetter, ...], tuple[itemgetter, ...]]:
     """Getters of each row's and each column's cells from a flat grid tuple."""
-    kk = k * k
-    rows = tuple(itemgetter(*range(b, kk, k)) for b in range(k))
-    columns = tuple(itemgetter(*range(a * k, a * k + k)) for a in range(k))
-    return rows, columns
+    getters = tuple(itemgetter(*line) for line in _line_cells(k))
+    return getters[:k], getters[k:]
+
+
+def _mask_flags(k: int, distinct: int) -> tuple[bool, bool]:
+    """(horizontal?, vertical?) read off the bitmask of the pairwise
+    distinct lines that `enumerate_colorings` reports for the lines
+    `_line_cells(k)`: a family is marked when none of its lines is
+    distinct, as `_orientation_flags` marks it."""
+    return not distinct & ((1 << k) - 1), not distinct >> k
 
 
 def _orientation_flags(k: int, cols: tuple[int, ...]) -> tuple[bool, bool]:
@@ -337,6 +352,8 @@ def verify_dichotomy(
     enumeration is reduced to one representative per color permutation
     (sound: both branch predicates are invariant under recoloring), and a
     budget turns an unfinished run into an explicit undecided report.
+    Each coloring's flags are read off the enumeration's mask of distinct
+    lines (`_mask_flags`).
     """
     palette = 2 * k - 2
     if canonical is None:
@@ -345,15 +362,20 @@ def verify_dichotomy(
         "dichotomy", {"k": k, "palette": palette, "canonical": canonical}
     )
 
-    def visit(cols: tuple[int, ...]):
-        horiz, vert = _orientation_flags(k, cols)
+    rows = (1 << k) - 1
+
+    def visit(cols: tuple[int, ...], distinct: int):
+        # `_mask_flags`, inlined: this runs once per coloring
+        horiz, vert = not distinct & rows, not distinct >> k
         if horiz == vert:
             report.record_violation(
                 {"coloring": list(cols), "horizontal": horiz, "vertical": vert}
             )
 
     try:
-        report.count = enumerate_colorings(grid_graph(k), palette, visit, canonical=canonical, budget=budget)
+        report.count = enumerate_colorings(
+            grid_graph(k), palette, visit, canonical=canonical, lines=_line_cells(k), budget=budget
+        )
     except UndecidedError as exc:
         # a budget stop keeps the colorings visited as the lower bound
         report.count = exc.lower
@@ -456,27 +478,33 @@ def _join_layers(
     """Fill in the full k=3 invariance report: a two-layer coloring is a
     pair of grid colorings that no cross edge of `graph` forbids.
 
-    The grid's colorings are enumerated once, in lexicographic order, and
-    layer i is bit i of every bitset below.  clash[y][c] holds the layers
-    that put color c on a cross neighbor of lower cell y, so a lower layer
-    `lo` pairs with the layers outside every clash[y][lo[y]].  Taking the
-    lower layers in order and each one's pairs in ascending bit order is
-    the two-orbit graph's lexicographic order, so the count, the
-    violations and the pair the violation cap stops on are a walk's.
-    Each lower layer spends one budget node; a budget stop leaves the
-    report undecided with the pairs counted so far (none inside the grid
-    enumeration).
+    The grid's colorings are enumerated once, in lexicographic order, each
+    with its orientation flags read off the enumeration's mask of distinct
+    lines (`_mask_flags`), and layer i is bit i of every bitset below.
+    clash[y][c] holds the layers that put color c on a cross neighbor of
+    lower cell y, so a lower layer `lo` pairs with the layers outside
+    every clash[y][lo[y]].  Taking the lower layers in order and each
+    one's pairs in ascending bit order is the two-orbit graph's
+    lexicographic order, so the count, the violations and the pair the
+    violation cap stops on are a walk's.  Each lower layer spends one
+    budget node; a budget stop leaves the report undecided with the pairs
+    counted so far (none inside the grid enumeration).
     """
     kk = k * k
     palette = 2 * k - 2
     layers: list[tuple[int, ...]] = []
+    flags: list[tuple[bool, bool]] = []
+
+    def keep(cols: tuple[int, ...], distinct: int):
+        layers.append(cols)
+        flags.append(_mask_flags(k, distinct))
+
     try:
-        enumerate_colorings(grid_graph(k), palette, layers.append, budget=budget)
+        enumerate_colorings(grid_graph(k), palette, keep, lines=_line_cells(k), budget=budget)
     except UndecidedError:
         report.undecided = True
         return report
     every = (1 << len(layers)) - 1
-    flags = [_orientation_flags(k, cols) for cols in layers]
     horiz = sum(1 << i for i, (h, _) in enumerate(flags) if h)
     escaped = sum(1 << i for i, (h, v) in enumerate(flags) if h == v)
     # has[z][c]: the layers that put color c on cell z; z's colors, last

@@ -422,6 +422,13 @@ def orientation(k: int, coloring: Coloring) -> str:
     return HORIZONTAL if horiz else VERTICAL
 
 
+def distinct_lines(lines, cols) -> int:
+    """The bitmask of the lines (bit i for lines[i]) whose colors under
+    `cols` are pairwise distinct, by a set per line: the mask
+    `enumerate_colorings` reports for `lines`."""
+    return sum(1 << i for i, line in enumerate(lines) if len({cols[v] for v in line}) == len(line))
+
+
 def walked_invariance(k: int, twisted: bool) -> "grid.VerificationReport":
     """The full invariance report by a walk over every proper (2k-2)-
     coloring of the two-orbit graph, one visit each: a pair's layers are

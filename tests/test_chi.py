@@ -22,10 +22,11 @@ from gridchroma.chi import (
 )
 from gridchroma.errors import InputError, StopEnumeration, UndecidedError
 from gridchroma.graphs import FiniteGraph
-from gridchroma.grid import grid_graph, layer_graph, two_orbit_graph
+from gridchroma.grid import _line_cells, grid_graph, layer_graph, two_orbit_graph
 from gridchroma.groups import MarkedGroupSpec
 from gridchroma.quotients import build_quotient
 from oracles import (
+    distinct_lines,
     edge_scan_is_proper,
     key_list_dsatur_greedy,
     key_list_find_coloring,
@@ -244,6 +245,90 @@ class TestEnumerate:
                 assert seen == want
             outcomes.add((stopped, len(want) > 0))
         assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_line_mask_matches_per_line_oracle(self):
+        # random overlapping line systems, sizes 1 and 2 among them; every
+        # visited coloring's mask must be the brute-force one, and the
+        # visits, the count and the nodes those of the call without lines,
+        # also under visitor stops and node-budget stops on a leaf
+        rng = random.Random(38)
+        leaf_stops = 0
+        for trial in range(40):
+            n = rng.randint(1, 9)
+            g = random_graph(n, rng.choice((0.3, 0.5, 0.7)), seed=1000 + trial)
+            lines = [tuple(rng.sample(range(n), rng.randint(1, min(n, 4)))) for _ in range(rng.randint(1, 7))]
+            for palette in range(1, 6):
+                for canonical in (False, True):
+                    plain, plain_budget = [], Budget()
+                    count = enumerate_colorings(g, palette, plain.append, canonical=canonical, budget=plain_budget)
+                    if count > 2500:
+                        continue
+                    visits, budget = [], Budget()
+
+                    def visit(cols, distinct):
+                        visits.append((cols, distinct))
+
+                    got = enumerate_colorings(g, palette, visit, canonical=canonical, lines=lines, budget=budget)
+                    assert (got, budget.nodes) == (count, plain_budget.nodes), (trial, palette, canonical)
+                    assert [cols for cols, _ in visits] == plain
+                    assert all(distinct == distinct_lines(lines, cols) for cols, distinct in visits)
+                    for j in rng.sample(range(1, count + 1), min(count, 3)):
+                        # a visitor stop at the j-th leaf leaves the node
+                        # count at that leaf, so one node less stops the
+                        # budget on it, inside the last vertex's leaf loop
+                        stopped = Budget()
+
+                        def stop(cols, distinct):
+                            assert distinct == distinct_lines(lines, cols)
+                            if cols == plain[j - 1]:
+                                raise StopEnumeration
+
+                        assert enumerate_colorings(g, palette, stop, canonical=canonical, lines=lines, budget=stopped) == j
+                        for limit, leaves in ((stopped.nodes - 1, j - 1), (rng.randrange(plain_budget.nodes), None)):
+                            runs = []
+                            for options in ({}, {"lines": lines}):
+                                seen, limited = [], Budget(max_nodes=limit)
+                                with pytest.raises(UndecidedError) as exc:
+                                    enumerate_colorings(
+                                        g, palette, lambda *args: seen.append(args), canonical=canonical,
+                                        budget=limited, **options,
+                                    )
+                                runs.append(([args[0] for args in seen], exc.value.lower, limited.nodes))
+                                if options:
+                                    assert all(distinct == distinct_lines(lines, cols) for cols, distinct in seen)
+                            assert runs[0] == runs[1]
+                            assert runs[0][2] == limit + 1
+                            if leaves is not None:
+                                assert runs[0][:2] == (plain[:leaves], leaves)
+                        leaf_stops += 1
+        assert leaf_stops > 100
+
+    def test_line_validation(self):
+        g = path_graph(3)
+        for lines in ([()], [(0, 0)], [(0, 3)], [(-1, 1)]):
+            with pytest.raises(InputError):
+                enumerate_colorings(g, 2, lines=lines)
+        seen = []
+        assert enumerate_colorings(FiniteGraph(0, []), 1, lambda *args: seen.append(args), lines=[]) == 1
+        assert seen == [((), 0)]
+
+    @pytest.mark.parametrize(
+        "k, palette, canonical, count, nodes",
+        [(3, 4, False, 1056, 3997), (4, 6, True, 3826, 18488)],
+    )
+    def test_grid_pass_node_counts_with_and_without_lines(self, k, palette, canonical, count, nodes):
+        lines = _line_cells(k)
+        for options in ({}, {"lines": lines}):
+            budget = Budget()
+            got = enumerate_colorings(grid_graph(k), palette, canonical=canonical, budget=budget, **options)
+            assert (got, budget.nodes) == (count, nodes), options
+        masks, budget = [], Budget()
+
+        def visit(cols, distinct):
+            masks.append(distinct == distinct_lines(lines, cols))
+
+        assert enumerate_colorings(grid_graph(k), palette, visit, canonical=canonical, lines=lines, budget=budget) == count
+        assert budget.nodes == nodes and all(masks) and len(masks) == count
 
     @pytest.mark.parametrize(
         "name, graph, palette, canonical, count, nodes",

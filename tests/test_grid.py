@@ -13,6 +13,8 @@ from gridchroma.grid import (
     HORIZONTAL,
     VERTICAL,
     VerificationReport,
+    _line_cells,
+    _mask_flags,
     _orientation_flags,
     cell,
     column_graph,
@@ -28,6 +30,7 @@ from oracles import (
     NOT_INDEPENDENT,
     SINGLETON,
     classify_independent_set,
+    distinct_lines,
     edge_list_layer_graph,
     is_independent,
     is_regular,
@@ -49,6 +52,25 @@ def oracle_flags(k, cols):
         elif shape.kind == VERTICAL:
             columns.add(shape.index)
     return len(rows) == k, len(columns) == k
+
+
+def plant_masks(monkeypatch, plant):
+    """Route the grid verifiers' enumerations through `plant(k, cols,
+    distinct)`, whose result the verifiers read as the mask of distinct
+    lines in place of the kernel's."""
+    kernel = gridchroma.grid.enumerate_colorings
+
+    def planted(g, palette, visitor, **options):
+        k = math.isqrt(g.n)
+        return kernel(g, palette, lambda cols, distinct: visitor(cols, plant(k, cols, distinct)), **options)
+
+    monkeypatch.setattr(gridchroma.grid, "enumerate_colorings", planted)
+
+
+def flags_mask(k, horiz, vert):
+    """A mask of distinct lines that `_mask_flags` reads as (horiz, vert):
+    row 0 is distinct unless horizontal, column 0 unless vertical."""
+    return (not horiz) | (not vert) << k
 
 
 class TestGridGraph:
@@ -183,11 +205,17 @@ class TestOrientation:
         ],
     )
     def test_flags_match_classification_oracle(self, k, palette, canonical, count, outcomes):
-        seen = []
+        seen, masks = [], []
+
+        def keep(cols, distinct):
+            masks.append(distinct)
+
+        enumerate_colorings(grid_graph(k), palette, keep, canonical=canonical, lines=_line_cells(k))
         enumerate_colorings(grid_graph(k), palette, seen.append, canonical=canonical)
-        assert len(seen) == count
-        for cols in seen:
+        assert len(seen) == len(masks) == count
+        for cols, distinct in zip(seen, masks):
             assert _orientation_flags(k, cols) == oracle_flags(k, cols), cols
+            assert _mask_flags(k, distinct) == oracle_flags(k, cols), cols
         assert {oracle_flags(k, cols) for cols in seen} == outcomes
 
     def test_both_flags_hold_on_row_and_column_pairs(self):
@@ -291,9 +319,10 @@ class TestVerifiers:
         assert 0 < report.count < 12288
 
     def test_violation_cap_keeps_the_colorings_visited(self, monkeypatch):
-        # every coloring escapes the dichotomy: ten are recorded, the
-        # eleventh adds the suppression note and stops the enumeration
-        monkeypatch.setattr(gridchroma.grid, "_orientation_flags", lambda k, cols: (True, True))
+        # every coloring escapes the dichotomy (no line is distinct): ten
+        # are recorded, the eleventh adds the suppression note and stops
+        # the enumeration
+        plant_masks(monkeypatch, lambda k, cols, distinct: 0)
         report = verify_dichotomy(3)
         assert not report.ok and not report.undecided
         assert report.count == 11
@@ -311,22 +340,34 @@ class TestVerifiers:
 
     @pytest.mark.parametrize("twisted", [False, True])
     def test_invariance_join_flags_each_grid_coloring_once(self, monkeypatch, twisted):
-        calls = []
+        graphs, masks, scans = [], [], []
+        kernel = gridchroma.grid.enumerate_colorings
 
-        def flags(k, cols):
-            calls.append(cols)
-            return _orientation_flags(k, cols)
+        def counted(g, palette, visitor, **options):
+            graphs.append(g.n)
 
-        monkeypatch.setattr(gridchroma.grid, "_orientation_flags", flags)
+            def read(cols, distinct):
+                masks.append((cols, distinct))
+                visitor(cols, distinct)
+
+            return kernel(g, palette, read, **options)
+
+        monkeypatch.setattr(gridchroma.grid, "enumerate_colorings", counted)
+        monkeypatch.setattr(gridchroma.grid, "_orientation_flags", lambda k, cols: scans.append(cols))
         assert verify_invariance(3, twisted).count == 12288
-        # the k=3 join works out each grid coloring's flags once, memo-free
-        assert len(calls) == len(set(calls)) == 1056
+        # the k=3 join enumerates the grid once, memo-free, and reads one
+        # mask per grid coloring, scanning no line of a passing report
+        assert graphs == [9] and scans == []
+        assert len(masks) == len({cols for cols, _ in masks}) == 1056
+        assert all(distinct == distinct_lines(_line_cells(3), cols) for cols, distinct in masks)
 
     @pytest.mark.parametrize("twisted", [False, True])
     def test_invariance_join_counts_every_pair(self, monkeypatch, twisted):
         # every layer escapes the dichotomy, so with no cap every pair the
         # join counts is recorded: they must be the two-orbit graph's
-        # colorings, each once, in the walk's order
+        # colorings, each once, in the walk's order; the join reads the
+        # masks, its violation records read the set-based flags
+        plant_masks(monkeypatch, lambda k, cols, distinct: 0)
         monkeypatch.setattr(gridchroma.grid, "_orientation_flags", lambda k, cols: (True, True))
         monkeypatch.setattr(gridchroma.grid.VerificationReport, "MAX_RECORDED", 20000)
         report = verify_invariance(3, twisted)
@@ -348,10 +389,16 @@ class TestVerifiers:
     )
     def test_invariance_join_reports_as_the_walk(self, monkeypatch, plant, twisted, count):
         # the cap stops the join and the walk on the same pair; with no cap
-        # both record every faulty pair, escaped lower layers included
+        # both record every faulty pair, escaped lower layers included; the
+        # join reads the planted masks, the walk and the join's violation
+        # records read the planted set-based flags
         def planted(k, cols):
             return self.PLANTS[plant](*_orientation_flags(k, cols), cols)
 
+        plant_masks(
+            monkeypatch,
+            lambda k, cols, distinct: flags_mask(k, *self.PLANTS[plant](*_mask_flags(k, distinct), cols)),
+        )
         monkeypatch.setattr(gridchroma.grid, "_orientation_flags", planted)
         report = verify_invariance(3, twisted)
         assert report.to_json() == walked_invariance(3, twisted).to_json()
